@@ -218,7 +218,7 @@ def run(argv=None) -> int:
     except OSError as err:
         print(f"error[io]: {err}", file=sys.stderr)
         return 1
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:  # json recurses per nesting level
         print(f"error[parse-error]: {err}", file=sys.stderr)
         return 1
     except ValueError as err:

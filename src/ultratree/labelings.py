@@ -113,7 +113,7 @@ def build_ultrametric(lt: LabeledTree):
         )
         raise DegenerateLabeling(f"edge {bad} has label zero on both endpoints", bad)
     points, rows = raw_distance_matrix(lt)
-    return FiniteUltrametricSpace(points, rows)
+    return FiniteUltrametricSpace._of_fractions(points, rows)
 
 
 def extend_labeling(tree: Tree, partial: Mapping[str, object], fill) -> dict[str, Fraction]:

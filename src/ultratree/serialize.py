@@ -10,6 +10,8 @@ All numeric content travels as exact decimal-integer or p/q strings
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import ParseError
 from .labelings import LabeledTree
 from .rationals import format_rational, parse_rational
@@ -81,8 +83,9 @@ def space_from_dict(obj) -> FiniteUltrametricSpace:
     if not isinstance(dist, list) or len(dist) != len(points):
         raise ParseError('"dist" must be a square matrix of rational strings')
     rows = []
+    parse = lru_cache(maxsize=None, typed=True)(parse_rational)  # typed: True is not 1
     for row in dist:
         if not isinstance(row, list) or len(row) != len(points):
             raise ParseError('"dist" must be a square matrix of rational strings')
-        rows.append([parse_rational(x) for x in row])
+        rows.append([parse(x) if isinstance(x, (str, int)) else parse_rational(x) for x in row])
     return validate_ultrametric(points, rows)

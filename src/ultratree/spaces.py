@@ -9,10 +9,12 @@ path-maximum metric reproduces the space exactly.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, groupby
+from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -49,9 +51,27 @@ class FiniteUltrametricSpace:
     def size(self) -> int:
         return len(self.points)
 
+    @classmethod
+    def _of_fractions(cls, points, dist) -> "FiniteUltrametricSpace":
+        """A space over tuples already holding Fractions, not coerced again."""
+        space = object.__new__(cls)
+        object.__setattr__(space, "points", points)
+        object.__setattr__(space, "dist", dist)
+        return space
+
     @cached_property
     def _index(self) -> dict[str, int]:
         return {p: i for i, p in enumerate(self.points)}
+
+    @cached_property
+    def _ranked(self) -> tuple[list[Fraction], list[list[int]]]:
+        """Integer ranks: values[codes[i][j]] == dist[i][j], values[0] == 0;
+        keyed by id (dist keeps entries alive), so each object hashes once."""
+        first = {id(x): x for row in self.dist for x in row}
+        values = sorted({Fraction(0)}.union(first.values()))
+        code = {v: c for c, v in enumerate(values)}
+        by_id = {i: code[x] for i, x in first.items()}
+        return values, [[by_id[id(x)] for x in row] for row in self.dist]
 
     def distance(self, x: str, y: str) -> Fraction:
         try:
@@ -61,12 +81,13 @@ class FiniteUltrametricSpace:
 
 
 def validate_ultrametric(points: Sequence[str], dist: Sequence[Sequence]) -> FiniteUltrametricSpace:
-    """Check the three ultrametric axioms exhaustively and return the space.
+    """Check the three ultrametric axioms in O(n^2) and return the space.
 
-    Symmetry, positivity (zero exactly on the diagonal, nothing negative),
-    and the strong triangle inequality d(x,y) <= max(d(x,z), d(z,y)) over
-    all ordered triples. Raises SymmetryViolation, PositivityViolation, or
-    StrongTriangleViolation naming the offending points.
+    Symmetry and positivity (zero exactly on the diagonal, nothing negative)
+    entry by entry; the strong triangle inequality by the minimum spanning
+    tree test (Gower & Ross 1969), then a scan over ordered triples only to
+    name a failure's first offender. Raises SymmetryViolation,
+    PositivityViolation, or StrongTriangleViolation naming the points.
     """
     pts = tuple(points)
     if not pts:
@@ -103,41 +124,66 @@ def validate_ultrametric(points: Sequence[str], dist: Sequence[Sequence]) -> Fin
                     f"distinct points {pts[i]!r}, {pts[j]!r} at distance 0",
                     (pts[i], pts[j]),
                 )
-    for i in range(n):
-        for j in range(n):
-            dij = rows[i][j]
-            for k in range(n):
-                if dij > rows[i][k] and dij > rows[k][j]:
-                    raise StrongTriangleViolation(
-                        f"d({pts[i]!r}, {pts[j]!r}) > max over {pts[k]!r}",
-                        (pts[i], pts[j], pts[k]),
-                    )
-    return FiniteUltrametricSpace(pts, tuple(rows))
+    space = FiniteUltrametricSpace._of_fractions(pts, tuple(rows))
+    codes = space._ranked[1]
+    if not _is_subdominant(codes, _mst(codes)):  # name the first bad triple
+        for i in range(n):
+            for j in range(n):
+                dij = codes[i][j]
+                for k in range(n):
+                    if dij > codes[i][k] and dij > codes[k][j]:
+                        raise StrongTriangleViolation(
+                            f"d({pts[i]!r}, {pts[j]!r}) > max over {pts[k]!r}",
+                            (pts[i], pts[j], pts[k]),
+                        )
+    return space
+
+
+def _mst(codes) -> list[tuple[int, int, int]]:
+    """Prim's MST of ``codes``: (weight, parent, vertex) in joining order."""
+    best = list(codes[0])
+    near = [0] * len(codes)
+    todo = list(range(1, len(codes)))
+    edges = []
+    while todo:
+        v = min(todo, key=best.__getitem__)
+        todo.remove(v)
+        edges.append((best[v], near[v], v))
+        row = codes[v]
+        for u in todo:
+            if row[u] < best[u]:
+                best[u] = row[u]
+                near[u] = v
+    return edges
+
+
+def _is_subdominant(codes, edges) -> bool:
+    """Whether each entry is the largest edge on its path in the Prim-ordered
+    MST ``edges``; the path from a joining v to an earlier u passes v's parent."""
+    seen = [0]
+    for w, p, v in edges:
+        if any(codes[v][u] != max(w, codes[p][u]) for u in seen):
+            return False
+        seen.append(v)
+    return True
 
 
 def us_witness(space: FiniteUltrametricSpace) -> str | None:
     """The first point (in point order) witnessing star generation, if any.
 
     A witness x0 satisfies d(x0, x) <= d(y, x) for all points x != x0 and
-    y != x. The scan is the plain cubic check of that condition.
+    y != x: off the diagonal, its row holds each column's minimum. O(n^2).
     """
-    d = space.dist
-    n = space.size
-    for i in range(n):
-        row = d[i]
-        good = True
-        for x in range(n):
-            if x == i:
-                continue
-            dix = row[x]
-            for y in range(n):
-                if y != x and d[y][x] < dix:
-                    good = False
-                    break
-            if not good:
-                break
-        if good:
-            return space.points[i]
+    i = _witness_index(space._ranked[1])
+    return None if i is None else space.points[i]
+
+
+def _witness_index(d) -> int | None:
+    """The first witness row of a square list-of-lists matrix (0 for one point), or None."""
+    colmin = [min(col[:x] + col[x + 1:], default=0) for x, col in enumerate(zip(*d))]
+    for i, row in enumerate(d):
+        if row[:i] == colmin[:i] and row[i + 1:] == colmin[i + 1:]:
+            return i
     return None
 
 
@@ -152,7 +198,7 @@ def restrict(space: FiniteUltrametricSpace, subset: Iterable[str]) -> FiniteUltr
     keep = [i for i, p in enumerate(space.points) if p in wanted]
     pts = tuple(space.points[i] for i in keep)
     rows = tuple(tuple(space.dist[i][j] for j in keep) for i in keep)
-    return FiniteUltrametricSpace(pts, rows)
+    return FiniteUltrametricSpace._of_fractions(pts, rows)
 
 
 def realize_as_star(space: FiniteUltrametricSpace):
@@ -199,43 +245,47 @@ class CanonicalForm:
 
 
 def canonical_form(space: FiniteUltrametricSpace) -> CanonicalForm:
-    """Canonical form of a valid space; equal forms mean isometric spaces."""
-    return _form(space.dist, tuple(range(space.size)))
+    """Canonical form of a valid space; equal forms mean isometric spaces.
 
+    Built bottom-up in O(n^2) without recursion: MST edges in increasing
+    order join classes by union-find, all joins at one distance one node."""
+    values, codes = space._ranked
+    root = list(range(space.size))
 
-def _form(dist, idxs: tuple[int, ...]) -> CanonicalForm:
-    if len(idxs) == 1:
-        return CanonicalForm(Fraction(0), ())
-    diameter = max(dist[i][j] for i, j in combinations(idxs, 2))
-    groups: list[list[int]] = []
-    for i in idxs:
-        # one representative per class suffices: d(., .) < diameter is an
-        # equivalence relation on a valid ultrametric space
-        for g in groups:
-            if dist[i][g[0]] < diameter:
-                g.append(i)
-                break
-        else:
-            groups.append([i])
-    children = sorted(
-        (_form(dist, tuple(g)) for g in groups), key=lambda f: f.serialized
-    )
-    return CanonicalForm(diameter, tuple(children))
+    def find(v):
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    forms = [CanonicalForm(Fraction(0), ())] * space.size
+    for w, group in groupby(sorted(_mst(codes)), key=itemgetter(0)):
+        kids: dict[int, list[CanonicalForm]] = {}
+        for _, a, b in group:
+            a, b = find(a), find(b)
+            root[b] = a
+            kids.setdefault(a, [forms[a]]).extend(kids.pop(b, [forms[b]]))
+        for r, children in kids.items():
+            children.sort(key=attrgetter("serialized"))
+            forms[r] = CanonicalForm(values[w], tuple(children))
+            inner = "".join(c.serialized for c in children)
+            forms[r].__dict__["serialized"] = f"({format_rational(values[w])}{inner})"
+    return forms[find(0)]
 
 
 def check_isometric(a: FiniteUltrametricSpace, b: FiniteUltrametricSpace) -> bool:
     """Whether a distance-preserving bijection exists between two spaces.
 
     Mismatched sizes or distance multisets short-circuit to False; otherwise
-    the canonical forms decide.
+    the serialized canonical forms decide. O(n^2).
     """
     if a.size != b.size:
         return False
-    if _distance_multiset(a) != _distance_multiset(b):
+    if a._ranked[0] != b._ranked[0] or _upper_counts(a) != _upper_counts(b):
         return False
-    return canonical_form(a) == canonical_form(b)
+    return canonical_form(a).serialized == canonical_form(b).serialized
 
 
-def _distance_multiset(space: FiniteUltrametricSpace) -> list[Fraction]:
-    n = space.size
-    return sorted(space.dist[i][j] for i in range(n) for j in range(i + 1, n))
+def _upper_counts(space: FiniteUltrametricSpace) -> Counter:
+    rows = enumerate(space._ranked[1])
+    return Counter(chain.from_iterable(row[i + 1:] for i, row in rows))

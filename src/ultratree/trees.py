@@ -105,7 +105,7 @@ def validate_tree(vertices: Iterable[str], edges: Iterable) -> Tree:
         a, b = pair
         if a == b:
             raise BadEdge(f"self-loop at {a!r}", (a,))
-        if a not in seen or b not in seen:
+        if not (isinstance(a, str) and isinstance(b, str)) or a not in seen or b not in seen:
             raise BadEdge(f"edge ({a!r}, {b!r}) references an unknown vertex", (a, b))
         norm_edges.add((a, b) if a <= b else (b, a))
 

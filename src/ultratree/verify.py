@@ -35,6 +35,7 @@ and every public object are materialized with exact Fractions.
 from __future__ import annotations
 
 import itertools
+import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -51,6 +52,7 @@ from .labelings import (
 )
 from .rationals import coerce_nonnegative, format_rational, parse_rational
 from .spaces import (
+    _witness_index,
     us_witness,
     validate_ultrametric,
 )
@@ -242,24 +244,6 @@ def _coded_matrix(n: int, pairs, lab) -> list[list[int]]:
     return d
 
 
-def _has_witness(n: int, d) -> bool:
-    if n == 1:
-        return True
-    colmin = [
-        min(d[y][x] for y in range(n) if y != x) for x in range(n)
-    ]
-    for x0 in range(n):
-        row = d[x0]
-        hit = True
-        for x in range(n):
-            if x != x0 and row[x] != colmin[x]:
-                hit = False
-                break
-        if hit:
-            return True
-    return False
-
-
 def _coded_matrix_violation(n: int, d):
     for i in range(n):
         if d[i][i] != 0:
@@ -400,7 +384,7 @@ def _chunk_main(n, lo, hi, vals):
                 if not nondeg:
                     continue
                 d = _coded_matrix(n, pairs, lab)
-                if not _has_witness(n, d):
+                if _witness_index(d) is None:
                     fails.append(
                         _fail(n, rank, CLAIM_WITNESS, {"witness": None}, codes=lab)
                     )
@@ -521,7 +505,7 @@ def _chunk_classify(n, lo, hi, vals):
                 if not nondeg:
                     continue
                 d = _coded_matrix(n, pairs, lab)
-                if not _has_witness(n, d):
+                if _witness_index(d) is None:
                     fails.append(
                         _fail(n, rank, CLAIM_WITNESS, {"witness": None}, codes=lab)
                     )
@@ -583,6 +567,8 @@ def _materialize(fd: dict, vals) -> Certificate:
 def _execute(theorem, n_max, values, budget, jobs, subchecks=None) -> VerificationReport:
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     vals = _canon_values(values) if values is not None else None
     predicted = predicted_cases(theorem, n_max, len(vals) if vals else 0)
     if predicted > budget:
@@ -598,10 +584,11 @@ def _execute(theorem, n_max, values, budget, jobs, subchecks=None) -> Verificati
             tasks.append(
                 {"theorem": theorem, "n": n, "lo": lo, "hi": hi, "values": value_strs}
             )
-    if jobs > 1 and len(tasks) > 1:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         from multiprocessing import Pool
 
-        with Pool(jobs) as pool:
+        with Pool(workers) as pool:
             parts = pool.map(_run_chunk, tasks)
     else:
         parts = [_run_chunk(t) for t in tasks]

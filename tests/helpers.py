@@ -2,7 +2,8 @@
 
 Everything in here is deliberately naive: simple-path enumeration for the
 longest path, permutation search for isometry, edge-subset filtering for
-tree enumeration, and a literal transcription of the witness condition.
+tree enumeration, a literal transcription of the witness condition, the
+axiom check over every ordered triple and the recursive dendrogram split.
 The point is that none of it shares code with the implementations under
 test, so agreement is evidence rather than tautology.
 """
@@ -17,9 +18,15 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 from ultratree import (
+    CanonicalForm,
     FiniteUltrametricSpace,
     LabeledTree,
+    PositivityViolation,
+    StrongTriangleViolation,
+    SymmetryViolation,
     Tree,
+    build_ultrametric,
+    coerce_nonnegative,
     validate_tree,
 )
 
@@ -141,6 +148,79 @@ def brute_witness(space):
     return None
 
 
+def brute_validate(points, dist):
+    """The three ultrametric axioms checked entry by entry and over every
+    ordered triple, raising what validate_ultrametric raises."""
+    pts = tuple(points)
+    if not pts:
+        raise ValueError("a space needs at least one point")
+    if len(set(pts)) != len(pts):
+        raise ValueError("point names must be unique")
+    if len(dist) != len(pts) or any(len(row) != len(pts) for row in dist):
+        raise ValueError(f"distance matrix must be {len(pts)}x{len(pts)}")
+    n = len(pts)
+    rows = []
+    for i, row in enumerate(dist):
+        coerced = []
+        for j, x in enumerate(row):
+            try:
+                coerced.append(coerce_nonnegative(x))
+            except ValueError:
+                raise PositivityViolation(
+                    f"negative distance at ({pts[i]!r}, {pts[j]!r})", (pts[i], pts[j])
+                ) from None
+        rows.append(tuple(coerced))
+    for i in range(n):
+        if rows[i][i] != 0:
+            raise PositivityViolation(f"d({pts[i]!r}, {pts[i]!r}) must be 0", (pts[i],))
+        for j in range(i + 1, n):
+            if rows[i][j] != rows[j][i]:
+                raise SymmetryViolation(
+                    f"d({pts[i]!r}, {pts[j]!r}) != d({pts[j]!r}, {pts[i]!r})",
+                    (pts[i], pts[j]),
+                )
+            if rows[i][j] == 0:
+                raise PositivityViolation(
+                    f"distinct points {pts[i]!r}, {pts[j]!r} at distance 0",
+                    (pts[i], pts[j]),
+                )
+    for i in range(n):
+        for j in range(n):
+            dij = rows[i][j]
+            for k in range(n):
+                if dij > rows[i][k] and dij > rows[k][j]:
+                    raise StrongTriangleViolation(
+                        f"d({pts[i]!r}, {pts[j]!r}) > max over {pts[k]!r}",
+                        (pts[i], pts[j], pts[k]),
+                    )
+    return FiniteUltrametricSpace(pts, tuple(rows))
+
+
+def brute_form(space, idxs=None):
+    """Canonical form by recursion: split at the diameter into the classes
+    of d(x, y) < diameter, children sorted by their serialized text."""
+    dist = space.dist
+    if idxs is None:
+        idxs = tuple(range(space.size))
+    if len(idxs) == 1:
+        return CanonicalForm(Fraction(0), ())
+    diameter = max(dist[i][j] for i, j in combinations(idxs, 2))
+    groups = []
+    for i in idxs:
+        # one representative per class suffices: d(., .) < diameter is an
+        # equivalence relation on a valid ultrametric space
+        for g in groups:
+            if dist[i][g[0]] < diameter:
+                g.append(i)
+                break
+        else:
+            groups.append([i])
+    children = sorted(
+        (brute_form(space, tuple(g)) for g in groups), key=lambda f: f.serialized
+    )
+    return CanonicalForm(diameter, tuple(children))
+
+
 def brute_isometric(a, b):
     if a.size != b.size:
         return False
@@ -228,3 +308,25 @@ def random_labeled_trees(draw, min_order=1, max_order=7, pool=LABEL_POOL):
     tree = draw(random_trees(min_order=min_order, max_order=max_order))
     labels = {v: draw(st.sampled_from(pool)) for v in tree.vertices}
     return LabeledTree(tree, labels)
+
+
+@st.composite
+def random_spaces(draw, min_order=1, max_order=40):
+    """The space of a random labeling of a random tree, or of a star half
+    the time, in a random point order. A zero label next to another zero
+    is lifted to 1, so the labeling is non-degenerate."""
+    n = draw(st.integers(min_value=min_order, max_value=max_order))
+    if draw(st.booleans()):
+        tree = star_tree(n)
+    else:
+        tree = draw(random_trees(min_order=n, max_order=n))
+    labels = {v: draw(st.sampled_from(LABEL_POOL)) for v in tree.vertices}
+    for a, b in tree.edges:
+        if labels[a] == 0 and labels[b] == 0:
+            labels[b] = Fraction(1)
+    space = build_ultrametric(LabeledTree(tree, labels))
+    perm = draw(st.permutations(range(n)))
+    return FiniteUltrametricSpace(
+        tuple(space.points[i] for i in perm),
+        tuple(tuple(space.dist[i][j] for j in perm) for i in perm),
+    )

@@ -213,6 +213,12 @@ class TestVerifyCommand:
         assert run(["verify", "--theorem", "main", "--values", "0,0.5"]) == 1
         assert "error[parse-error]" in capsys.readouterr().err
 
+    def test_jobs_below_one_usage_error(self, capsys):
+        for jobs in ("0", "-3"):
+            argv = ["verify", "--theorem", "lemmas", "--max-order", "3", "--jobs", jobs]
+            assert run(argv) == 1
+            assert "error[usage]" in capsys.readouterr().err
+
 
 class TestUsageAndIO:
     def test_no_arguments(self, capsys):
@@ -240,6 +246,13 @@ class TestUsageAndIO:
         bad.write_text("{nope")
         assert run(["classify", str(bad)]) == 1
         assert "error[parse-error]" in capsys.readouterr().err
+
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        for command in ("classify", "check-us"):
+            assert run([command, str(deep)]) == 1
+            assert capsys.readouterr().err.startswith("error[parse-error]")
 
     def test_wrong_document_shape(self, capsys, tmp_path):
         bad = tmp_path / "list.json"

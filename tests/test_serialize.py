@@ -155,6 +155,9 @@ class TestSpaceWire:
             {"points": ["a", "b"], "dist": [["0", "1"]]},
             {"points": ["a", "a"], "dist": [["0", "1"], ["1", "0"]]},
             {"points": ["a", "b"], "dist": [["0", "1.5"], ["1.5", "0"]]},
+            # True after an equal 1: entries are parsed once per type and value
+            {"points": ["a", "b"], "dist": [[0, 1], [True, 0]]},
+            {"points": ["a", "b"], "dist": [["0", [1]], [[1], "0"]]},
         ):
             with pytest.raises(ParseError):
                 space_from_dict(obj)

@@ -1,22 +1,28 @@
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     FIG1_MATRIX,
     FIG1_POINTS,
+    LABEL_POOL,
     all_labelings,
+    brute_form,
     brute_isometric,
+    brute_validate,
     brute_witness,
     labeled,
     path_tree,
     random_labeled_trees,
+    random_spaces,
     space_of,
     star_tree,
 )
 from ultratree import (
+    UltratreeError,
     EmptySubset,
     FiniteUltrametricSpace,
     NotUS,
@@ -29,6 +35,7 @@ from ultratree import (
     check_isometric,
     enumerate_trees,
     is_nondegenerate,
+    raw_distance_matrix,
     realize_as_star,
     restrict,
     us_witness,
@@ -324,3 +331,77 @@ class TestIsometry:
         shuffled = _permuted(space, perm)
         assert check_isometric(space, shuffled)
         assert canonical_form(space).serialized == canonical_form(shuffled).serialized
+
+
+def _outcome(validate, points, rows):
+    try:
+        return validate(points, rows)
+    except UltratreeError as err:
+        return type(err), str(err), err.offenders
+
+
+class TestAgainstOracles:
+    """The quadratic kernels against the cubic scans and the recursive
+    split they replaced, kept in helpers as oracles."""
+
+    @settings(max_examples=60)
+    @given(random_labeled_trees(max_order=40))
+    def test_validation_on_tree_matrices(self, lt):
+        points, rows = raw_distance_matrix(lt)
+        assert _outcome(validate_ultrametric, points, rows) == _outcome(
+            brute_validate, points, rows
+        )
+
+    @settings(max_examples=150)
+    @given(random_spaces(min_order=2), st.data())
+    def test_validation_with_one_entry_perturbed(self, space, data):
+        n = space.size
+        i = data.draw(st.integers(0, n - 1))
+        j = data.draw(st.integers(0, n - 1))
+        value = data.draw(st.sampled_from(LABEL_POOL + (Fraction(7),)))
+        rows = [list(row) for row in space.dist]
+        rows[i][j] = value
+        if data.draw(st.booleans()):
+            rows[j][i] = value
+        assert _outcome(validate_ultrametric, space.points, rows) == _outcome(
+            brute_validate, space.points, rows
+        )
+
+    @settings(max_examples=60)
+    @given(random_spaces())
+    def test_witness(self, space):
+        assert us_witness(space) == brute_witness(space)
+
+    @settings(max_examples=60)
+    @given(random_spaces())
+    def test_canonical_form(self, space):
+        form = canonical_form(space)
+        assert form.serialized == brute_form(space).serialized
+        assert form == brute_form(space)
+
+    @given(random_spaces(max_order=7), st.data())
+    def test_isometry_up_to_order_seven(self, a, data):
+        if data.draw(st.booleans()):
+            b = data.draw(random_spaces(min_order=a.size, max_order=a.size))
+        else:
+            b = _permuted(a, data.draw(st.permutations(range(a.size))))
+        assert check_isometric(a, b) == brute_isometric(a, b)
+
+    def test_deep_dendrogram_needs_no_recursion(self):
+        # d(i, j) = max(i, j): point k joins the points below it at k, a
+        # dendrogram 299 levels deep
+        n = 300
+        points = [f"p{i}" for i in range(n)]
+        rows = [[0 if i == j else max(i, j) for j in range(n)] for i in range(n)]
+        space = validate_ultrametric(points, rows)
+        flipped = validate_ultrametric(points[::-1], [row[::-1] for row in rows[::-1]])
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            form = canonical_form(space)
+            same = check_isometric(space, flipped)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert same
+        assert form.serialized.startswith("(299(0)(298(0)(297(0)")
+        assert form.serialized.count("(") == 2 * n - 1

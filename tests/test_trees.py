@@ -77,6 +77,11 @@ class TestValidateTree:
         with pytest.raises(BadEdge):
             validate_tree(["a", 3], [])
 
+    def test_unhashable_endpoint(self):
+        with pytest.raises(BadEdge) as info:
+            validate_tree(["a", "b"], [(["a"], "b")])
+        assert info.value.code == "bad-edge"
+
     def test_triangle_has_cycle(self):
         with pytest.raises(HasCycle):
             validate_tree(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])

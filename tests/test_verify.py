@@ -1,10 +1,13 @@
 import itertools
 import json
+import multiprocessing
+import os
 from fractions import Fraction
 
 import pytest
 
 from helpers import (
+    brute_witness,
     cayley,
     double_star_count,
     expected_cases,
@@ -30,7 +33,6 @@ from ultratree import (
     raw_distance_matrix,
     report_to_dict,
     replay_certificate,
-    us_witness,
     validate_tree,
     validate_ultrametric,
     verify_classification,
@@ -43,6 +45,7 @@ from ultratree.errors import (
     StrongTriangleViolation,
     SymmetryViolation,
 )
+from ultratree.spaces import _witness_index
 from ultratree.verify import (
     CLAIM_ADJACENT,
     CLAIM_AT_MOST_TWO,
@@ -56,7 +59,6 @@ from ultratree.verify import (
     _codes_for,
     _coded_matrix,
     _coded_matrix_violation,
-    _has_witness,
     _int_adjacency,
     _int_edges,
     _materialize,
@@ -171,6 +173,11 @@ class TestParameterErrors:
         with pytest.raises(BudgetExceeded):
             verify_theorem_nondegeneracy(7)
 
+    def test_jobs_below_one(self):
+        for jobs in (0, -3):
+            with pytest.raises(ValueError):
+                verify_structure_lemmas(3, jobs=jobs)
+
 
 class TestParallelExecution:
     def test_jobs_do_not_change_the_report(self):
@@ -181,6 +188,35 @@ class TestParallelExecution:
         assert pooled.parameters == lone.parameters
         assert pooled.subchecks == lone.subchecks
         assert pooled.status == "pass"
+
+    # lemmas through order 4 split into 13 tasks at jobs=2 and 21 beyond
+    @pytest.mark.parametrize(
+        "jobs, cpus, workers",
+        [(1, 64, None), (2, 3, 2), (10_000, 3, 3), (10_000, 64, 21), (10_000, None, None)],
+    )
+    def test_pool_size_is_clamped(self, monkeypatch, jobs, cpus, workers):
+        asked = []
+
+        class RecordingPool:
+            """Stands in for multiprocessing.Pool; runs the tasks in process."""
+
+            def __init__(self, processes):
+                asked.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return [fn(t) for t in tasks]
+
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        report = verify_structure_lemmas(4, jobs=jobs)
+        assert asked == ([] if workers is None else [workers])
+        assert report.cases_checked == expected_cases("lemmas", 4, 0)
 
 
 class TestCodedCore:
@@ -235,7 +271,7 @@ class TestCodedCore:
                 assert (viol is None) == is_nondegenerate(lt)
                 if valid:
                     space = validate_ultrametric(points, rows)
-                    assert _has_witness(n, d) == (us_witness(space) is not None)
+                    assert (_witness_index(d) is not None) == (brute_witness(space) is not None)
 
     def test_coded_run_decides_the_same_predicates(self):
         # identity coding, then a coding where values and codes differ
