@@ -23,7 +23,7 @@ from .errors import (
     UnknownVertex,
 )
 from .rationals import coerce_nonnegative
-from .trees import Tree, longest_path_length, unique_path
+from .trees import Tree, _distances, longest_path_length, unique_path
 
 DEFAULT_LABELING_BUDGET = 1_000_000
 
@@ -66,36 +66,35 @@ def raw_distance_matrix(lt: LabeledTree) -> tuple[tuple[str, ...], tuple[tuple[F
 
     Returns (points, matrix) in the tree's vertex order. For a degenerate
     labeling the result is not an ultrametric (some distinct pair lands at
-    distance zero); build_ultrametric is the checked entry point.
+    distance zero); build_ultrametric is the checked entry point. O(n^2).
     """
-    tree = lt.tree
-    verts = tree.vertices
-    n = len(verts)
+    verts = lt.tree.vertices
     index = {v: i for i, v in enumerate(verts)}
-    labels = [lt.labels[v] for v in verts]
-    adj = [[index[u] for u in tree._adjacency[v]] for v in verts]
-    zero = Fraction(0)
+    adj = [[index[u] for u in lt.tree._adjacency[v]] for v in verts]
+    rows = _path_max(adj, [lt.labels[v] for v in verts], Fraction(0))
+    return verts, tuple(map(tuple, rows))
+
+
+def _path_max(adj, labels, zero) -> list[list]:
+    """Path-maximum matrix of the tree with index adjacency lists ``adj``,
+    ``zero`` on the diagonal. In breadth-first order from vertex 0 each row
+    is the label maxed into the parent's row, whose own entry reads as the
+    parent's label: paths to earlier vertices run through the parent."""
+    n = len(labels)
     rows = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        # parents of a breadth-first tree rooted at i, then walk each pair
-        parent = [-1] * n
-        parent[i] = i
-        order = [i]
-        for w in order:
-            for x in adj[w]:
-                if parent[x] < 0:
-                    parent[x] = w
-                    order.append(x)
-        for j in range(i + 1, n):
-            best = labels[j]
-            w = j
-            while w != i:
-                w = parent[w]
-                if labels[w] > best:
-                    best = labels[w]
-            rows[i][j] = best
-            rows[j][i] = best
-    return verts, tuple(tuple(r) for r in rows)
+    seen = [True] + [False] * (n - 1)
+    order = [0]
+    for p in order:
+        above, dp = labels[p], rows[p]
+        for z in adj[p]:
+            if not seen[z]:
+                seen[z] = True
+                c, dz = labels[z], rows[z]
+                for x in order:
+                    w = above if x == p else dp[x]
+                    dz[x] = rows[x][z] = c if c > w else w
+                order.append(z)
+    return rows
 
 
 def build_ultrametric(lt: LabeledTree):
@@ -163,7 +162,7 @@ def counterexample_labeling(tree: Tree) -> LabeledTree:
         raise NoLongPath(f"longest path has {length} edges, need at least 4")
     best: tuple[str, str] | None = None
     for u in tree.vertices:
-        dist = _edge_distances(tree, u)
+        dist = _distances(tree, u)
         for v, d in dist.items():
             if d == length:
                 pair = (u, v) if u <= v else (v, u)
@@ -175,18 +174,6 @@ def counterexample_labeling(tree: Tree) -> LabeledTree:
     for v, value in zip(path[:5], _COUNTEREXAMPLE_PATTERN):
         labels[v] = value
     return LabeledTree(tree, labels)
-
-
-def _edge_distances(tree: Tree, start: str) -> dict[str, int]:
-    adj = tree._adjacency
-    dist = {start: 0}
-    queue = [start]
-    for w in queue:
-        for x in adj[w]:
-            if x not in dist:
-                dist[x] = dist[w] + 1
-                queue.append(x)
-    return dist
 
 
 def enumerate_labelings(

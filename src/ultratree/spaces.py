@@ -225,14 +225,15 @@ def realize_as_star(space: FiniteUltrametricSpace):
     return LabeledTree(tree, labels)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class CanonicalForm:
     """Recursive dendrogram form: diameter plus canonically sorted children.
 
     Leaves are (0, ()). A multi-point space at diameter D splits into the
     equivalence classes of d(x, y) < D; there are always at least two.
     Children are sorted by their serialized text, so equal forms serialize
-    identically and vice versa.
+    identically and vice versa; equality, hashing and repr go through that
+    text, so none of them recurses.
     """
 
     diameter: Fraction
@@ -240,8 +241,22 @@ class CanonicalForm:
 
     @cached_property
     def serialized(self) -> str:
-        inner = "".join(c.serialized for c in self.children)
-        return f"({format_rational(self.diameter)}{inner})"
+        forms = [self]  # every uncached form below, each after its parent
+        for form in forms:
+            forms.extend(c for c in form.children if "serialized" not in c.__dict__)
+        for form in reversed(forms):
+            inner = "".join(c.serialized for c in form.children)
+            form.__dict__["serialized"] = f"({format_rational(form.diameter)}{inner})"
+        return self.__dict__["serialized"]
+
+    def __eq__(self, other):
+        return isinstance(other, CanonicalForm) and self.serialized == other.serialized
+
+    def __hash__(self):
+        return hash(self.serialized)
+
+    def __repr__(self):
+        return f"CanonicalForm({self.serialized!r})"
 
 
 def canonical_form(space: FiniteUltrametricSpace) -> CanonicalForm:

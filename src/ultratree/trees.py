@@ -99,7 +99,10 @@ def validate_tree(vertices: Iterable[str], edges: Iterable) -> Tree:
 
     norm_edges: set[tuple[str, str]] = set()
     for edge in edges:
-        pair = tuple(edge)
+        try:
+            pair = tuple(edge)
+        except TypeError:
+            raise BadEdge(f"edge {edge!r} is not a two-element set", (edge,)) from None
         if len(pair) != 2:
             raise BadEdge(f"edge {pair!r} is not a two-element set", pair)
         a, b = pair
@@ -172,19 +175,17 @@ def high_degree_vertices(tree: Tree) -> set[str]:
     return {v for v, ns in tree._adjacency.items() if len(ns) >= 2}
 
 
-def _farthest(tree: Tree, start: str) -> tuple[str, int]:
+def _distances(tree: Tree, start: str) -> dict[str, int]:
+    """Edge counts from ``start`` to every vertex, in breadth-first order."""
     adj = tree._adjacency
     dist = {start: 0}
-    queue = deque([start])
-    last = start
-    while queue:
-        w = queue.popleft()
-        last = w
+    queue = [start]
+    for w in queue:
         for x in adj[w]:
             if x not in dist:
                 dist[x] = dist[w] + 1
                 queue.append(x)
-    return last, dist[last]
+    return dist
 
 
 def longest_path_length(tree: Tree) -> int:
@@ -194,11 +195,8 @@ def longest_path_length(tree: Tree) -> int:
     endpoint of some longest path, and the farthest vertex from that
     endpoint realizes the full length.
     """
-    if tree.order == 1:
-        return 0
-    end, _ = _farthest(tree, tree.vertices[0])
-    _, length = _farthest(tree, end)
-    return length
+    end = list(_distances(tree, tree.vertices[0]))[-1]
+    return max(_distances(tree, end).values())
 
 
 def classify(tree: Tree) -> TreeClass:

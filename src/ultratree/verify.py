@@ -30,6 +30,22 @@ order. Path-maximum distances, the witness condition, and the axiom checks
 use only comparisons and maxima, which the encoding preserves, so the coded
 run decides exactly the same predicates as the Fraction run. Certificates
 and every public object are materialized with exact Fractions.
+
+Each tree's labelings are swept by one depth-first walk over its vertices
+in breadth-first order from v1, so every vertex z joins the labeled prefix
+as a leaf and labelings sharing a prefix share its work. With code c on z
+and parent p, z's row is d(z, x) = max(c, d(p, x)), reading d(p, p) as p's
+label; with m its minimum, first reached at a, the rest costs O(k):
+
+* Axioms: a valid prefix stays valid iff m > 0 and d(z, x) = max(m, d(a, x))
+  for all x: the isosceles property at (z, a, x) forces this row, and it
+  keeps every triple through z isosceles. Failure is kept by extensions.
+* Witness: old candidate x0 stays one iff d(z, x0) = m and no other column
+  minimum drops (x0's row must hold them all); z becomes one iff no column
+  minimum lies below its row. A dropped candidate never returns.
+* Rows are built only while they can matter: under a valid prefix for the
+  axioms, a non-degenerate one for the witness. Each labeling is counted
+  with its own verdict at a leaf; a mismatch rebuilds the full matrix.
 """
 
 from __future__ import annotations
@@ -42,25 +58,23 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Mapping
 
-from .errors import BudgetExceeded, NoLongPath
+from .errors import (
+    BudgetExceeded,
+    NoLongPath,
+    PositivityViolation,
+    StrongTriangleViolation,
+    SymmetryViolation,
+)
 from .labelings import (
     LabeledTree,
+    _path_max,
     build_ultrametric,
     counterexample_labeling,
     is_nondegenerate,
     raw_distance_matrix,
 )
 from .rationals import coerce_nonnegative, format_rational, parse_rational
-from .spaces import (
-    _witness_index,
-    us_witness,
-    validate_ultrametric,
-)
-from .errors import (
-    PositivityViolation,
-    StrongTriangleViolation,
-    SymmetryViolation,
-)
+from .spaces import us_witness, validate_ultrametric
 from .serialize import tree_to_dict, tree_from_dict
 from .trees import (
     Tree,
@@ -217,31 +231,55 @@ def _int_diameter(n: int, adj) -> int:
     return steps
 
 
-def _pair_paths(n: int, adj) -> list[tuple[int, int, tuple[int, ...]]]:
-    pairs = []
-    for i in range(n):
-        parent, _ = _bfs_parents(n, adj, i)
-        for j in range(i + 1, n):
-            path = [j]
-            v = j
-            while v != i:
-                v = parent[v]
-                path.append(v)
-            pairs.append((i, j, tuple(path)))
-    return pairs
+def _labelings(n: int, adj, codes, witness: bool, leaf) -> None:
+    """Call leaf(lab, nondeg, verdict) once for every labeling of the tree
+    over ``codes``; ``lab`` lists codes by vertex and is reused between
+    calls. The verdict is whether the path-max matrix is an ultrametric,
+    or with ``witness`` whether the matrix of a non-degenerate labeling has
+    a witness (False on degenerate ones). See the module docstring."""
+    parent, order = _bfs_parents(n, adj, 0)
+    at = {v: k for k, v in enumerate(order)}
+    lab = [0] * n
+    d = [[0] * n for _ in range(n)]  # by BFS position, zero diagonal
 
+    def extend(k, nondeg, valid, cand, colmin):
+        z, p = order[k], parent[order[k]]
+        above = lab[p]
+        dp = d[at[p]][:k]
+        dp[at[p]] = above
+        low = min(dp)
+        for c in codes:
+            lab[z] = c
+            nd = nondeg and (c > 0 or above > 0)
+            ok, keep, cm = False, None, None
+            if nd if witness else valid:
+                r = [c if c > w else w for w in dp]
+                m = c if c > low else low
+                if witness:
+                    cm = [v if v < w else w for v, w in zip(r, colmin)]
+                    keep = [x for x in cand if r[x] == m
+                            and cm[:x] == colmin[:x] and cm[x + 1:] == colmin[x + 1:]]
+                    if r == cm:
+                        keep.append(k)
+                    cm.append(m)
+                    ok = bool(keep)
+                else:
+                    ok = m > 0 and r == [m if m > w else w for w in d[r.index(m)][:k]]
+                if k < n - 1:
+                    d[k][:k] = r
+                    for x in range(k):
+                        d[x][k] = r[x]
+            if k == n - 1:
+                leaf(lab, nd, ok)
+            else:
+                extend(k + 1, nd, ok, keep, cm)
 
-def _coded_matrix(n: int, pairs, lab) -> list[list[int]]:
-    d = [[0] * n for _ in range(n)]
-    for i, j, path in pairs:
-        m = 0
-        for w in path:
-            c = lab[w]
-            if c > m:
-                m = c
-        d[i][j] = m
-        d[j][i] = m
-    return d
+    for c in codes:
+        lab[0] = c
+        if n == 1:
+            leaf(lab, True, True)
+        else:
+            extend(1, True, True, [0], [float("inf")])  # one point: no other in its column
 
 
 def _coded_matrix_violation(n: int, d):
@@ -291,6 +329,13 @@ def _violation_evidence(viol, names):
     return {"axiom": axiom, "points": [names[i] for i in idxs]}
 
 
+def _kind_of(high: int) -> TreeKind:
+    """The class of a tree with ``high`` vertices of degree two or more."""
+    if high >= 3:
+        return TreeKind.OTHER
+    return TreeKind.DOUBLE_STAR if high == 2 else TreeKind.STAR
+
+
 def _public_tree(n: int, edges) -> Tree:
     names = _vertex_names(n)
     return validate_tree(names, [(names[a], names[b]) for a, b in edges])
@@ -322,19 +367,13 @@ def _chunk_nondeg(n, lo, hi, vals):
     cases = 0
     fails: list[dict] = []
     for rank in range(lo, hi):
-        edges = _int_edges(n, rank)
-        adj = _int_adjacency(n, edges)
-        pairs = _pair_paths(n, adj)
-        for lab in itertools.product(codes, repeat=n):
+        adj = _int_adjacency(n, _int_edges(n, rank))
+
+        def leaf(lab, nondeg, valid):
+            nonlocal cases
             cases += 1
-            nondeg = True
-            for a, b in edges:
-                if not (lab[a] or lab[b]):
-                    nondeg = False
-                    break
-            d = _coded_matrix(n, pairs, lab)
-            viol = _coded_matrix_violation(n, d)
-            if (viol is None) != nondeg:
+            if valid != nondeg:  # name the offender from the full matrix
+                viol = _coded_matrix_violation(n, _path_max(adj, lab, 0))
                 fails.append(
                     _fail(
                         n,
@@ -348,6 +387,22 @@ def _chunk_nondeg(n, lo, hi, vals):
                         codes=lab,
                     )
                 )
+
+        _labelings(n, adj, codes, False, leaf)
+    return cases, fails
+
+
+def _witness_sweep(n, rank, adj, codes) -> tuple[int, list[dict]]:
+    cases = 0
+    fails: list[dict] = []
+
+    def leaf(lab, nondeg, has_witness):
+        nonlocal cases
+        cases += 1
+        if nondeg and not has_witness:
+            fails.append(_fail(n, rank, CLAIM_WITNESS, {"witness": None}, codes=lab))
+
+    _labelings(n, adj, codes, True, leaf)
     return cases, fails
 
 
@@ -373,21 +428,9 @@ def _chunk_main(n, lo, hi, vals):
                 )
             )
         if short:
-            pairs = _pair_paths(n, adj)
-            for lab in itertools.product(codes, repeat=n):
-                cases += 1
-                nondeg = True
-                for a, b in edges:
-                    if not (lab[a] or lab[b]):
-                        nondeg = False
-                        break
-                if not nondeg:
-                    continue
-                d = _coded_matrix(n, pairs, lab)
-                if _witness_index(d) is None:
-                    fails.append(
-                        _fail(n, rank, CLAIM_WITNESS, {"witness": None}, codes=lab)
-                    )
+            swept, found = _witness_sweep(n, rank, adj, codes)
+            cases += swept
+            fails.extend(found)
         else:
             cases += 1
             fails.extend(_check_counterexample(n, rank, edges))
@@ -465,13 +508,8 @@ def _chunk_classify(n, lo, hi, vals):
         high = sum(1 for nbrs in adj if len(nbrs) >= 2)
         tree = _public_tree(n, edges)
         tag = classify(tree).tag
-        expected = (
-            TreeKind.OTHER
-            if high >= 3
-            else (TreeKind.DOUBLE_STAR if high == 2 else TreeKind.STAR)
-        )
         cases += 1
-        if tag != expected:
+        if tag != _kind_of(high):
             fails.append(
                 _fail(
                     n,
@@ -494,21 +532,9 @@ def _chunk_classify(n, lo, hi, vals):
                         {"longest_path": longest_path_length(tree)},
                     )
                 )
-            pairs = _pair_paths(n, adj)
-            for lab in itertools.product(codes, repeat=n):
-                cases += 1
-                nondeg = True
-                for a, b in edges:
-                    if not (lab[a] or lab[b]):
-                        nondeg = False
-                        break
-                if not nondeg:
-                    continue
-                d = _coded_matrix(n, pairs, lab)
-                if _witness_index(d) is None:
-                    fails.append(
-                        _fail(n, rank, CLAIM_WITNESS, {"witness": None}, codes=lab)
-                    )
+            swept, found = _witness_sweep(n, rank, adj, codes)
+            cases += swept
+            fails.extend(found)
         else:
             fails.extend(_check_counterexample(n, rank, edges))
     return cases, fails
@@ -771,11 +797,5 @@ def replay_certificate(cert: Certificate) -> bool:
             return True
         return False
     if claim == CLAIM_CLASS_STRUCTURE:
-        high = len(high_degree_vertices(tree))
-        expected = (
-            TreeKind.OTHER
-            if high >= 3
-            else (TreeKind.DOUBLE_STAR if high == 2 else TreeKind.STAR)
-        )
-        return classify(tree).tag != expected
+        return classify(tree).tag != _kind_of(len(high_degree_vertices(tree)))
     raise ValueError(f"unknown claim {claim!r}")

@@ -3,7 +3,8 @@
 Everything in here is deliberately naive: simple-path enumeration for the
 longest path, permutation search for isometry, edge-subset filtering for
 tree enumeration, a literal transcription of the witness condition, the
-axiom check over every ordered triple and the recursive dendrogram split.
+axiom check over every ordered triple, the recursive dendrogram split and
+path-maximum matrices that walk every pair's path.
 The point is that none of it shares code with the implementations under
 test, so agreement is evidence rather than tautology.
 """
@@ -79,6 +80,46 @@ def adjacency(tree):
         adj[a].append(b)
         adj[b].append(a)
     return adj
+
+
+def index_adjacency(tree):
+    """Neighbour lists by position in the tree's vertex order."""
+    index = {v: i for i, v in enumerate(tree.vertices)}
+    adj = [[] for _ in tree.vertices]
+    for a, b in tree.edges:
+        adj[index[a]].append(index[b])
+        adj[index[b]].append(index[a])
+    return adj
+
+
+def pair_paths(n, adj):
+    """(i, j, path from j to i) for every pair i < j of a tree on 0..n-1
+    given by index adjacency lists, each path found by its own search."""
+    pairs = []
+    for i in range(n):
+        parent = {i: i}
+        stack = [i]
+        while stack:
+            v = stack.pop()
+            for u in adj[v]:
+                if u not in parent:
+                    parent[u] = v
+                    stack.append(u)
+        for j in range(i + 1, n):
+            path = [j]
+            while path[-1] != i:
+                path.append(parent[path[-1]])
+            pairs.append((i, j, tuple(path)))
+    return pairs
+
+
+def coded_matrix(n, pairs, lab):
+    """Path-maximum matrix from ``pair_paths``: each entry is the largest
+    label on its pair's path, the diagonal 0."""
+    d = [[0] * n for _ in range(n)]
+    for i, j, path in pairs:
+        d[i][j] = d[j][i] = max(lab[w] for w in path)
+    return d
 
 
 def brute_longest_path(tree):

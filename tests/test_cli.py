@@ -1,4 +1,11 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from helpers import FIXTURES, expected_cases, load_fixture, space_of
 from ultratree import (
@@ -284,3 +291,60 @@ class TestUsageAndIO:
         )
         assert run(["check-us", str(bad)]) == 1
         assert "error[strong-triangle-violation]" in capsys.readouterr().err
+
+
+_FUZZ_KEYS = ("vertices", "edges", "labels", "points", "dist", "a")
+_FUZZ_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 9)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(["a", "b", "c", "x", "", "0", "1", "1/2", "3", "-1", "1/0", "2.5"]),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.sampled_from(_FUZZ_KEYS), kids, max_size=4),
+    max_leaves=16,
+)
+_FIXTURE_DOCS = ("star.json", "double-star.json", "fig1-path.json", "fig1-space.json")
+
+
+@st.composite
+def _fuzz_documents(draw):
+    """Random JSON, or a fixture with one top-level value replaced or
+    removed, or text that is not JSON at all."""
+    kind = draw(st.sampled_from(["json", "fixture", "text"]))
+    if kind == "text":
+        return draw(st.text(max_size=30))
+    if kind == "json":
+        return json.dumps(draw(_FUZZ_JSON))
+    doc = load_fixture(draw(st.sampled_from(_FIXTURE_DOCS)))
+    key = draw(st.sampled_from(sorted(doc)))
+    if draw(st.booleans()):
+        del doc[key]
+    else:
+        doc[key] = draw(_FUZZ_JSON)
+    return json.dumps(doc)
+
+
+class TestFuzzedDocuments:
+    """Every loader behind the CLI (tree, labeled tree, space) on malformed
+    documents ends in a documented exit code, never a traceback."""
+
+    @settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        st.sampled_from(
+            ["distance", "check-us", "realize", "classify", "counterexample", "isometric"]
+        ),
+        _fuzz_documents(),
+    )
+    def test_exit_code_is_documented(self, command, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "doc.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            argv = [command, path] + ([FIG1_SPACE] if command == "isometric" else [])
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(argv)
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert err.getvalue().startswith("error[")

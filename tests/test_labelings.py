@@ -9,7 +9,10 @@ from helpers import (
     FIG1_MATRIX,
     all_labelings,
     brute_witness,
+    coded_matrix,
+    index_adjacency,
     labeled,
+    pair_paths,
     path_tree,
     random_labeled_trees,
     random_trees,
@@ -112,6 +115,20 @@ class TestDistanceMatrix:
         assert rows[0][1] == 0
         with pytest.raises(PositivityViolation):
             validate_ultrametric(points, rows)
+
+    @given(random_labeled_trees(max_order=40), st.randoms(use_true_random=False))
+    def test_matches_the_pairwise_path_oracle(self, lt, rnd):
+        # vertex order shuffled, so the breadth-first walk starts anywhere
+        verts = list(lt.tree.vertices)
+        rnd.shuffle(verts)
+        lt = LabeledTree(validate_tree(verts, lt.tree.edges), lt.labels)
+        points, rows = raw_distance_matrix(lt)
+        assert points == tuple(verts)
+        n = len(points)
+        labels = [lt.labels[v] for v in points]
+        expected = coded_matrix(n, pair_paths(n, index_adjacency(lt.tree)), labels)
+        assert [list(row) for row in rows] == expected
+        assert all(type(rows[i][i]) is Fraction for i in range(n))
 
     @given(random_labeled_trees(max_order=7))
     def test_matrix_shape_invariants(self, lt):

@@ -22,6 +22,8 @@ from helpers import (
     star_tree,
 )
 from ultratree import (
+    CanonicalForm,
+    LabeledTree,
     UltratreeError,
     EmptySubset,
     FiniteUltrametricSpace,
@@ -39,6 +41,7 @@ from ultratree import (
     realize_as_star,
     restrict,
     us_witness,
+    validate_tree,
     validate_ultrametric,
 )
 
@@ -405,3 +408,21 @@ class TestAgainstOracles:
         assert same
         assert form.serialized.startswith("(299(0)(298(0)(297(0)")
         assert form.serialized.count("(") == 2 * n - 1
+
+    def test_deep_forms_compare_hash_and_print_without_recursion(self):
+        # d(i, j) = max(i, j) on 1,100 points, deeper than the default
+        # recursion limit: a star whose center is labeled 0
+        n = 1100
+        names = [f"p{i}" for i in range(n)]
+        star = validate_tree(names, [(names[0], v) for v in names[1:]])
+        space = build_ultrametric(LabeledTree(star, dict(zip(names, range(n)))))
+        assert space.distance("p3", "p7") == 7
+        form, again = canonical_form(space), canonical_form(space)
+        hand = CanonicalForm(Fraction(0), ())
+        for k in range(1, n):
+            hand = CanonicalForm(Fraction(k), (CanonicalForm(Fraction(0), ()), hand))
+        assert form == again == hand
+        assert hash(form) == hash(again) == hash(hand)
+        assert form != CanonicalForm(Fraction(0), ())
+        assert repr(hand).startswith("CanonicalForm('(1099(0)(1098(0)")
+        assert hand.serialized.count("(") == 2 * n - 1

@@ -82,6 +82,12 @@ class TestValidateTree:
             validate_tree(["a", "b"], [(["a"], "b")])
         assert info.value.code == "bad-edge"
 
+    def test_non_iterable_edge(self):
+        with pytest.raises(BadEdge) as info:
+            validate_tree(["a", "b"], [5])
+        assert info.value.code == "bad-edge"
+        assert info.value.offenders == (5,)
+
     def test_triangle_has_cycle(self):
         with pytest.raises(HasCycle):
             validate_tree(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])

@@ -5,16 +5,23 @@ import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     brute_witness,
     cayley,
+    coded_matrix,
     double_star_count,
     expected_cases,
     high_degree_count,
+    index_adjacency,
     labeled,
+    pair_paths,
     path_tree,
     qualifying_count,
+    random_trees,
+    space_of,
     star_count,
     star_tree,
 )
@@ -45,6 +52,7 @@ from ultratree.errors import (
     StrongTriangleViolation,
     SymmetryViolation,
 )
+from ultratree import verify
 from ultratree.spaces import _witness_index
 from ultratree.verify import (
     CLAIM_ADJACENT,
@@ -57,12 +65,11 @@ from ultratree.verify import (
     CLAIM_VALID_IFF_NONDEG,
     CLAIM_WITNESS,
     _codes_for,
-    _coded_matrix,
     _coded_matrix_violation,
     _int_adjacency,
     _int_edges,
+    _labelings,
     _materialize,
-    _pair_paths,
     _prufer_sequence,
     _split_range,
     _value_of_code,
@@ -250,12 +257,12 @@ class TestCodedCore:
         for rank in range(cayley(n)):
             edges = _int_edges(n, rank)
             adj = _int_adjacency(n, edges)
-            pairs = _pair_paths(n, adj)
+            pairs = pair_paths(n, adj)
             tree = validate_tree(names, [(names[a], names[b]) for a, b in edges])
             for coded in itertools.product(range(len(codes)), repeat=n):
                 lab = tuple(codes[i] for i in coded)
                 lt = labeled(tree, tuple(vals[i] for i in coded))
-                d = _coded_matrix(n, pairs, lab)
+                d = coded_matrix(n, pairs, lab)
                 viol = _coded_matrix_violation(n, d)
                 points, rows = raw_distance_matrix(lt)
                 try:
@@ -278,6 +285,96 @@ class TestCodedCore:
         self._agreement_on(4, (0, 1, 2))
         self._agreement_on(3, (0, "1/2", 7))
         self._agreement_on(3, (1, 3))
+
+
+def _walk_verdicts(n, adj, codes, witness):
+    verdicts = {}
+
+    def leaf(lab, nondeg, verdict):
+        verdicts[tuple(lab)] = (nondeg, verdict)
+
+    _labelings(n, adj, codes, witness, leaf)
+    return verdicts
+
+
+class TestLabelingWalk:
+    """The prefix-sharing walk against the full-matrix oracles, labeling by
+    labeling: non-degeneracy, the axiom scan and the literal witness scan."""
+
+    def _check(self, tree, adj, vals, labs, axioms, witness):
+        n = tree.order
+        pairs = pair_paths(n, adj)
+        for lab in labs:
+            lt = labeled(tree, tuple(_value_of_code(c, vals) for c in lab))
+            nondeg = is_nondegenerate(lt)
+            d = coded_matrix(n, pairs, lab)
+            valid = _coded_matrix_violation(n, d) is None
+            assert axioms[lab] == (nondeg, valid)
+            has_witness = (
+                nondeg and brute_witness(space_of(tree.vertices, d)) is not None
+            )
+            assert witness[lab] == (nondeg, has_witness)
+
+    @pytest.mark.parametrize("values", [(0, 1, 2), (1, 3), (0, "1/2", 7)])
+    def test_every_labeling_up_to_order_five(self, values):
+        vals = tuple(sorted(Fraction(v) for v in values))
+        codes = _codes_for(vals)
+        for n in range(1, 6):
+            names = tuple(f"v{i + 1}" for i in range(n))
+            for rank in range(cayley(n)):
+                edges = _int_edges(n, rank)
+                adj = _int_adjacency(n, edges)
+                tree = validate_tree(names, [(names[a], names[b]) for a, b in edges])
+                axioms = _walk_verdicts(n, adj, codes, False)
+                witness = _walk_verdicts(n, adj, codes, True)
+                labs = list(itertools.product(codes, repeat=n))
+                assert len(axioms) == len(witness) == len(labs)
+                self._check(tree, adj, vals, labs, axioms, witness)
+
+    @settings(max_examples=40)
+    @given(
+        random_trees(min_order=7, max_order=8),
+        st.sampled_from([(0, 1, 2), (1, 2, 3), (0, "1/3", 5), (0, 4)]),
+        st.data(),
+    )
+    def test_random_labelings_of_larger_trees(self, tree, values, data):
+        n = tree.order
+        adj = index_adjacency(tree)
+        vals = tuple(sorted(Fraction(v) for v in values))
+        codes = _codes_for(vals)
+        labs = data.draw(
+            st.lists(st.tuples(*[st.sampled_from(codes)] * n), min_size=1, max_size=10)
+        )
+        axioms = _walk_verdicts(n, adj, codes, False)
+        witness = _walk_verdicts(n, adj, codes, True)
+        assert len(axioms) == len(witness) == len(codes) ** n
+        self._check(tree, adj, vals, labs, axioms, witness)
+
+    def test_forced_mismatch_names_the_full_scan_offender(self, monkeypatch):
+        # flip the walk's verdict on one degenerate labeling of v1 - v2 - v3
+        forced, path3 = (0, 0, 1), [[1], [0, 2], [1]]
+        walk = verify._labelings
+
+        def flipped(n, adj, codes, witness, leaf):
+            def spy(lab, nondeg, verdict):
+                if adj == path3 and tuple(lab) == forced:
+                    verdict = not verdict
+                leaf(lab, nondeg, verdict)
+
+            walk(n, adj, codes, witness, spy)
+
+        monkeypatch.setattr(verify, "_labelings", flipped)
+        report = verify_theorem_nondegeneracy(3, (0, 1))
+        assert report.cases_checked == expected_cases("nondeg", 3, 2)
+        (cert,) = report.failures
+        first = _coded_matrix_violation(3, coded_matrix(3, pair_paths(3, path3), forced))
+        assert first == ("positivity", (0, 1))
+        assert cert.claim_violated == CLAIM_VALID_IFF_NONDEG
+        assert cert.evidence["violation"] == {"axiom": first[0], "points": ["v1", "v2"]}
+        assert cert.evidence["nondegenerate"] is False
+        assert cert.evidence["matrix_valid"] is False
+        assert cert.labeling == {"v1": 0, "v2": 0, "v3": 1}
+        assert cert.tree == path_tree(3)
 
 
 class TestCertificates:
