@@ -23,7 +23,7 @@ from .errors import (
     UnknownVertex,
 )
 from .rationals import coerce_nonnegative
-from .trees import Tree, _distances, longest_path_length, unique_path
+from .trees import Tree, longest_path_length
 
 DEFAULT_LABELING_BUDGET = 1_000_000
 
@@ -69,10 +69,13 @@ def raw_distance_matrix(lt: LabeledTree) -> tuple[tuple[str, ...], tuple[tuple[F
     distance zero); build_ultrametric is the checked entry point. O(n^2).
     """
     verts = lt.tree.vertices
-    index = {v: i for i, v in enumerate(verts)}
-    adj = [[index[u] for u in lt.tree._adjacency[v]] for v in verts]
-    rows = _path_max(adj, [lt.labels[v] for v in verts], Fraction(0))
+    rows = _path_max(_index_adjacency(lt.tree), [lt.labels[v] for v in verts], Fraction(0))
     return verts, tuple(map(tuple, rows))
+
+
+def _index_adjacency(tree: Tree) -> list[list[int]]:
+    index = {v: i for i, v in enumerate(tree.vertices)}
+    return [[index[u] for u in tree._adjacency[v]] for v in tree.vertices]
 
 
 def _path_max(adj, labels, zero) -> list[list]:
@@ -157,23 +160,54 @@ def counterexample_labeling(tree: Tree) -> LabeledTree:
     length, the lexicographically least (sorted) pair is used, and the
     subpath starts from its smaller endpoint.
     """
-    length = longest_path_length(tree)
+    length = longest_path_length(tree)  # O(n), before the O(n^2) choice
     if length < 4:
         raise NoLongPath(f"longest path has {length} edges, need at least 4")
-    best: tuple[str, str] | None = None
-    for u in tree.vertices:
-        dist = _distances(tree, u)
-        for v, d in dist.items():
-            if d == length:
-                pair = (u, v) if u <= v else (v, u)
-                if best is None or pair < best:
-                    best = pair
-    assert best is not None
-    path = unique_path(tree, best[0], best[1])
-    labels = {v: _COUNTEREXAMPLE_FILL for v in tree.vertices}
-    for v, value in zip(path[:5], _COUNTEREXAMPLE_PATTERN):
-        labels[v] = value
+    verts = tree.vertices
+    path = _longest_path(_index_adjacency(tree), verts)
+    labels = {v: _COUNTEREXAMPLE_FILL for v in verts}
+    for i, value in zip(path, _COUNTEREXAMPLE_PATTERN):
+        labels[verts[i]] = value
     return LabeledTree(tree, labels)
+
+
+def _longest_path(adj, names) -> list[int]:
+    """The longest path chosen by counterexample_labeling, as indices into
+    the index adjacency lists ``adj``: the least pair of sorted ``names``
+    among the pairs farthest apart, listed from its smaller name."""
+    n = len(adj)
+    best, path = None, [0]
+    for u in range(n):
+        if len(adj[u]) > 1:  # longest paths end at leaves
+            continue
+        parent, order = _bfs_parents(n, adj, u)
+        depth = [0] * n
+        for v in order[1:]:
+            depth[v] = depth[parent[v]] + 1
+        far = depth[order[-1]]
+        for v in reversed(order):  # farthest first
+            if depth[v] < far:
+                break
+            key = (-far, *sorted((names[u], names[v])))
+            if best is None or key < best:
+                best, path = key, [v]
+                while path[-1] != u:
+                    path.append(parent[path[-1]])
+                if names[u] < names[v]:
+                    path.reverse()
+    return path
+
+
+def _bfs_parents(n: int, adj, src: int) -> tuple[list[int], list[int]]:
+    parent = [-1] * n
+    parent[src] = src
+    order = [src]
+    for v in order:
+        for u in adj[v]:
+            if parent[u] < 0:
+                parent[u] = v
+                order.append(u)
+    return parent, order
 
 
 def enumerate_labelings(

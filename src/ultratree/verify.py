@@ -28,8 +28,10 @@ The inner sweeps encode label values as small integer codes: code 0 is
 reserved for the value zero and the remaining codes follow the sorted value
 order. Path-maximum distances, the witness condition, and the axiom checks
 use only comparisons and maxima, which the encoding preserves, so the coded
-run decides exactly the same predicates as the Fraction run. Certificates
-and every public object are materialized with exact Fractions.
+run decides exactly the same predicates as the Fraction run; so does the
+check of each long tree's counterexample labeling, made on the codes of its
+values. Certificates and every public object are materialized with exact
+Fractions.
 
 Each tree's labelings are swept by one depth-first walk over its vertices
 in breadth-first order from v1, so every vertex z joins the labeled prefix
@@ -46,6 +48,11 @@ label; with m its minimum, first reached at a, the rest costs O(k):
 * Rows are built only while they can matter: under a valid prefix for the
   axioms, a non-degenerate one for the witness. Each labeling is counted
   with its own verdict at a leaf; a mismatch rebuilds the full matrix.
+
+The walk reads only the tree's breadth-first shape, each position's parent
+position, so a chunk walks each shape once (42 shapes for the 1,296 trees of
+order 6) and keeps its leaf count and failing labelings; each tree of the
+shape adds the count and maps the failures to its own vertices.
 """
 
 from __future__ import annotations
@@ -61,12 +68,17 @@ from typing import Iterable, Mapping
 from .errors import (
     BudgetExceeded,
     NoLongPath,
+    ParseError,
     PositivityViolation,
     StrongTriangleViolation,
     SymmetryViolation,
 )
 from .labelings import (
+    _COUNTEREXAMPLE_FILL,
+    _COUNTEREXAMPLE_PATTERN,
     LabeledTree,
+    _bfs_parents,
+    _longest_path,
     _path_max,
     build_ultrametric,
     counterexample_labeling,
@@ -74,7 +86,7 @@ from .labelings import (
     raw_distance_matrix,
 )
 from .rationals import coerce_nonnegative, format_rational, parse_rational
-from .spaces import us_witness, validate_ultrametric
+from .spaces import _witness_index, us_witness, validate_ultrametric
 from .serialize import tree_to_dict, tree_from_dict
 from .trees import (
     Tree,
@@ -205,18 +217,6 @@ def _int_adjacency(n: int, edges) -> list[list[int]]:
     return adj
 
 
-def _bfs_parents(n: int, adj, src: int) -> tuple[list[int], list[int]]:
-    parent = [-1] * n
-    parent[src] = src
-    order = [src]
-    for v in order:
-        for u in adj[v]:
-            if parent[u] < 0:
-                parent[u] = v
-                order.append(u)
-    return parent, order
-
-
 def _int_diameter(n: int, adj) -> int:
     if n == 1:
         return 0
@@ -282,6 +282,30 @@ def _labelings(n: int, adj, codes, witness: bool, leaf) -> None:
             extend(1, True, True, [0], [float("inf")])  # one point: no other in its column
 
 
+def _shape_walk(memo: dict, n: int, adj, codes, witness: bool):
+    """(cases, failures) of _labelings on one tree, a failure being
+    (labeling by vertex, nondeg) with a wrong verdict. The walk runs once
+    per shape (each breadth-first position's parent position) in ``memo``,
+    on the tree whose vertices are the positions."""
+    parent, order = _bfs_parents(n, adj, 0)
+    at = {v: k for k, v in enumerate(order)}
+    key = tuple(at[parent[v]] for v in order)
+    if key not in memo:  # parents listed first, so BFS visits 0, 1, ..., n - 1
+        shape = _int_adjacency(n, ((key[k], k) for k in range(1, n)))
+        cases, bad = 0, []
+
+        def leaf(lab, nondeg, verdict):
+            nonlocal cases
+            cases += 1
+            if (nondeg and not verdict) if witness else verdict != nondeg:
+                bad.append((tuple(lab), nondeg))
+
+        _labelings(n, shape, codes, witness, leaf)
+        memo[key] = cases, bad
+    cases, bad = memo[key]
+    return cases, [([by_pos[at[v]] for v in range(n)], nondeg) for by_pos, nondeg in bad]
+
+
 def _coded_matrix_violation(n: int, d):
     for i in range(n):
         if d[i][i] != 0:
@@ -336,6 +360,12 @@ def _kind_of(high: int) -> TreeKind:
     return TreeKind.DOUBLE_STAR if high == 2 else TreeKind.STAR
 
 
+_CE_VALUES = tuple(sorted({_COUNTEREXAMPLE_FILL, *_COUNTEREXAMPLE_PATTERN}))
+_CE_CODE = dict(zip(_CE_VALUES, _codes_for(_CE_VALUES)))
+_CE_FILL = _CE_CODE[_COUNTEREXAMPLE_FILL]
+_CE_PATTERN = tuple(map(_CE_CODE.get, _COUNTEREXAMPLE_PATTERN))
+
+
 def _public_tree(n: int, edges) -> Tree:
     names = _vertex_names(n)
     return validate_tree(names, [(names[a], names[b]) for a, b in edges])
@@ -364,55 +394,38 @@ def _run_chunk(task: dict) -> tuple[int, list[dict]]:
 def _chunk_nondeg(n, lo, hi, vals):
     codes = _codes_for(vals)
     names = _vertex_names(n)
+    memo: dict = {}
     cases = 0
     fails: list[dict] = []
     for rank in range(lo, hi):
         adj = _int_adjacency(n, _int_edges(n, rank))
-
-        def leaf(lab, nondeg, valid):
-            nonlocal cases
-            cases += 1
-            if valid != nondeg:  # name the offender from the full matrix
-                viol = _coded_matrix_violation(n, _path_max(adj, lab, 0))
-                fails.append(
-                    _fail(
-                        n,
-                        rank,
-                        CLAIM_VALID_IFF_NONDEG,
-                        {
-                            "nondegenerate": nondeg,
-                            "matrix_valid": viol is None,
-                            "violation": _violation_evidence(viol, names),
-                        },
-                        codes=lab,
-                    )
-                )
-
-        _labelings(n, adj, codes, False, leaf)
+        swept, bad = _shape_walk(memo, n, adj, codes, False)
+        cases += swept
+        for lab, nondeg in bad:  # name the offender from the full matrix
+            viol = _coded_matrix_violation(n, _path_max(adj, lab, 0))
+            evidence = {
+                "nondegenerate": nondeg,
+                "matrix_valid": viol is None,
+                "violation": _violation_evidence(viol, names),
+            }
+            fails.append(_fail(n, rank, CLAIM_VALID_IFF_NONDEG, evidence, codes=lab))
     return cases, fails
 
 
-def _witness_sweep(n, rank, adj, codes) -> tuple[int, list[dict]]:
-    cases = 0
-    fails: list[dict] = []
-
-    def leaf(lab, nondeg, has_witness):
-        nonlocal cases
-        cases += 1
-        if nondeg and not has_witness:
-            fails.append(_fail(n, rank, CLAIM_WITNESS, {"witness": None}, codes=lab))
-
-    _labelings(n, adj, codes, True, leaf)
-    return cases, fails
+def _witness_sweep(memo, n, rank, adj, codes) -> tuple[int, list[dict]]:
+    cases, bad = _shape_walk(memo, n, adj, codes, True)
+    return cases, [
+        _fail(n, rank, CLAIM_WITNESS, {"witness": None}, codes=lab) for lab, _ in bad
+    ]
 
 
 def _chunk_main(n, lo, hi, vals):
     codes = _codes_for(vals)
+    memo: dict = {}
     cases = 0
     fails: list[dict] = []
     for rank in range(lo, hi):
-        edges = _int_edges(n, rank)
-        adj = _int_adjacency(n, edges)
+        adj = _int_adjacency(n, _int_edges(n, rank))
         diameter = _int_diameter(n, adj)
         high = sum(1 for nbrs in adj if len(nbrs) >= 2)
         short = diameter <= 3
@@ -428,40 +441,32 @@ def _chunk_main(n, lo, hi, vals):
                 )
             )
         if short:
-            swept, found = _witness_sweep(n, rank, adj, codes)
+            swept, found = _witness_sweep(memo, n, rank, adj, codes)
             cases += swept
             fails.extend(found)
         else:
             cases += 1
-            fails.extend(_check_counterexample(n, rank, edges))
+            fails.extend(_check_counterexample(n, rank, adj))
     return cases, fails
 
 
-def _check_counterexample(n, rank, edges) -> list[dict]:
-    tree = _public_tree(n, edges)
-    try:
-        lt = counterexample_labeling(tree)
-    except NoLongPath:
-        return [
-            _fail(
-                n,
-                rank,
-                CLAIM_CE_APPLICABLE,
-                {"longest_path": longest_path_length(tree)},
-            )
-        ]
-    witness = us_witness(build_ultrametric(lt))
+def _check_counterexample(n, rank, adj) -> list[dict]:
+    """counterexample_labeling's pattern on the codes of its values (coded
+    like a value grid, which keeps every comparison), and its witness."""
+    names = _vertex_names(n)
+    path = _longest_path(adj, names)
+    if len(path) < 5:
+        return [_fail(n, rank, CLAIM_CE_APPLICABLE, {"longest_path": len(path) - 1})]
+    lab = [_CE_FILL] * n
+    for v, c in zip(path, _CE_PATTERN):
+        lab[v] = c
+    i = _witness_index(_path_max(adj, lab, 0))
+    witness = None if i is None else names[i]
     if witness is None:
         return []
-    return [
-        _fail(
-            n,
-            rank,
-            CLAIM_COUNTEREXAMPLE,
-            {"witness": witness},
-            labels={v: format_rational(q) for v, q in lt.labels.items()},
-        )
-    ]
+    values = (_value_of_code(c, _CE_VALUES) for c in lab)
+    labels = {v: format_rational(q) for v, q in zip(names, values)}
+    return [_fail(n, rank, CLAIM_COUNTEREXAMPLE, {"witness": witness}, labels=labels)]
 
 
 def _chunk_lemmas(n, lo, hi):
@@ -500,6 +505,7 @@ def _chunk_lemmas(n, lo, hi):
 
 def _chunk_classify(n, lo, hi, vals):
     codes = _codes_for(vals)
+    memo: dict = {}
     cases = 0
     fails: list[dict] = []
     for rank in range(lo, hi):
@@ -519,24 +525,14 @@ def _chunk_classify(n, lo, hi, vals):
                 )
             )
         if high <= 2:
-            try:
-                counterexample_labeling(tree)
-            except NoLongPath:
-                pass
-            else:
-                fails.append(
-                    _fail(
-                        n,
-                        rank,
-                        CLAIM_CE_INAPPLICABLE,
-                        {"longest_path": longest_path_length(tree)},
-                    )
-                )
-            swept, found = _witness_sweep(n, rank, adj, codes)
+            length = longest_path_length(tree)
+            if length >= 4:  # counterexample_labeling would not refuse the tree
+                fails.append(_fail(n, rank, CLAIM_CE_INAPPLICABLE, {"longest_path": length}))
+            swept, found = _witness_sweep(memo, n, rank, adj, codes)
             cases += swept
             fails.extend(found)
         else:
-            fails.extend(_check_counterexample(n, rank, edges))
+            fails.extend(_check_counterexample(n, rank, adj))
     return cases, fails
 
 
@@ -606,7 +602,7 @@ def _execute(theorem, n_max, values, budget, jobs, subchecks=None) -> Verificati
     value_strs = tuple(format_rational(v) for v in vals) if vals else None
     tasks = []
     for n in range(1, n_max + 1):
-        for lo, hi in _split_range(_tree_count(n), jobs * 4 if jobs > 1 else 1):
+        for lo, hi in _split_range(_tree_count(n), jobs):
             tasks.append(
                 {"theorem": theorem, "n": n, "lo": lo, "hi": hi, "values": value_strs}
             )
@@ -715,15 +711,22 @@ def certificate_to_dict(cert: Certificate) -> dict:
     }
 
 
-def certificate_from_dict(obj: dict) -> Certificate:
-    labeling = None
-    if obj.get("labeling") is not None:
-        labeling = {v: parse_rational(s) for v, s in obj["labeling"].items()}
+def certificate_from_dict(obj) -> Certificate:
+    """Parse a certificate; malformed input raises ParseError."""
+    if not isinstance(obj, dict):
+        raise ParseError("expected a JSON object for a certificate")
+    labeling, evidence = obj.get("labeling"), obj.get("evidence", {})
+    if not isinstance(labeling, (dict, type(None))) or not isinstance(evidence, dict):
+        raise ParseError('"labeling" (unless null) and "evidence" must be JSON objects')
+    if not isinstance(obj.get("claim_violated"), str):
+        raise ParseError('"claim_violated" must be a string')
+    if labeling is not None:
+        labeling = {v: parse_rational(s) for v, s in labeling.items()}
     return Certificate(
-        tree=tree_from_dict(obj["tree"]),
+        tree=tree_from_dict(obj.get("tree")),
         labeling=labeling,
         claim_violated=obj["claim_violated"],
-        evidence=dict(obj.get("evidence", {})),
+        evidence=dict(evidence),
     )
 
 
@@ -780,22 +783,12 @@ def replay_certificate(cert: Certificate) -> bool:
         )
     if claim == CLAIM_AT_MOST_TWO:
         return longest_path_length(tree) <= 3 and len(high_degree_vertices(tree)) > 2
-    if claim == CLAIM_CE_INAPPLICABLE:
-        if longest_path_length(tree) > 3:
-            return False
+    if claim in (CLAIM_CE_INAPPLICABLE, CLAIM_CE_APPLICABLE):
         try:
             counterexample_labeling(tree)
         except NoLongPath:
-            return False
-        return True
-    if claim == CLAIM_CE_APPLICABLE:
-        if longest_path_length(tree) <= 3:
-            return False
-        try:
-            counterexample_labeling(tree)
-        except NoLongPath:
-            return True
-        return False
+            return claim == CLAIM_CE_APPLICABLE and longest_path_length(tree) > 3
+        return claim == CLAIM_CE_INAPPLICABLE and longest_path_length(tree) <= 3
     if claim == CLAIM_CLASS_STRUCTURE:
         return classify(tree).tag != _kind_of(len(high_degree_vertices(tree)))
     raise ValueError(f"unknown claim {claim!r}")

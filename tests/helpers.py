@@ -1,9 +1,10 @@
 """Independent oracles and shared test data.
 
 Everything in here is deliberately naive: simple-path enumeration for the
-longest path, permutation search for isometry, edge-subset filtering for
-tree enumeration, a literal transcription of the witness condition, the
-axiom check over every ordered triple, the recursive dendrogram split and
+longest path, every pair's path for the counterexample labeling,
+permutation search for isometry, edge-subset filtering for tree
+enumeration, a literal transcription of the witness condition, the axiom
+check over every ordered triple, the recursive dendrogram split and
 path-maximum matrices that walk every pair's path.
 The point is that none of it shares code with the implementations under
 test, so agreement is evidence rather than tautology.
@@ -140,6 +141,35 @@ def brute_longest_path(tree):
     for v in tree.vertices:
         extend(v, {v}, 0)
     return best
+
+
+def brute_counterexample(tree):
+    """counterexample_labeling by vertex names, or None when no path has
+    four edges: among the pairs farthest apart the least sorted name pair,
+    the pattern 2, 2, 3, 2, 2 from its smaller name, 2 everywhere else."""
+    adj = adjacency(tree)
+    paths = {}
+    for u in tree.vertices:
+        paths[u] = {u: (u,)}
+        queue = [u]
+        for w in queue:
+            for x in adj[w]:
+                if x not in paths[u]:
+                    paths[u][x] = paths[u][w] + (x,)
+                    queue.append(x)
+    length = max(len(p) for found in paths.values() for p in found.values()) - 1
+    if length < 4:
+        return None
+    a, b = min(
+        tuple(sorted((u, v)))
+        for u, found in paths.items()
+        for v, p in found.items()
+        if len(p) - 1 == length
+    )
+    labels = {v: Fraction(2) for v in tree.vertices}
+    for v, value in zip(paths[a][b], (2, 2, 3, 2, 2)):
+        labels[v] = Fraction(value)
+    return LabeledTree(tree, labels)
 
 
 def brute_trees(n):

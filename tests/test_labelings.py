@@ -2,12 +2,13 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     FIG1_MATRIX,
     all_labelings,
+    brute_counterexample,
     brute_witness,
     coded_matrix,
     index_adjacency,
@@ -268,6 +269,28 @@ class TestCounterexampleLabeling:
             "b1": Fraction(2), "b2": Fraction(2),
             "c1": Fraction(2), "c2": Fraction(2),
         }
+
+    def test_tie_break_compares_names_not_positions(self):
+        # three legs of length three from v1, ending at v2, v5 and v10; the
+        # least name pair is (v10, v2), by position it would be (v2, v5)
+        names = [f"v{i}" for i in range(1, 11)]
+        legs = (("v1", "v4", "v3", "v2"), ("v1", "v7", "v6", "v5"), ("v1", "v8", "v9", "v10"))
+        tree = validate_tree(names, [e for leg in legs for e in zip(leg, leg[1:])])
+        lt = counterexample_labeling(tree)
+        assert lt.labels == {v: Fraction(3 if v == "v8" else 2) for v in names}
+
+    @settings(max_examples=150)
+    @given(random_trees(min_order=1, max_order=40), st.randoms(use_true_random=False))
+    def test_matches_the_name_level_oracle(self, tree, rnd):
+        verts = list(tree.vertices)
+        rnd.shuffle(verts)  # vertex order is not name order
+        tree = validate_tree(verts, tree.edges)
+        expected = brute_counterexample(tree)
+        if expected is None:
+            with pytest.raises(NoLongPath):
+                counterexample_labeling(tree)
+        else:
+            assert counterexample_labeling(tree).labels == expected.labels
 
     def test_spaces_have_no_witness(self):
         for tree in (path_tree(5), path_tree(6), path_tree(7)):

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    brute_counterexample,
+    brute_longest_path,
     brute_witness,
     cayley,
     coded_matrix,
@@ -35,11 +37,13 @@ from ultratree import (
     certificate_to_dict,
     counterexample_labeling,
     enumerate_trees,
+    format_rational,
     is_nondegenerate,
     predicted_cases,
     raw_distance_matrix,
     report_to_dict,
     replay_certificate,
+    us_witness,
     validate_tree,
     validate_ultrametric,
     verify_classification,
@@ -48,6 +52,8 @@ from ultratree import (
     verify_theorem_nondegeneracy,
 )
 from ultratree.errors import (
+    NoLongPath,
+    ParseError,
     PositivityViolation,
     StrongTriangleViolation,
     SymmetryViolation,
@@ -64,6 +70,7 @@ from ultratree.verify import (
     CLAIM_II_IFF_III,
     CLAIM_VALID_IFF_NONDEG,
     CLAIM_WITNESS,
+    _check_counterexample,
     _codes_for,
     _coded_matrix_violation,
     _int_adjacency,
@@ -71,6 +78,7 @@ from ultratree.verify import (
     _labelings,
     _materialize,
     _prufer_sequence,
+    _shape_walk,
     _split_range,
     _value_of_code,
 )
@@ -196,7 +204,7 @@ class TestParallelExecution:
         assert pooled.subchecks == lone.subchecks
         assert pooled.status == "pass"
 
-    # lemmas through order 4 split into 13 tasks at jobs=2 and 21 beyond
+    # lemmas through order 4 split into 6 tasks at jobs=2 and 21 beyond
     @pytest.mark.parametrize(
         "jobs, cpus, workers",
         [(1, 64, None), (2, 3, 2), (10_000, 3, 3), (10_000, 64, 21), (10_000, None, None)],
@@ -351,13 +359,14 @@ class TestLabelingWalk:
         self._check(tree, adj, vals, labs, axioms, witness)
 
     def test_forced_mismatch_names_the_full_scan_offender(self, monkeypatch):
-        # flip the walk's verdict on one degenerate labeling of v1 - v2 - v3
-        forced, path3 = (0, 0, 1), [[1], [0, 2], [1]]
+        # flip the verdict on labeling (0, 0, 1) by breadth-first position
+        # of the order-3 path shape, which v1 - v2 - v3 and v1 - v3 - v2 share
+        forced, path_shape = (0, 0, 1), [[1], [0, 2], [1]]
         walk = verify._labelings
 
         def flipped(n, adj, codes, witness, leaf):
             def spy(lab, nondeg, verdict):
-                if adj == path3 and tuple(lab) == forced:
+                if adj == path_shape and tuple(lab) == forced:
                     verdict = not verdict
                 leaf(lab, nondeg, verdict)
 
@@ -366,15 +375,119 @@ class TestLabelingWalk:
         monkeypatch.setattr(verify, "_labelings", flipped)
         report = verify_theorem_nondegeneracy(3, (0, 1))
         assert report.cases_checked == expected_cases("nondeg", 3, 2)
-        (cert,) = report.failures
-        first = _coded_matrix_violation(3, coded_matrix(3, pair_paths(3, path3), forced))
-        assert first == ("positivity", (0, 1))
-        assert cert.claim_violated == CLAIM_VALID_IFF_NONDEG
-        assert cert.evidence["violation"] == {"axiom": first[0], "points": ["v1", "v2"]}
-        assert cert.evidence["nondegenerate"] is False
-        assert cert.evidence["matrix_valid"] is False
-        assert cert.labeling == {"v1": 0, "v2": 0, "v3": 1}
-        assert cert.tree == path_tree(3)
+        names = ("v1", "v2", "v3")
+        far_path = validate_tree(names, [("v1", "v3"), ("v3", "v2")])
+        assert [cert.tree for cert in report.failures] == [path_tree(3), far_path]
+        for cert, near in zip(report.failures, ("v2", "v3")):
+            # v1 and its neighbour take the two zeros, each tree by its own vertices
+            assert cert.labeling == {v: int(v not in ("v1", near)) for v in names}
+            lab = tuple(int(cert.labeling[v]) for v in names)
+            pairs = pair_paths(3, index_adjacency(cert.tree))
+            first = _coded_matrix_violation(3, coded_matrix(3, pairs, lab))
+            assert first == ("positivity", (0, names.index(near)))
+            assert cert.claim_violated == CLAIM_VALID_IFF_NONDEG
+            assert cert.evidence["violation"] == {"axiom": first[0], "points": ["v1", near]}
+            assert cert.evidence["nondegenerate"] is False
+            assert cert.evidence["matrix_valid"] is False
+
+
+def _direct_walk(n, adj, codes, witness):
+    """(cases, failures) as _shape_walk reports them, from a walk on the
+    tree's own adjacency."""
+    cases, bad = 0, []
+
+    def leaf(lab, nondeg, verdict):
+        nonlocal cases
+        cases += 1
+        if (nondeg and not verdict) if witness else verdict != nondeg:
+            bad.append((list(lab), nondeg))
+
+    _labelings(n, adj, codes, witness, leaf)
+    return cases, bad
+
+
+class TestShapeMemo:
+    """One walk per breadth-first shape, mapped back to each tree, against
+    a walk on each tree. Long trees are included: their labelings without
+    a witness give the witness mode failures to map."""
+
+    @pytest.mark.parametrize("values", [(0, 1, 2), (1, 3), (0, "1/2", 7)])
+    def test_every_tree_up_to_order_five(self, values):
+        codes = _codes_for(tuple(sorted(Fraction(v) for v in values)))
+        mapped = 0
+        for n in range(1, 6):
+            for witness in (False, True):
+                memo = {}
+                for rank in range(cayley(n)):
+                    adj = _int_adjacency(n, _int_edges(n, rank))
+                    cases, bad = _shape_walk(memo, n, adj, codes, witness)
+                    want_cases, want_bad = _direct_walk(n, adj, codes, witness)
+                    assert cases == want_cases == len(codes) ** n
+                    assert sorted(bad) == sorted(want_bad)
+                    mapped += len(bad)
+        assert mapped > 0
+
+    @settings(max_examples=30)
+    @given(random_trees(min_order=7, max_order=8), st.randoms(use_true_random=False))
+    def test_random_trees_of_orders_seven_and_eight(self, tree, rnd):
+        n = tree.order
+        adj = index_adjacency(tree)
+        codes = _codes_for((Fraction(0), Fraction(1), Fraction(2)))
+        witness = rnd.random() < 0.5
+        memo = {}
+        want = _direct_walk(n, adj, codes, witness)
+        for _ in range(2):  # the walk, then the memo
+            cases, bad = _shape_walk(memo, n, adj, codes, witness)
+            assert cases == want[0] == 3**n
+            assert sorted(bad) == sorted(want[1])
+        assert len(memo) == 1
+
+    def test_memo_lives_within_one_call(self, monkeypatch):
+        walked = []
+        walk = verify._labelings
+
+        def counting(n, adj, codes, witness, leaf):
+            walked.append(n)
+            walk(n, adj, codes, witness, leaf)
+
+        monkeypatch.setattr(verify, "_labelings", counting)
+        for _ in range(2):
+            walked.clear()
+            report = verify_theorem_nondegeneracy(5, (0, 1))
+            assert report.cases_checked == expected_cases("nondeg", 5, 2)
+            # shapes by order: 1, 1, 2, 5, 14 (Catalan numbers)
+            assert len(walked) == 1 + 1 + 2 + 5 + 14 == 23
+
+
+class TestCodedCounterexample:
+    def _long_trees(self):
+        for n in range(1, 7):
+            names = tuple(f"v{i + 1}" for i in range(n))
+            for rank in range(cayley(n)):
+                edges = _int_edges(n, rank)
+                tree = validate_tree(names, [(names[a], names[b]) for a, b in edges])
+                if brute_longest_path(tree) > 3:
+                    yield n, rank, _int_adjacency(n, edges), tree
+
+    def test_verdict_matches_the_fraction_space(self):
+        checked = 0
+        for n, rank, adj, tree in self._long_trees():
+            lt = brute_counterexample(tree)
+            assert (_check_counterexample(n, rank, adj) == []) == (
+                us_witness(build_ultrametric(lt)) is None
+            )
+            checked += 1
+        assert checked == sum(cayley(n) - qualifying_count(n) for n in range(1, 7))
+
+    def test_coded_pattern_is_the_labeling(self, monkeypatch):
+        # report every tree as witnessed, so each failure carries its labels
+        monkeypatch.setattr(verify, "_witness_index", lambda d: 0)
+        for n, rank, adj, tree in self._long_trees():
+            (fd,) = _check_counterexample(n, rank, adj)
+            assert fd["claim"] == CLAIM_COUNTEREXAMPLE
+            assert fd["evidence"] == {"witness": "v1"}
+            labels = brute_counterexample(tree).labels
+            assert fd["labels"] == {v: format_rational(q) for v, q in labels.items()}
 
 
 class TestCertificates:
@@ -457,6 +570,25 @@ class TestCertificates:
                 )
                 assert replay_certificate(cert) is False
 
+    def test_replay_reproduces_counterexample_applicability(self, monkeypatch):
+        def refuses(tree):
+            raise NoLongPath("stand-in")
+
+        monkeypatch.setattr(verify, "counterexample_labeling", refuses)
+        for claim, tree, reproduces in (
+            (CLAIM_CE_APPLICABLE, self._p5(), True),
+            (CLAIM_CE_INAPPLICABLE, star_tree(4), False),
+        ):
+            cert = Certificate(tree=tree, labeling=None, claim_violated=claim, evidence={})
+            assert replay_certificate(cert) is reproduces
+        monkeypatch.setattr(verify, "counterexample_labeling", lambda tree: None)
+        for claim, tree, reproduces in (
+            (CLAIM_CE_INAPPLICABLE, star_tree(4), True),
+            (CLAIM_CE_APPLICABLE, self._p5(), False),
+        ):
+            cert = Certificate(tree=tree, labeling=None, claim_violated=claim, evidence={})
+            assert replay_certificate(cert) is reproduces
+
     def test_replay_needs_labeling_for_labeled_claims(self):
         cert = Certificate(
             tree=self._p5(),
@@ -486,6 +618,22 @@ class TestCertificates:
         assert again.labeling == dict(cert.labeling)
         assert again.claim_violated == cert.claim_violated
         assert again.evidence == cert.evidence
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            [],
+            {},
+            {"tree": {"vertices": ["a"], "edges": []}, "labeling": ["1"],
+             "claim_violated": CLAIM_WITNESS},
+            {"tree": {"vertices": ["a"], "edges": []}, "labeling": None,
+             "claim_violated": CLAIM_WITNESS, "evidence": 5},
+        ],
+        ids=["list", "empty", "list-labeling", "int-evidence"],
+    )
+    def test_malformed_certificate_is_a_parse_error(self, obj):
+        with pytest.raises(ParseError):
+            certificate_from_dict(obj)
 
     def test_unlabeled_certificate_wire_round_trip(self):
         cert = Certificate(
