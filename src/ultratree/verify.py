@@ -102,6 +102,8 @@ from .trees import (
 DEFAULT_MAX_ORDER = 6
 DEFAULT_VALUES = (Fraction(0), Fraction(1), Fraction(2))
 DEFAULT_CASE_BUDGET = 2_000_000
+# below this order a sweep runs in process: a pool costs more than it saves
+_POOL_MIN_ORDER = 7
 
 THEOREM_NONDEG = "nondeg"
 THEOREM_MAIN = "main"
@@ -600,18 +602,19 @@ def _execute(theorem, n_max, values, budget, jobs, subchecks=None) -> Verificati
         )
     started = time.perf_counter()
     value_strs = tuple(format_rational(v) for v in vals) if vals else None
+    chunks = jobs if n_max >= _POOL_MIN_ORDER else 1  # one chunk walks each shape once
     tasks = []
-    for n in range(1, n_max + 1):
-        for lo, hi in _split_range(_tree_count(n), jobs):
+    for n in range(n_max, 0, -1):  # largest first, so the workers finish together
+        for lo, hi in _split_range(_tree_count(n), chunks):
             tasks.append(
                 {"theorem": theorem, "n": n, "lo": lo, "hi": hi, "values": value_strs}
             )
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    workers = min(chunks, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         from multiprocessing import Pool
 
-        with Pool(workers) as pool:
-            parts = pool.map(_run_chunk, tasks)
+        with Pool(workers) as pool:  # one task per hand-out, so chunks run side by side
+            parts = pool.map(_run_chunk, tasks, chunksize=1)
     else:
         parts = [_run_chunk(t) for t in tasks]
     cases = sum(p[0] for p in parts)

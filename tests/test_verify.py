@@ -195,7 +195,8 @@ class TestParameterErrors:
 
 
 class TestParallelExecution:
-    def test_jobs_do_not_change_the_report(self):
+    def test_jobs_do_not_change_the_report(self, monkeypatch):
+        monkeypatch.setattr(verify, "_POOL_MIN_ORDER", 1)  # a real pool at order 4
         lone = verify_main_theorem(4, (0, 1, 2), jobs=1)
         pooled = verify_main_theorem(4, (0, 1, 2), jobs=2)
         assert pooled.cases_checked == lone.cases_checked
@@ -204,19 +205,15 @@ class TestParallelExecution:
         assert pooled.subchecks == lone.subchecks
         assert pooled.status == "pass"
 
-    # lemmas through order 4 split into 6 tasks at jobs=2 and 21 beyond
-    @pytest.mark.parametrize(
-        "jobs, cpus, workers",
-        [(1, 64, None), (2, 3, 2), (10_000, 3, 3), (10_000, 64, 21), (10_000, None, None)],
-    )
-    def test_pool_size_is_clamped(self, monkeypatch, jobs, cpus, workers):
+    @staticmethod
+    def _recording_pool(monkeypatch, cpus):
+        """Stands multiprocessing.Pool in with one that runs the tasks in
+        process; returns the list of (processes, chunksize, task orders)."""
         asked = []
 
         class RecordingPool:
-            """Stands in for multiprocessing.Pool; runs the tasks in process."""
-
             def __init__(self, processes):
-                asked.append(processes)
+                self.processes = processes
 
             def __enter__(self):
                 return self
@@ -224,14 +221,36 @@ class TestParallelExecution:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
+            def map(self, fn, tasks, chunksize=None):
+                asked.append((self.processes, chunksize, [t["n"] for t in tasks]))
                 return [fn(t) for t in tasks]
 
         monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        return asked
+
+    # lemmas through order 4 split into 6 tasks at jobs=2 and 21 beyond
+    @pytest.mark.parametrize(
+        "jobs, cpus, workers",
+        [(1, 64, None), (2, 3, 2), (10_000, 3, 3), (10_000, 64, 21), (10_000, None, None)],
+    )
+    def test_pool_size_is_clamped(self, monkeypatch, jobs, cpus, workers):
+        asked = self._recording_pool(monkeypatch, cpus)
+        monkeypatch.setattr(verify, "_POOL_MIN_ORDER", 1)  # the clamp, not the size rule
         report = verify_structure_lemmas(4, jobs=jobs)
-        assert asked == ([] if workers is None else [workers])
+        assert [a[0] for a in asked] == ([] if workers is None else [workers])
         assert report.cases_checked == expected_cases("lemmas", 4, 0)
+        for _, chunksize, orders in asked:  # handed out one by one, largest order first
+            assert chunksize == 1
+            assert orders == sorted(orders, reverse=True)
+
+    def test_small_sweeps_run_in_process(self, monkeypatch):
+        asked = self._recording_pool(monkeypatch, 2)
+        small = verify_structure_lemmas(verify._POOL_MIN_ORDER - 1, jobs=2)
+        assert asked == []
+        assert small.cases_checked == expected_cases("lemmas", verify._POOL_MIN_ORDER - 1, 0)
+        verify_structure_lemmas(verify._POOL_MIN_ORDER, jobs=2)
+        assert [a[0] for a in asked] == [2]
 
 
 class TestCodedCore:
