@@ -68,9 +68,20 @@ def raw_distance_matrix(lt: LabeledTree) -> tuple[tuple[str, ...], tuple[tuple[F
     labeling the result is not an ultrametric (some distinct pair lands at
     distance zero); build_ultrametric is the checked entry point. O(n^2).
     """
-    verts = lt.tree.vertices
-    rows = _path_max(_index_adjacency(lt.tree), [lt.labels[v] for v in verts], Fraction(0))
-    return verts, tuple(map(tuple, rows))
+    return lt.tree.vertices, _coded_distances(lt)[0]
+
+
+def _coded_distances(lt: LabeledTree):
+    """The path-maximum matrix run on rank codes of the labels (0 for zero):
+    its Fraction rows, the sorted values it holds and its codes."""
+    values = sorted({Fraction(0), *lt.labels.values()})
+    code = {v: c for c, v in enumerate(values)}
+    codes = _path_max(_index_adjacency(lt.tree), [code[lt.labels[v]] for v in lt.tree.vertices], 0)
+    held = sorted({0}.union(*codes))  # a label below all its neighbours shows nowhere
+    if len(held) < len(values):
+        recode = dict(zip(held, range(len(held))))
+        values, codes = [values[c] for c in held], [list(map(recode.__getitem__, r)) for r in codes]
+    return tuple(tuple(map(values.__getitem__, row)) for row in codes), values, codes
 
 
 def _index_adjacency(tree: Tree) -> list[list[int]]:
@@ -114,8 +125,7 @@ def build_ultrametric(lt: LabeledTree):
             (a, b) for a, b in lt.tree.edges if lt.labels[a] == 0 and lt.labels[b] == 0
         )
         raise DegenerateLabeling(f"edge {bad} has label zero on both endpoints", bad)
-    points, rows = raw_distance_matrix(lt)
-    return FiniteUltrametricSpace._of_fractions(points, rows)
+    return FiniteUltrametricSpace._of_fractions(lt.tree.vertices, *_coded_distances(lt))
 
 
 def extend_labeling(tree: Tree, partial: Mapping[str, object], fill) -> dict[str, Fraction]:

@@ -10,8 +10,6 @@ All numeric content travels as exact decimal-integer or p/q strings
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .errors import ParseError
 from .labelings import LabeledTree
 from .rationals import format_rational, parse_rational
@@ -62,9 +60,11 @@ def labeled_tree_from_dict(obj) -> LabeledTree:
 
 
 def space_to_dict(space: FiniteUltrametricSpace) -> dict:
+    values, codes = space._ranked
+    text = [format_rational(q) for q in values]  # each distinct value once
     return {
         "points": list(space.points),
-        "dist": [[format_rational(x) for x in row] for row in space.dist],
+        "dist": [list(map(text.__getitem__, row)) for row in codes],
     }
 
 
@@ -82,10 +82,10 @@ def space_from_dict(obj) -> FiniteUltrametricSpace:
         raise ParseError("duplicate point names")
     if not isinstance(dist, list) or len(dist) != len(points):
         raise ParseError('"dist" must be a square matrix of rational strings')
-    rows = []
-    parse = lru_cache(maxsize=None, typed=True)(parse_rational)  # typed: True is not 1
+    rows, seen = [], {}  # each distinct str or int parsed once
     for row in dist:
         if not isinstance(row, list) or len(row) != len(points):
             raise ParseError('"dist" must be a square matrix of rational strings')
-        rows.append([parse(x) if isinstance(x, (str, int)) else parse_rational(x) for x in row])
+        rows.append([(seen[x] if x in seen else seen.setdefault(x, parse_rational(x)))
+                     if type(x) in (str, int) else parse_rational(x) for x in row])  # True is not 1
     return validate_ultrametric(points, rows)

@@ -32,7 +32,8 @@ from .rationals import coerce_nonnegative, format_rational
 class FiniteUltrametricSpace:
     """Ordered points with an exact symmetric distance matrix.
 
-    Construction coerces entries to Fraction but does not check the axioms;
+    Construction coerces each distinct entry object to a Fraction once and
+    rank-codes the matrix (see _ranked) but does not check the axioms;
     validate_ultrametric is the checked entry point for untrusted data.
     """
 
@@ -41,22 +42,22 @@ class FiniteUltrametricSpace:
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
-        object.__setattr__(
-            self,
-            "dist",
-            tuple(tuple(coerce_nonnegative(x) for x in row) for row in self.dist),
-        )
+        dist, *ranked = _rank(tuple(map(tuple, self.dist)))
+        object.__setattr__(self, "dist", dist)
+        self.__dict__["_ranked"] = tuple(ranked)
 
     @property
     def size(self) -> int:
         return len(self.points)
 
     @classmethod
-    def _of_fractions(cls, points, dist) -> "FiniteUltrametricSpace":
-        """A space over tuples already holding Fractions, not coerced again."""
+    def _of_fractions(cls, points, dist, *ranked) -> "FiniteUltrametricSpace":
+        """A space over tuples already holding Fractions; ``ranked`` seeds _ranked."""
         space = object.__new__(cls)
         object.__setattr__(space, "points", points)
         object.__setattr__(space, "dist", dist)
+        if ranked:
+            space.__dict__["_ranked"] = ranked
         return space
 
     @cached_property
@@ -66,12 +67,8 @@ class FiniteUltrametricSpace:
     @cached_property
     def _ranked(self) -> tuple[list[Fraction], list[list[int]]]:
         """Integer ranks: values[codes[i][j]] == dist[i][j], values[0] == 0;
-        keyed by id (dist keeps entries alive), so each object hashes once."""
-        first = {id(x): x for row in self.dist for x in row}
-        values = sorted({Fraction(0)}.union(first.values()))
-        code = {v: c for c, v in enumerate(values)}
-        by_id = {i: code[x] for i, x in first.items()}
-        return values, [[by_id[id(x)] for x in row] for row in self.dist]
+        seeded wherever a space is made except by restrict."""
+        return _rank(self.dist)[1:]
 
     def distance(self, x: str, y: str) -> Fraction:
         try:
@@ -98,34 +95,27 @@ def validate_ultrametric(points: Sequence[str], dist: Sequence[Sequence]) -> Fin
         raise ValueError(f"distance matrix must be {len(pts)}x{len(pts)}")
 
     n = len(pts)
-    rows = []
-    for i, row in enumerate(dist):
-        coerced = []
-        for j, x in enumerate(row):
-            try:
-                coerced.append(coerce_nonnegative(x))
-            except ValueError:
-                raise PositivityViolation(
-                    f"negative distance at ({pts[i]!r}, {pts[j]!r})", (pts[i], pts[j])
-                ) from None
-        rows.append(tuple(coerced))
+    try:
+        rows, values, codes = _rank(tuple(map(tuple, dist)))
+    except ValueError as exc:
+        a, b = (pts[k] for k in exc.at)
+        raise PositivityViolation(f"negative distance at ({a!r}, {b!r})", (a, b)) from None
 
     for i in range(n):
-        if rows[i][i] != 0:
+        if codes[i][i]:
             raise PositivityViolation(f"d({pts[i]!r}, {pts[i]!r}) must be 0", (pts[i],))
         for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
+            if codes[i][j] != codes[j][i]:
                 raise SymmetryViolation(
                     f"d({pts[i]!r}, {pts[j]!r}) != d({pts[j]!r}, {pts[i]!r})",
                     (pts[i], pts[j]),
                 )
-            if rows[i][j] == 0:
+            if not codes[i][j]:
                 raise PositivityViolation(
                     f"distinct points {pts[i]!r}, {pts[j]!r} at distance 0",
                     (pts[i], pts[j]),
                 )
-    space = FiniteUltrametricSpace._of_fractions(pts, tuple(rows))
-    codes = space._ranked[1]
+    space = FiniteUltrametricSpace._of_fractions(pts, rows, values, codes)
     if not _is_subdominant(codes, _mst(codes)):  # name the first bad triple
         for i in range(n):
             for j in range(n):
@@ -137,6 +127,26 @@ def validate_ultrametric(points: Sequence[str], dist: Sequence[Sequence]) -> Fin
                             (pts[i], pts[j], pts[k]),
                         )
     return space
+
+
+def _rank(rows):
+    """(Fraction rows, sorted values with 0 at code 0, codes) of a matrix of
+    tuples, which keep entries alive so ids stay unique. Each distinct object
+    is coerced once in row-major order, so the first bad entry raises first;
+    a ValueError names its cell in ``at``."""
+    ids = [list(map(id, row)) for row in rows]
+    fracs = {}
+    for key, x in dict(zip(chain.from_iterable(ids), chain.from_iterable(rows))).items():
+        try:
+            fracs[key] = coerce_nonnegative(x)
+        except ValueError as exc:
+            exc.at = next((i, j) for i, row in enumerate(rows) for j, y in enumerate(row) if y is x)
+            raise
+    values = sorted({Fraction(0), *fracs.values()})
+    code = {v: c for c, v in enumerate(values)}
+    by_id = {key: code[q] for key, q in fracs.items()}
+    codes = [list(map(by_id.__getitem__, row)) for row in ids]
+    return tuple(tuple(map(values.__getitem__, row)) for row in codes), values, codes
 
 
 def _mst(codes) -> list[tuple[int, int, int]]:
@@ -218,10 +228,8 @@ def realize_as_star(space: FiniteUltrametricSpace):
         raise NotUS("the space has no witness point, so no star generates it")
     edges = [(center, p) for p in space.points if p != center]
     tree = validate_tree(space.points, edges)
-    zero = Fraction(0)
-    labels = {
-        p: zero if p == center else space.distance(center, p) for p in space.points
-    }
+    labels = dict(zip(space.points, space.dist[space._index[center]]))
+    labels[center] = Fraction(0)
     return LabeledTree(tree, labels)
 
 

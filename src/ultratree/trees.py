@@ -210,18 +210,20 @@ def classify(tree: Tree) -> TreeClass:
 
 
 def _prufer_edges(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
-    """Decode a length n-2 sequence over 0..n-1 into sorted edge pairs."""
+    """Decode a length n-2 sequence over 0..n-1 into sorted edge pairs, in O(n)."""
     deg = [1] * n
     for v in seq:
         deg[v] += 1
+    leaf = scan = deg.index(1)
     edges: list[tuple[int, int]] = []
     for v in seq:
-        leaf = min(i for i in range(n) if deg[i] == 1)
         edges.append((leaf, v) if leaf < v else (v, leaf))
-        deg[leaf] -= 1
         deg[v] -= 1
-    u, w = (i for i in range(n) if deg[i] == 1)
-    edges.append((u, w) if u < w else (w, u))
+        if deg[v] == 1 and v < scan:  # freed below the scan: the least leaf
+            leaf = v
+        else:
+            leaf = scan = deg.index(1, scan + 1)
+    edges.append((leaf, n - 1))
     return edges
 
 

@@ -4,8 +4,9 @@ Everything in here is deliberately naive: simple-path enumeration for the
 longest path, every pair's path for the counterexample labeling,
 permutation search for isometry, edge-subset filtering for tree
 enumeration, a literal transcription of the witness condition, the axiom
-check over every ordered triple, the recursive dendrogram split and
-path-maximum matrices that walk every pair's path.
+check over every ordered triple, the recursive dendrogram split,
+path-maximum matrices that walk every pair's path, and the quadratic
+Prufer decode that rescans for the least leaf.
 The point is that none of it shares code with the implementations under
 test, so agreement is evidence rather than tautology.
 """
@@ -197,6 +198,30 @@ def brute_trees(n):
         if len(seen) == n:
             found.add(frozenset(subset))
     return found
+
+
+def brute_prufer_edges(seq, n):
+    """Prufer decode by rescanning every vertex for the least leaf at each
+    step: sorted edge pairs in the order they are found."""
+    deg = [1] * n
+    for v in seq:
+        deg[v] += 1
+    edges = []
+    for v in seq:
+        leaf = min(i for i in range(n) if deg[i] == 1)
+        edges.append((leaf, v) if leaf < v else (v, leaf))
+        deg[leaf] -= 1
+        deg[v] -= 1
+    u, w = (i for i in range(n) if deg[i] == 1)
+    edges.append((u, w) if u < w else (w, u))
+    return edges
+
+
+def independent_ranking(space):
+    """(values, codes) of a space's matrix: the sorted set of its entries
+    plus 0, and each entry's position in that list."""
+    values = sorted({Fraction(0), *(x for row in space.dist for x in row)})
+    return values, [[values.index(x) for x in row] for row in space.dist]
 
 
 def edge_index_set(tree):

@@ -143,6 +143,31 @@ class TestSpaceWire:
         space = build_ultrametric(labeled(path_tree(5), (2, 2, 3, 2, 2)))
         assert space_from_dict(space_to_dict(space)) == space
 
+    def test_equal_entries_of_any_form_write_alike(self):
+        # "2", 2 and "4/2" in mirrored cells: each distinct value is
+        # formatted once, so mirrored cells write the same text
+        obj = {
+            "points": ["a", "b", "c"],
+            "dist": [["0", "2", "4/2"], [2, "0", "2"], ["2", "4/2", 0]],
+        }
+        written = space_to_dict(space_from_dict(obj))
+        assert written["dist"] == [["0", "2", "2"], ["2", "0", "2"], ["2", "2", "0"]]
+
+    def test_integers_above_two_to_the_64_write_symmetric(self):
+        big, bigger = 2**70, 2**70 + 1
+        obj = {
+            "points": ["a", "b", "c"],
+            "dist": [
+                [0, big, str(bigger)],
+                [str(big), "0", bigger],
+                [f"{2 * bigger}/2", bigger, 0],
+            ],
+        }
+        dist = space_to_dict(space_from_dict(obj))["dist"]
+        assert dist == [["0", str(big), str(bigger)], [str(big), "0", str(bigger)],
+                        [str(bigger), str(bigger), "0"]]
+        assert all(dist[i][j] == dist[j][i] for i in range(3) for j in range(3))
+
     def test_read_validates_axioms(self):
         obj = {"points": ["a", "b"], "dist": [["0", "0"], ["0", "0"]]}
         with pytest.raises(PositivityViolation):

@@ -1,4 +1,5 @@
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from helpers import (
     brute_isometric,
     brute_validate,
     brute_witness,
+    independent_ranking,
     labeled,
     path_tree,
     random_labeled_trees,
@@ -40,6 +42,8 @@ from ultratree import (
     raw_distance_matrix,
     realize_as_star,
     restrict,
+    space_from_dict,
+    space_to_dict,
     us_witness,
     validate_tree,
     validate_ultrametric,
@@ -426,3 +430,124 @@ class TestAgainstOracles:
         assert form != CanonicalForm(Fraction(0), ())
         assert repr(hand).startswith("CanonicalForm('(1099(0)(1098(0)")
         assert hand.serialized.count("(") == 2 * n - 1
+
+
+def _any_outcome(validate, points, rows):
+    """The space, or the class, message and offenders of what was raised."""
+    try:
+        return validate(points, rows)
+    except Exception as err:
+        return type(err), str(err), getattr(err, "offenders", None)
+
+
+BIG = 2**70  # above every cached int, so equal ints are distinct objects
+
+# one bad entry: a negative, a float, True, a zero or an asymmetric value
+PERTURBATIONS = ("none", "negative", "float", "true", "zero", "asymmetric")
+
+
+@st.composite
+def mixed_entry_matrices(draw):
+    """(points, rows) of a random space, scaled by 1 or BIG, each entry a
+    fresh int, str or Fraction object of its value, then one entry perturbed
+    (in one cell or in both mirrored cells)."""
+    space = draw(random_spaces(min_order=2, max_order=12))
+    scale = draw(st.sampled_from((1, BIG)))
+
+    def spread(q):
+        kind = draw(st.sampled_from(("int", "str", "fraction")))
+        if kind == "int" and q.denominator == 1:
+            return int(str(q.numerator))
+        if kind == "str":
+            return str(q)
+        return Fraction(q.numerator, q.denominator)
+
+    rows = [[spread(x * scale) for x in row] for row in space.dist]
+    n = space.size
+    i = draw(st.integers(0, n - 1))
+    j = draw(st.integers(0, n - 1))
+    kind = draw(st.sampled_from(PERTURBATIONS))
+    q = space.dist[i][j] * scale
+    bad = {
+        "none": rows[i][j],
+        "negative": draw(st.sampled_from((-1, "-3", Fraction(-1, 2), -BIG))),
+        "float": float(q),
+        "true": True,
+        "zero": draw(st.sampled_from((0, "0", Fraction(0)))),
+        "asymmetric": spread(q + 1),
+    }[kind]
+    rows[i][j] = bad
+    if kind != "asymmetric" and draw(st.booleans()):
+        rows[j][i] = bad
+    return space.points, rows
+
+
+class FreshRows(Sequence):
+    """A matrix that builds new rows of new int objects on every access, so
+    an id taken from one access may name another value on the next."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        return [int(str(x)) for x in self.rows[i]]
+
+
+def _is_seeded(space):
+    return space.__dict__.get("_ranked") == independent_ranking(space)
+
+
+class TestRankedBoundary:
+    """Spaces are rank-coded once where they are made; the checks on codes
+    agree with the entry-by-entry oracle."""
+
+    @settings(max_examples=150)
+    @given(mixed_entry_matrices())
+    def test_validation_on_mixed_entry_objects(self, case):
+        points, rows = case
+        got = _any_outcome(validate_ultrametric, points, rows)
+        assert got == _any_outcome(brute_validate, points, rows)
+        if isinstance(got, FiniteUltrametricSpace):
+            assert _is_seeded(got)
+
+    @settings(max_examples=40)
+    @given(random_spaces(min_order=2, max_order=12), st.data())
+    def test_fresh_rows_on_every_access(self, space, data):
+        rows = [[x * 2 * BIG for x in row] for row in space.dist]
+        i = data.draw(st.integers(0, space.size - 1))
+        j = data.draw(st.integers(0, space.size - 1))
+        rows[i][j] = data.draw(st.sampled_from((rows[i][j], rows[i][j] + 1, 0, 3 * BIG)))
+        fresh = FreshRows([[int(x) for x in row] for row in rows])
+        got = _any_outcome(validate_ultrametric, space.points, fresh)
+        assert got == _any_outcome(brute_validate, space.points, fresh)
+        if isinstance(got, FiniteUltrametricSpace):
+            assert _is_seeded(got)
+
+    @settings(max_examples=80)
+    @given(random_labeled_trees(max_order=12))
+    def test_every_space_made_carries_its_ranking(self, lt):
+        assume(is_nondegenerate(lt))
+        built = build_ultrametric(lt)
+        made = [
+            built,
+            validate_ultrametric(built.points, built.dist),
+            space_from_dict(space_to_dict(built)),
+            FiniteUltrametricSpace(built.points, [[str(x) for x in row] for row in built.dist]),
+        ]
+        for space in made:
+            assert space == built
+            assert _is_seeded(space)
+            if us_witness(space) is not None:
+                assert build_ultrametric(realize_as_star(space)) == space
+        sub = restrict(built, built.points[::2])
+        assert "_ranked" not in sub.__dict__
+        assert sub._ranked == independent_ranking(sub)
+
+    def test_labels_that_never_show_are_not_ranked(self):
+        # a star's leaves below their center's label appear in no distance
+        space = build_ultrametric(labeled(star_tree(4), (5, 1, 2, 0)))
+        assert space.__dict__["_ranked"] == ([0, 5], [[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]])
+        assert build_ultrametric(labeled(path_tree(1), (7,)))._ranked == ([0], [[0]])

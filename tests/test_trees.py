@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     brute_longest_path,
+    brute_prufer_edges,
     brute_trees,
     cayley,
     edge_index_set,
@@ -32,6 +33,7 @@ from ultratree import (
     unique_path,
     validate_tree,
 )
+from ultratree.trees import _prufer_edges
 
 
 class TestValidateTree:
@@ -237,6 +239,13 @@ class TestEnumerateTrees:
         for n in range(1, 6):
             got = {edge_index_set(t) for t in enumerate_trees(n)}
             assert got == brute_trees(n)
+
+    def test_prufer_decode_matches_rescanning_oracle(self):
+        # same edges in the same order: the order fixes adjacency lists and
+        # so the breadth-first shapes the sweeps key on
+        for n in range(2, 8):
+            for seq in itertools.product(range(n), repeat=n - 2):
+                assert _prufer_edges(seq, n) == brute_prufer_edges(seq, n)
 
     def test_no_duplicates_and_shape(self):
         seen = set()
