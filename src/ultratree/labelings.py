@@ -23,7 +23,7 @@ from .errors import (
     UnknownVertex,
 )
 from .rationals import coerce_nonnegative
-from .trees import Tree, longest_path_length
+from .trees import Tree, _bfs_parents, longest_path_length
 
 DEFAULT_LABELING_BUDGET = 1_000_000
 
@@ -76,17 +76,12 @@ def _coded_distances(lt: LabeledTree):
     its Fraction rows, the sorted values it holds and its codes."""
     values = sorted({Fraction(0), *lt.labels.values()})
     code = {v: c for c, v in enumerate(values)}
-    codes = _path_max(_index_adjacency(lt.tree), [code[lt.labels[v]] for v in lt.tree.vertices], 0)
+    codes = _path_max(lt.tree._indexed, [code[lt.labels[v]] for v in lt.tree.vertices], 0)
     held = sorted({0}.union(*codes))  # a label below all its neighbours shows nowhere
     if len(held) < len(values):
         recode = dict(zip(held, range(len(held))))
         values, codes = [values[c] for c in held], [list(map(recode.__getitem__, r)) for r in codes]
     return tuple(tuple(map(values.__getitem__, row)) for row in codes), values, codes
-
-
-def _index_adjacency(tree: Tree) -> list[list[int]]:
-    index = {v: i for i, v in enumerate(tree.vertices)}
-    return [[index[u] for u in tree._adjacency[v]] for v in tree.vertices]
 
 
 def _path_max(adj, labels, zero) -> list[list]:
@@ -174,7 +169,7 @@ def counterexample_labeling(tree: Tree) -> LabeledTree:
     if length < 4:
         raise NoLongPath(f"longest path has {length} edges, need at least 4")
     verts = tree.vertices
-    path = _longest_path(_index_adjacency(tree), verts)
+    path = _longest_path(tree._indexed, verts)
     labels = {v: _COUNTEREXAMPLE_FILL for v in verts}
     for i, value in zip(path, _COUNTEREXAMPLE_PATTERN):
         labels[verts[i]] = value
@@ -206,18 +201,6 @@ def _longest_path(adj, names) -> list[int]:
                 if names[u] < names[v]:
                     path.reverse()
     return path
-
-
-def _bfs_parents(n: int, adj, src: int) -> tuple[list[int], list[int]]:
-    parent = [-1] * n
-    parent[src] = src
-    order = [src]
-    for v in order:
-        for u in adj[v]:
-            if parent[u] < 0:
-                parent[u] = v
-                order.append(u)
-    return parent, order
 
 
 def enumerate_labelings(

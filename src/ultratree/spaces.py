@@ -33,7 +33,8 @@ class FiniteUltrametricSpace:
     """Ordered points with an exact symmetric distance matrix.
 
     Construction coerces each distinct entry object to a Fraction once and
-    rank-codes the matrix (see _ranked) but does not check the axioms;
+    rank-codes the matrix (see _ranked). It rejects a matrix that is not
+    N x N for N points with ValueError, but does not check the axioms;
     validate_ultrametric is the checked entry point for untrusted data.
     """
 
@@ -42,7 +43,9 @@ class FiniteUltrametricSpace:
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
-        dist, *ranked = _rank(tuple(map(tuple, self.dist)))
+        rows = tuple(map(tuple, self.dist))
+        _check_shape(self.points, rows)
+        dist, *ranked = _rank(rows)
         object.__setattr__(self, "dist", dist)
         self.__dict__["_ranked"] = tuple(ranked)
 
@@ -82,51 +85,66 @@ def validate_ultrametric(points: Sequence[str], dist: Sequence[Sequence]) -> Fin
 
     Symmetry and positivity (zero exactly on the diagonal, nothing negative)
     entry by entry; the strong triangle inequality by the minimum spanning
-    tree test (Gower & Ross 1969), then a scan over ordered triples only to
-    name a failure's first offender. Raises SymmetryViolation,
-    PositivityViolation, or StrongTriangleViolation naming the points.
+    tree test (Gower & Ross 1969), then a scan over triples only to name a
+    failure's first offender (see _first_offender). Raises ValueError for a
+    matrix that is not N x N, SymmetryViolation, PositivityViolation, or
+    StrongTriangleViolation naming the points.
     """
     pts = tuple(points)
     if not pts:
         raise ValueError("a space needs at least one point")
     if len(set(pts)) != len(pts):
         raise ValueError("point names must be unique")
-    if len(dist) != len(pts) or any(len(row) != len(pts) for row in dist):
-        raise ValueError(f"distance matrix must be {len(pts)}x{len(pts)}")
-
-    n = len(pts)
+    _check_shape(pts, dist)
     try:
         rows, values, codes = _rank(tuple(map(tuple, dist)))
     except ValueError as exc:
         a, b = (pts[k] for k in exc.at)
         raise PositivityViolation(f"negative distance at ({a!r}, {b!r})", (a, b)) from None
 
-    for i in range(n):
-        if codes[i][i]:
-            raise PositivityViolation(f"d({pts[i]!r}, {pts[i]!r}) must be 0", (pts[i],))
+    offence = _first_offender(codes)
+    if offence is None:
+        return FiniteUltrametricSpace._of_fractions(pts, rows, values, codes)
+    axiom, at = offence
+    a, b, *c = (pts[k] for k in at)
+    if axiom == "symmetry":
+        raise SymmetryViolation(f"d({a!r}, {b!r}) != d({b!r}, {a!r})", (a, b))
+    if axiom == "strong-triangle":
+        raise StrongTriangleViolation(f"d({a!r}, {b!r}) > max over {c[0]!r}", (a, b, *c))
+    if a == b:
+        raise PositivityViolation(f"d({a!r}, {a!r}) must be 0", (a,))
+    raise PositivityViolation(f"distinct points {a!r}, {b!r} at distance 0", (a, b))
+
+
+def _check_shape(points, dist) -> None:
+    if len(dist) != len(points) or any(len(row) != len(points) for row in dist):
+        raise ValueError(f"distance matrix must be {len(points)}x{len(points)}")
+
+
+def _first_offender(codes):
+    """The first axiom a square matrix of rank codes breaks, as (axiom,
+    point indices), or None. Row by row, the diagonal entry and then each
+    pair i < j for symmetry and positivity; then, unless the minimum
+    spanning tree test passes, the first strong-triangle triple (i, j, k)
+    with i < j, which on a symmetric matrix is also the first over ordered
+    pairs: an offender (j, i, k) with j > i makes (i, j, k) one."""
+    n = len(codes)
+    for i, row in enumerate(codes):
+        if row[i]:
+            return "positivity", (i, i)
         for j in range(i + 1, n):
-            if codes[i][j] != codes[j][i]:
-                raise SymmetryViolation(
-                    f"d({pts[i]!r}, {pts[j]!r}) != d({pts[j]!r}, {pts[i]!r})",
-                    (pts[i], pts[j]),
-                )
-            if not codes[i][j]:
-                raise PositivityViolation(
-                    f"distinct points {pts[i]!r}, {pts[j]!r} at distance 0",
-                    (pts[i], pts[j]),
-                )
-    space = FiniteUltrametricSpace._of_fractions(pts, rows, values, codes)
-    if not _is_subdominant(codes, _mst(codes)):  # name the first bad triple
-        for i in range(n):
-            for j in range(n):
-                dij = codes[i][j]
-                for k in range(n):
-                    if dij > codes[i][k] and dij > codes[k][j]:
-                        raise StrongTriangleViolation(
-                            f"d({pts[i]!r}, {pts[j]!r}) > max over {pts[k]!r}",
-                            (pts[i], pts[j], pts[k]),
-                        )
-    return space
+            if row[j] != codes[j][i]:
+                return "symmetry", (i, j)
+            if not row[j]:
+                return "positivity", (i, j)
+    if _is_subdominant(codes, _mst(codes)):
+        return None
+    for i, row in enumerate(codes):
+        for j in range(i + 1, n):
+            for k in range(n):
+                if row[j] > row[k] and row[j] > codes[k][j]:
+                    return "strong-triangle", (i, j, k)
+    return None
 
 
 def _rank(rows):

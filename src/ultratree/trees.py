@@ -10,8 +10,6 @@ sorted, as sorted pairs, so structural equality is well defined.
 from __future__ import annotations
 
 import enum
-import itertools
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -46,15 +44,17 @@ class Tree:
         return len(self.vertices)
 
     @cached_property
-    def _adjacency(self) -> dict[str, tuple[str, ...]]:
-        nbrs: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for a, b in self.edges:
-            nbrs[a].append(b)
-            nbrs[b].append(a)
-        return {v: tuple(sorted(ns)) for v, ns in nbrs.items()}
+    def _index(self) -> dict[str, int]:
+        return {v: i for i, v in enumerate(self.vertices)}
+
+    @cached_property
+    def _indexed(self) -> list[list[int]]:
+        """The index form: neighbour lists by position in ``vertices``."""
+        index = self._index
+        return _index_adjacency(self.order, [(index[a], index[b]) for a, b in self.edges])
 
     def __contains__(self, vertex: str) -> bool:
-        return vertex in self._adjacency
+        return vertex in self._index
 
 
 class TreeKind(enum.Enum):
@@ -118,26 +118,17 @@ def validate_tree(vertices: Iterable[str], edges: Iterable) -> Tree:
     if len(norm_edges) < n - 1:
         raise NotConnected(f"{len(norm_edges)} edges cannot connect {n} vertices")
 
-    if n > 1:
-        adj: dict[str, list[str]] = {v: [] for v in verts}
-        for a, b in norm_edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        reached = {verts[0]}
-        queue = deque([verts[0]])
-        while queue:
-            for u in adj[queue.popleft()]:
-                if u not in reached:
-                    reached.add(u)
-                    queue.append(u)
-        if len(reached) != n:
-            raise NotConnected(f"{n - len(reached)} vertices unreachable from {verts[0]!r}")
+    index = {v: i for i, v in enumerate(verts)}
+    adj = _index_adjacency(n, [(index[a], index[b]) for a, b in norm_edges])
+    reached = _bfs_parents(n, adj, 0)[1]
+    if len(reached) != n:
+        raise NotConnected(f"{n - len(reached)} vertices unreachable from {verts[0]!r}")
 
     return Tree(tuple(verts), tuple(norm_edges))
 
 
 def _require_vertex(tree: Tree, v: str) -> None:
-    if v not in tree._adjacency:
+    if v not in tree._index:
         raise UnknownVertex(f"vertex {v!r} is not in the tree", (v,))
 
 
@@ -147,56 +138,27 @@ def unique_path(tree: Tree, u: str, v: str) -> tuple[str, ...]:
     _require_vertex(tree, v)
     if u == v:
         raise SamePoint(f"no path from {u!r} to itself", (u,))
-    adj = tree._adjacency
-    parent = {u: u}
-    queue = deque([u])
-    while queue:
-        w = queue.popleft()
-        if w == v:
-            break
-        for x in adj[w]:
-            if x not in parent:
-                parent[x] = w
-                queue.append(x)
-    path = [v]
-    while path[-1] != u:
+    end = tree._index[v]
+    parent = _bfs_parents(tree.order, tree._indexed, end)[0]
+    path = [tree._index[u]]
+    while path[-1] != end:
         path.append(parent[path[-1]])
-    path.reverse()
-    return tuple(path)
+    return tuple(tree.vertices[i] for i in path)
 
 
 def degree(tree: Tree, v: str) -> int:
     _require_vertex(tree, v)
-    return len(tree._adjacency[v])
+    return len(tree._indexed[tree._index[v]])
 
 
 def high_degree_vertices(tree: Tree) -> set[str]:
     """Vertices of degree two or more."""
-    return {v for v, ns in tree._adjacency.items() if len(ns) >= 2}
-
-
-def _distances(tree: Tree, start: str) -> dict[str, int]:
-    """Edge counts from ``start`` to every vertex, in breadth-first order."""
-    adj = tree._adjacency
-    dist = {start: 0}
-    queue = [start]
-    for w in queue:
-        for x in adj[w]:
-            if x not in dist:
-                dist[x] = dist[w] + 1
-                queue.append(x)
-    return dist
+    return {v for v, nbrs in zip(tree.vertices, tree._indexed) if len(nbrs) >= 2}
 
 
 def longest_path_length(tree: Tree) -> int:
-    """Edge count of a longest simple path (0 for the one-vertex tree).
-
-    Two breadth-first sweeps: the farthest vertex from any start is an
-    endpoint of some longest path, and the farthest vertex from that
-    endpoint realizes the full length.
-    """
-    end = list(_distances(tree, tree.vertices[0]))[-1]
-    return max(_distances(tree, end).values())
+    """Edge count of a longest simple path (0 for the one-vertex tree)."""
+    return _diameter(tree._indexed)
 
 
 def classify(tree: Tree) -> TreeClass:
@@ -209,7 +171,26 @@ def classify(tree: Tree) -> TreeClass:
     return TreeClass(TreeKind.OTHER, ())
 
 
-def _prufer_edges(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
+# ---------------------------------------------------------------------------
+# the index form: vertex i of an order-n tree is v(i+1), edges are index pairs
+
+def _tree_count(n: int) -> int:
+    """Labeled trees of order n (Cayley), one per Prufer rank."""
+    return n ** max(n - 2, 0)
+
+
+def _rank_edges(n: int, rank: int) -> list[tuple[int, int]]:
+    """Sorted index edges of the tree whose Prufer sequence has ``rank`` in
+    itertools.product order of range(n) ** (n - 2), decoded in O(n)."""
+    if n <= 2:
+        return [(0, 1)][: n - 1]
+    seq = [0] * (n - 2)
+    for i in range(n - 3, -1, -1):
+        rank, seq[i] = divmod(rank, n)
+    return _prufer_edges(seq, n)
+
+
+def _prufer_edges(seq, n: int) -> list[tuple[int, int]]:
     """Decode a length n-2 sequence over 0..n-1 into sorted edge pairs, in O(n)."""
     deg = [1] * n
     for v in seq:
@@ -225,6 +206,42 @@ def _prufer_edges(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
             leaf = scan = deg.index(1, scan + 1)
     edges.append((leaf, n - 1))
     return edges
+
+
+def _index_adjacency(n: int, edges) -> list[list[int]]:
+    """Neighbour lists of the tree on 0..n-1 with index ``edges``, in edge order."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return adj
+
+
+def _bfs_parents(n: int, adj, src: int) -> tuple[list[int], list[int]]:
+    """Breadth-first parents (``src`` its own) and visiting order from ``src``."""
+    parent = [-1] * n
+    parent[src] = src
+    order = [src]
+    for v in order:
+        for u in adj[v]:
+            if parent[u] < 0:
+                parent[u] = v
+                order.append(u)
+    return parent, order
+
+
+def _diameter(adj) -> int:
+    """Edge count of a longest path, by two breadth-first sweeps: the last
+    vertex reached from any start ends some longest path, and the last one
+    reached from there realizes its full length."""
+    n = len(adj)
+    start = _bfs_parents(n, adj, 0)[1][-1]
+    parent, order = _bfs_parents(n, adj, start)
+    steps, v = 0, order[-1]
+    while v != start:
+        v = parent[v]
+        steps += 1
+    return steps
 
 
 def _vertex_names(n: int) -> tuple[str, ...]:
@@ -246,12 +263,5 @@ def enumerate_trees(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Tree
 
 def _iter_trees(n: int) -> Iterator[Tree]:
     names = _vertex_names(n)
-    if n == 1:
-        yield validate_tree(names, [])
-        return
-    if n == 2:
-        yield validate_tree(names, [names])
-        return
-    for seq in itertools.product(range(n), repeat=n - 2):
-        edges = [(names[a], names[b]) for a, b in _prufer_edges(seq, n)]
-        yield validate_tree(names, edges)
+    for rank in range(_tree_count(n)):
+        yield validate_tree(names, [(names[a], names[b]) for a, b in _rank_edges(n, rank)])

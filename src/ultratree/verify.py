@@ -1,24 +1,41 @@
 """Exhaustive desk-scale verification of the structural theorems.
 
 Four entry points sweep every tree up to a given order (one per Prufer
-sequence, vertices v1..vn) and, where labelings matter, every labeling over
-a finite value set:
+rank, vertices v1..vn) and, where labelings matter, every labeling over a
+finite value set. Each reports the claims the claim table lists for it:
 
-* verify_theorem_nondegeneracy: the path-maximum matrix satisfies the
-  ultrametric axioms exactly when the labeling is non-degenerate.
-* verify_main_theorem: longest path <= 3 edges, at most two high-degree
-  vertices, and "every non-degenerate labeling generates a star-generated
-  space" are equivalent. The first equivalence is checked exhaustively per
-  tree; the witness direction is checked over the finite value grid and is
-  labeled "sampled"; the converse is labeled "certified" because each long
-  tree gets an explicit counterexample labeling whose space is checked to
-  have no witness.
-* verify_structure_lemmas: in trees whose paths all have at most three
-  edges, the high-degree vertices are pairwise adjacent and number at most
-  two.
-* verify_classification: the Star/DoubleStar/Other tag matches the metric
-  behaviour (all labelings star-generated and no counterexample possible,
-  versus a counterexample labeling that is provably not star-generated).
+* verify_theorem_nondegeneracy (``nondeg``):
+  ultrametric-valid-iff-nondegenerate, the path-maximum matrix satisfies
+  the ultrametric axioms exactly when the labeling is non-degenerate.
+* verify_main_theorem (``main``): longest path <= 3 edges, at most two
+  high-degree vertices, and "every non-degenerate labeling generates a
+  star-generated space" are equivalent.
+  longest-path-le-3-iff-at-most-two-high-degree is checked on every tree;
+  nondegenerate-labeling-admits-us-witness on every short tree over the
+  value grid, so it is labeled "sampled"; on every long tree
+  counterexample-applicable-for-long-tree and
+  counterexample-space-has-no-us-witness, labeled "certified" because each
+  long tree gets an explicit counterexample labeling whose space is checked
+  to have no witness.
+* verify_structure_lemmas (``lemmas``): at-most-two-high-degree-vertices
+  and high-degree-vertices-adjacent, in trees whose paths all have at most
+  three edges.
+* verify_classification (``classify``): classification-matches-structure,
+  the Star/DoubleStar/Other tag against the number of high-degree vertices;
+  where that number is at most two, nondegenerate-labeling-admits-us-witness
+  and counterexample-inapplicable-for-short-tree; elsewhere the two
+  counterexample claims of ``main``.
+
+A sweep decodes each tree rank once into a facts record (_Facts): order,
+rank, index edges and adjacency, and, each computed when a claim first
+reads it, the diameter, the high-degree vertices, the public Tree, the
+counterexample path and the labeling walk. The claim table (_CLAIMS) maps
+each claim id to the theorems that report it, with for each the trees it is
+checked on and whether its checks count as cases; to whether it is checked
+once per tree or once per labeling; to its check on the record; and to its
+replay on a certificate's Tree or LabeledTree. One loop (_sweep) runs the
+theorem's checks on each record, predicted_cases counts from the same
+table, and replay_certificate looks the claim up in it.
 
 Each run returns a VerificationReport whose cases_checked equals the
 analytically predicted grid size; a mismatch would mean a harness bug and
@@ -50,8 +67,8 @@ label; with m its minimum, first reached at a, the rest costs O(k):
   with its own verdict at a leaf; a mismatch rebuilds the full matrix.
 
 The walk reads only the tree's breadth-first shape, each position's parent
-position, so a chunk walks each shape once (42 shapes for the 1,296 trees of
-order 6) and keeps its leaf count and failing labelings; each tree of the
+position, so a sweep walks each shape once (42 shapes for the 1,296 trees
+of order 6) and keeps its leaf count and failing labelings; each tree of the
 shape adds the count and maps the failures to its own vertices.
 """
 
@@ -63,35 +80,31 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
-from .errors import (
-    BudgetExceeded,
-    NoLongPath,
-    ParseError,
-    PositivityViolation,
-    StrongTriangleViolation,
-    SymmetryViolation,
-)
+from .errors import BudgetExceeded, NoLongPath, ParseError
 from .labelings import (
     _COUNTEREXAMPLE_FILL,
     _COUNTEREXAMPLE_PATTERN,
     LabeledTree,
-    _bfs_parents,
+    _coded_distances,
     _longest_path,
     _path_max,
     build_ultrametric,
     counterexample_labeling,
     is_nondegenerate,
-    raw_distance_matrix,
 )
 from .rationals import coerce_nonnegative, format_rational, parse_rational
-from .spaces import _witness_index, us_witness, validate_ultrametric
+from .spaces import _first_offender, _witness_index, us_witness
 from .serialize import tree_to_dict, tree_from_dict
 from .trees import (
     Tree,
     TreeKind,
-    _prufer_edges,
+    _bfs_parents,
+    _diameter,
+    _index_adjacency,
+    _rank_edges,
+    _tree_count,
     _vertex_names,
     classify,
     high_degree_vertices,
@@ -153,11 +166,7 @@ class VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# analytic case counts
-
-def _tree_count(n: int) -> int:
-    return 1 if n <= 2 else n ** (n - 2)
-
+# analytic tree counts
 
 def _star_count(n: int) -> int:
     return 1 if n <= 2 else n
@@ -173,65 +182,12 @@ def _qualifying_count(n: int) -> int:
     return _star_count(n) + _double_star_count(n)
 
 
-def predicted_cases(theorem: str, n_max: int, value_count: int) -> int:
-    """The exact number of checks a run will perform; see each op for the
-    counting convention."""
-    total = 0
-    for n in range(1, n_max + 1):
-        t = _tree_count(n)
-        if theorem == THEOREM_NONDEG:
-            total += t * value_count ** n
-        elif theorem == THEOREM_LEMMAS:
-            total += t
-        elif theorem == THEOREM_MAIN:
-            q = _qualifying_count(n)
-            total += t + q * value_count ** n + (t - q)
-        elif theorem == THEOREM_CLASSIFY:
-            total += t + _qualifying_count(n) * value_count ** n
-        else:
-            raise ValueError(f"unknown theorem id {theorem!r}")
-    return total
+def _long_count(n: int) -> int:
+    return _tree_count(n) - _qualifying_count(n)
 
 
 # ---------------------------------------------------------------------------
-# integer-coded tree helpers
-
-def _prufer_sequence(rank: int, n: int) -> tuple[int, ...]:
-    seq = [0] * (n - 2)
-    for i in range(n - 3, -1, -1):
-        rank, seq[i] = divmod(rank, n)
-    return tuple(seq)
-
-
-def _int_edges(n: int, rank: int) -> list[tuple[int, int]]:
-    if n == 1:
-        return []
-    if n == 2:
-        return [(0, 1)]
-    return _prufer_edges(_prufer_sequence(rank, n), n)
-
-
-def _int_adjacency(n: int, edges) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    return adj
-
-
-def _int_diameter(n: int, adj) -> int:
-    if n == 1:
-        return 0
-    _, order = _bfs_parents(n, adj, 0)
-    start = order[-1]
-    parent, order = _bfs_parents(n, adj, start)
-    steps = 0
-    v = order[-1]
-    while v != start:
-        v = parent[v]
-        steps += 1
-    return steps
-
+# the labeling walk
 
 def _labelings(n: int, adj, codes, witness: bool, leaf) -> None:
     """Call leaf(lab, nondeg, verdict) once for every labeling of the tree
@@ -293,7 +249,7 @@ def _shape_walk(memo: dict, n: int, adj, codes, witness: bool):
     at = {v: k for k, v in enumerate(order)}
     key = tuple(at[parent[v]] for v in order)
     if key not in memo:  # parents listed first, so BFS visits 0, 1, ..., n - 1
-        shape = _int_adjacency(n, ((key[k], k) for k in range(1, n)))
+        shape = _index_adjacency(n, ((key[k], k) for k in range(1, n)))
         cases, bad = 0, []
 
         def leaf(lab, nondeg, verdict):
@@ -308,51 +264,86 @@ def _shape_walk(memo: dict, n: int, adj, codes, witness: bool):
     return cases, [([by_pos[at[v]] for v in range(n)], nondeg) for by_pos, nondeg in bad]
 
 
-def _coded_matrix_violation(n: int, d):
-    for i in range(n):
-        if d[i][i] != 0:
-            return ("positivity", (i, i))
-        row = d[i]
-        for j in range(i + 1, n):
-            if row[j] != d[j][i]:
-                return ("symmetry", (i, j))
-            if row[j] == 0:
-                return ("positivity", (i, j))
-    for i in range(n):
-        di = d[i]
-        # symmetry already verified, so i < j covers all ordered pairs
-        for j in range(i + 1, n):
-            dij = di[j]
-            for k in range(n):
-                if dij > di[k] and dij > d[k][j]:
-                    return ("strong-triangle", (i, j, k))
-    return None
+# ---------------------------------------------------------------------------
+# the facts of one tree
+
+class _fact:
+    """A fact computed on first read and then kept as a plain attribute:
+    functools.cached_property without the lock it takes on Python < 3.12."""
+
+    def __init__(self, compute):
+        self.compute = compute
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, facts, owner=None):
+        value = facts.__dict__[self.name] = self.compute(facts)
+        return value
+
+
+class _Facts:
+    """One tree of a sweep by Prufer rank, in index form (vertex i is
+    v(i+1)), with the labeling codes and walk memo of its sweep. The facts
+    past the adjacency are computed when a claim first reads them, so a
+    sweep pays only for what its theorem's claims use."""
+
+    def __init__(self, n: int, rank: int, codes=(), memo=None):
+        self.n, self.rank = n, rank
+        self.codes, self.memo = codes, {} if memo is None else memo
+        self.edges = _rank_edges(n, rank)
+        self.adj = _index_adjacency(n, self.edges)
+
+    @_fact
+    def names(self) -> tuple[str, ...]:
+        return _vertex_names(self.n)
+
+    @_fact
+    def diameter(self) -> int:
+        return _diameter(self.adj)
+
+    @_fact
+    def highs(self) -> list[int]:
+        """The vertices of degree two or more, ascending."""
+        return [v for v, nbrs in enumerate(self.adj) if len(nbrs) >= 2]
+
+    @_fact
+    def tree(self) -> Tree:
+        names = self.names
+        return validate_tree(names, [(names[a], names[b]) for a, b in self.edges])
+
+    @_fact
+    def path(self) -> list[int]:
+        """The longest path counterexample_labeling labels."""
+        return _longest_path(self.adj, self.names)
+
+    def walk(self, witness: bool):
+        """_shape_walk over the sweep's codes, one memo per mode."""
+        return _shape_walk(self.memo.setdefault(witness, {}), self.n, self.adj, self.codes, witness)
+
+    def fail(self, claim: str, evidence: dict, codes=None, labels=None) -> dict:
+        """A failure record, materialized into a Certificate at the end."""
+        return {
+            "n": self.n,
+            "rank": self.rank,
+            "claim": claim,
+            "evidence": evidence,
+            "codes": list(codes) if codes is not None else None,
+            "labels": labels,
+        }
 
 
 # ---------------------------------------------------------------------------
-# chunk execution (sequential or in worker processes)
+# the claim checks on a tree's facts
 
 def _codes_for(vals: tuple[Fraction, ...]) -> tuple[int, ...]:
     offset = 0 if vals[0] == 0 else 1
     return tuple(range(offset, offset + len(vals)))
 
 
-def _fail(n, rank, claim, evidence, codes=None, labels=None):
-    return {
-        "n": n,
-        "rank": rank,
-        "claim": claim,
-        "evidence": evidence,
-        "codes": list(codes) if codes is not None else None,
-        "labels": labels,
-    }
-
-
-def _violation_evidence(viol, names):
-    if viol is None:
-        return None
-    axiom, idxs = viol
-    return {"axiom": axiom, "points": [names[i] for i in idxs]}
+def _value_of_code(code: int, vals: tuple[Fraction, ...]) -> Fraction:
+    offset = 0 if vals[0] == 0 else 1
+    return vals[code - offset]
 
 
 def _kind_of(high: int) -> TreeKind:
@@ -368,173 +359,194 @@ _CE_FILL = _CE_CODE[_COUNTEREXAMPLE_FILL]
 _CE_PATTERN = tuple(map(_CE_CODE.get, _COUNTEREXAMPLE_PATTERN))
 
 
-def _public_tree(n: int, edges) -> Tree:
-    names = _vertex_names(n)
-    return validate_tree(names, [(names[a], names[b]) for a, b in edges])
-
-
-def _run_chunk(task: dict) -> tuple[int, list[dict]]:
-    theorem = task["theorem"]
-    n = task["n"]
-    lo, hi = task["lo"], task["hi"]
-    vals = (
-        tuple(Fraction(s) for s in task["values"])
-        if task.get("values") is not None
-        else None
-    )
-    if theorem == THEOREM_NONDEG:
-        return _chunk_nondeg(n, lo, hi, vals)
-    if theorem == THEOREM_MAIN:
-        return _chunk_main(n, lo, hi, vals)
-    if theorem == THEOREM_LEMMAS:
-        return _chunk_lemmas(n, lo, hi)
-    if theorem == THEOREM_CLASSIFY:
-        return _chunk_classify(n, lo, hi, vals)
-    raise ValueError(f"unknown theorem id {theorem!r}")
-
-
-def _chunk_nondeg(n, lo, hi, vals):
-    codes = _codes_for(vals)
-    names = _vertex_names(n)
-    memo: dict = {}
-    cases = 0
-    fails: list[dict] = []
-    for rank in range(lo, hi):
-        adj = _int_adjacency(n, _int_edges(n, rank))
-        swept, bad = _shape_walk(memo, n, adj, codes, False)
-        cases += swept
-        for lab, nondeg in bad:  # name the offender from the full matrix
-            viol = _coded_matrix_violation(n, _path_max(adj, lab, 0))
-            evidence = {
-                "nondegenerate": nondeg,
-                "matrix_valid": viol is None,
-                "violation": _violation_evidence(viol, names),
-            }
-            fails.append(_fail(n, rank, CLAIM_VALID_IFF_NONDEG, evidence, codes=lab))
+def _axioms(f: _Facts):
+    """The walk's axiom verdicts; a wrong one names the first offender of
+    the full matrix."""
+    cases, bad = f.walk(False)
+    fails = []
+    for lab, nondeg in bad:
+        viol = _first_offender(_path_max(f.adj, lab, 0))
+        evidence = {
+            "nondegenerate": nondeg,
+            "matrix_valid": viol is None,
+            "violation": viol and {"axiom": viol[0], "points": [f.names[i] for i in viol[1]]},
+        }
+        fails.append(f.fail(CLAIM_VALID_IFF_NONDEG, evidence, codes=lab))
     return cases, fails
 
 
-def _witness_sweep(memo, n, rank, adj, codes) -> tuple[int, list[dict]]:
-    cases, bad = _shape_walk(memo, n, adj, codes, True)
-    return cases, [
-        _fail(n, rank, CLAIM_WITNESS, {"witness": None}, codes=lab) for lab, _ in bad
-    ]
+def _witnesses(f: _Facts):
+    cases, bad = f.walk(True)
+    return cases, [f.fail(CLAIM_WITNESS, {"witness": None}, codes=lab) for lab, _ in bad]
 
 
-def _chunk_main(n, lo, hi, vals):
-    codes = _codes_for(vals)
-    memo: dict = {}
-    cases = 0
-    fails: list[dict] = []
-    for rank in range(lo, hi):
-        adj = _int_adjacency(n, _int_edges(n, rank))
-        diameter = _int_diameter(n, adj)
-        high = sum(1 for nbrs in adj if len(nbrs) >= 2)
-        short = diameter <= 3
-        few = high <= 2
-        cases += 1
-        if short != few:
-            fails.append(
-                _fail(
-                    n,
-                    rank,
-                    CLAIM_II_IFF_III,
-                    {"longest_path": diameter, "high_degree_count": high},
-                )
-            )
-        if short:
-            swept, found = _witness_sweep(memo, n, rank, adj, codes)
-            cases += swept
-            fails.extend(found)
-        else:
-            cases += 1
-            fails.extend(_check_counterexample(n, rank, adj))
-    return cases, fails
-
-
-def _check_counterexample(n, rank, adj) -> list[dict]:
+def _check_counterexample(f: _Facts) -> list[dict]:
     """counterexample_labeling's pattern on the codes of its values (coded
-    like a value grid, which keeps every comparison), and its witness."""
-    names = _vertex_names(n)
-    path = _longest_path(adj, names)
-    if len(path) < 5:
-        return [_fail(n, rank, CLAIM_CE_APPLICABLE, {"longest_path": len(path) - 1})]
-    lab = [_CE_FILL] * n
-    for v, c in zip(path, _CE_PATTERN):
-        lab[v] = c
-    i = _witness_index(_path_max(adj, lab, 0))
-    witness = None if i is None else names[i]
-    if witness is None:
+    like a value grid, which keeps every comparison), and its witness. A
+    path too short for the pattern is counterexample-applicable's failure."""
+    if len(f.path) < 5:
         return []
-    values = (_value_of_code(c, _CE_VALUES) for c in lab)
-    labels = {v: format_rational(q) for v, q in zip(names, values)}
-    return [_fail(n, rank, CLAIM_COUNTEREXAMPLE, {"witness": witness}, labels=labels)]
+    lab = [_CE_FILL] * f.n
+    for v, c in zip(f.path, _CE_PATTERN):
+        lab[v] = c
+    i = _witness_index(_path_max(f.adj, lab, 0))
+    if i is None:
+        return []
+    labels = {v: format_rational(_value_of_code(c, _CE_VALUES)) for v, c in zip(f.names, lab)}
+    return [f.fail(CLAIM_COUNTEREXAMPLE, {"witness": f.names[i]}, labels=labels)]
 
 
-def _chunk_lemmas(n, lo, hi):
-    cases = 0
-    fails: list[dict] = []
-    for rank in range(lo, hi):
-        edges = _int_edges(n, rank)
-        adj = _int_adjacency(n, edges)
-        cases += 1
-        if _int_diameter(n, adj) > 3:
-            continue
-        names = _vertex_names(n)
-        highs = [v for v in range(n) if len(adj[v]) >= 2]
-        if len(highs) > 2:
-            fails.append(
-                _fail(
-                    n,
-                    rank,
-                    CLAIM_AT_MOST_TWO,
-                    {"high_degree": [names[v] for v in highs]},
-                )
-            )
-        edge_set = set(edges)
-        for a, b in itertools.combinations(highs, 2):
-            if (a, b) not in edge_set:
-                fails.append(
-                    _fail(
-                        n,
-                        rank,
-                        CLAIM_ADJACENT,
-                        {"pair": [names[a], names[b]]},
-                    )
-                )
-    return cases, fails
+def _iff(f: _Facts) -> list[dict]:
+    high = len(f.highs)
+    if (f.diameter <= 3) == (high <= 2):
+        return []
+    return [f.fail(CLAIM_II_IFF_III, {"longest_path": f.diameter, "high_degree_count": high})]
 
 
-def _chunk_classify(n, lo, hi, vals):
-    codes = _codes_for(vals)
+def _class_structure(f: _Facts) -> list[dict]:
+    tag, high = classify(f.tree).tag, len(f.highs)
+    if tag == _kind_of(high):
+        return []
+    return [f.fail(CLAIM_CLASS_STRUCTURE, {"tag": tag.value, "high_degree_count": high})]
+
+
+# ---------------------------------------------------------------------------
+# replays on a certificate's Tree or LabeledTree: True when the failure
+# reproduces on the stored data
+
+def _labeled(cert: Certificate) -> LabeledTree:
+    if cert.labeling is None:
+        raise ValueError(f"claim {cert.claim_violated!r} needs a labeling to replay")
+    return LabeledTree(cert.tree, dict(cert.labeling))
+
+
+def _replay_validity(cert: Certificate) -> bool:
+    lt = _labeled(cert)
+    return is_nondegenerate(lt) == (_first_offender(_coded_distances(lt)[2]) is not None)
+
+
+def _replay_witness(cert: Certificate) -> bool:
+    lt = _labeled(cert)
+    return is_nondegenerate(lt) and us_witness(build_ultrametric(lt)) is None
+
+
+def _refuses_counterexample(tree: Tree) -> bool:
+    try:
+        counterexample_labeling(tree)
+    except NoLongPath:
+        return True
+    return False
+
+
+# ---------------------------------------------------------------------------
+# the claim table
+
+class _Trees(NamedTuple):
+    """The trees a claim is checked on: a test on the tree's facts, and how
+    many trees of order n pass it when the main theorem holds."""
+
+    holds: Callable[[_Facts], bool]
+    count: Callable[[int], int]
+
+
+_ALL = _Trees(lambda f: True, _tree_count)
+_SHORT = _Trees(lambda f: f.diameter <= 3, _qualifying_count)
+_LONG = _Trees(lambda f: f.diameter > 3, _long_count)
+_FEW = _Trees(lambda f: len(f.highs) <= 2, _qualifying_count)
+_MANY = _Trees(lambda f: len(f.highs) > 2, _long_count)
+
+
+class _Claim(NamedTuple):
+    reports: dict  # theorem -> (trees checked, whether its checks count as cases)
+    per_labeling: bool  # checked once per labeling of the value grid, else once per tree
+    check: Callable  # facts -> failure records; (labelings, failure records) per labeling
+    replay: Callable[[Certificate], bool]
+
+
+_CLAIMS = {
+    CLAIM_VALID_IFF_NONDEG: _Claim({THEOREM_NONDEG: (_ALL, True)}, True, _axioms, _replay_validity),
+    CLAIM_II_IFF_III: _Claim(
+        {THEOREM_MAIN: (_ALL, True)}, False, _iff,
+        lambda c: (longest_path_length(c.tree) <= 3) != (len(high_degree_vertices(c.tree)) <= 2),
+    ),
+    CLAIM_WITNESS: _Claim(
+        {THEOREM_MAIN: (_SHORT, True), THEOREM_CLASSIFY: (_FEW, True)}, True,
+        _witnesses, _replay_witness,
+    ),
+    CLAIM_COUNTEREXAMPLE: _Claim(
+        {THEOREM_MAIN: (_LONG, True), THEOREM_CLASSIFY: (_MANY, False)}, False,
+        _check_counterexample,
+        lambda c: us_witness(build_ultrametric(_labeled(c))) is not None,
+    ),
+    CLAIM_CE_APPLICABLE: _Claim(
+        {THEOREM_MAIN: (_LONG, False), THEOREM_CLASSIFY: (_MANY, False)}, False,
+        lambda f: [f.fail(CLAIM_CE_APPLICABLE, {"longest_path": len(f.path) - 1})]
+        if len(f.path) < 5 else [],
+        lambda c: _refuses_counterexample(c.tree) and longest_path_length(c.tree) > 3,
+    ),
+    CLAIM_AT_MOST_TWO: _Claim(  # one case per tree: the lemma holds vacuously on long trees
+        {THEOREM_LEMMAS: (_ALL, True)}, False,
+        lambda f: [f.fail(CLAIM_AT_MOST_TWO, {"high_degree": [f.names[v] for v in f.highs]})]
+        if f.diameter <= 3 and len(f.highs) > 2 else [],
+        lambda c: longest_path_length(c.tree) <= 3 and len(high_degree_vertices(c.tree)) > 2,
+    ),
+    CLAIM_ADJACENT: _Claim(
+        {THEOREM_LEMMAS: (_SHORT, False)}, False,
+        lambda f: [f.fail(CLAIM_ADJACENT, {"pair": [f.names[a], f.names[b]]})
+                   for a, b in itertools.combinations(f.highs, 2) if b not in f.adj[a]],
+        lambda c: longest_path_length(c.tree) <= 3 and any(
+            pair not in c.tree.edges
+            for pair in itertools.combinations(sorted(high_degree_vertices(c.tree)), 2)
+        ),
+    ),
+    CLAIM_CLASS_STRUCTURE: _Claim(
+        {THEOREM_CLASSIFY: (_ALL, True)}, False, _class_structure,
+        lambda c: classify(c.tree).tag != _kind_of(len(high_degree_vertices(c.tree))),
+    ),
+    CLAIM_CE_INAPPLICABLE: _Claim(
+        {THEOREM_CLASSIFY: (_FEW, False)}, False,
+        lambda f: [f.fail(CLAIM_CE_INAPPLICABLE, {"longest_path": f.diameter})]
+        if f.diameter >= 4 else [],
+        lambda c: not _refuses_counterexample(c.tree) and longest_path_length(c.tree) <= 3,
+    ),
+}
+
+
+def _reported(theorem: str) -> list[tuple[_Claim, _Trees, bool]]:
+    """(claim, trees checked, counted) for each claim the theorem reports."""
+    found = [(c, *c.reports[theorem]) for c in _CLAIMS.values() if theorem in c.reports]
+    if not found:
+        raise ValueError(f"unknown theorem id {theorem!r}")
+    return found
+
+
+def predicted_cases(theorem: str, n_max: int, value_count: int) -> int:
+    """The exact number of checks a run will perform: for each claim the
+    theorem counts, one per tree it is checked on, or one per labeling of
+    such a tree for a claim checked on every labeling."""
+    return sum(
+        trees.count(n) * (value_count ** n if claim.per_labeling else 1)
+        for claim, trees, counted in _reported(theorem)
+        if counted
+        for n in range(1, n_max + 1)
+    )
+
+
+def _sweep(task: dict) -> tuple[int, list[dict]]:
+    """(cases, failure records) of one rank range of one order: each tree's
+    facts go through the checks the table lists for the theorem."""
+    n, values = task["n"], task["values"]
+    claims = _reported(task["theorem"])
+    codes = _codes_for(tuple(map(Fraction, values))) if values is not None else ()
     memo: dict = {}
-    cases = 0
-    fails: list[dict] = []
-    for rank in range(lo, hi):
-        edges = _int_edges(n, rank)
-        adj = _int_adjacency(n, edges)
-        high = sum(1 for nbrs in adj if len(nbrs) >= 2)
-        tree = _public_tree(n, edges)
-        tag = classify(tree).tag
-        cases += 1
-        if tag != _kind_of(high):
-            fails.append(
-                _fail(
-                    n,
-                    rank,
-                    CLAIM_CLASS_STRUCTURE,
-                    {"tag": tag.value, "high_degree_count": high},
-                )
-            )
-        if high <= 2:
-            length = longest_path_length(tree)
-            if length >= 4:  # counterexample_labeling would not refuse the tree
-                fails.append(_fail(n, rank, CLAIM_CE_INAPPLICABLE, {"longest_path": length}))
-            swept, found = _witness_sweep(memo, n, rank, adj, codes)
-            cases += swept
-            fails.extend(found)
-        else:
-            fails.extend(_check_counterexample(n, rank, adj))
+    cases, fails = 0, []
+    for rank in range(task["lo"], task["hi"]):
+        facts = _Facts(n, rank, codes, memo)
+        for claim, trees, counted in claims:
+            if trees.holds(facts):
+                made, found = claim.check(facts) if claim.per_labeling else (1, claim.check(facts))
+                cases += made if counted else 0
+                fails += found
     return cases, fails
 
 
@@ -564,19 +576,13 @@ def _fail_key(fd: dict):
     )
 
 
-def _value_of_code(code: int, vals: tuple[Fraction, ...]) -> Fraction:
-    offset = 0 if vals[0] == 0 else 1
-    return vals[code - offset]
-
-
 def _materialize(fd: dict, vals) -> Certificate:
     n, rank = fd["n"], fd["rank"]
-    names = _vertex_names(n)
-    tree = _public_tree(n, _int_edges(n, rank))
+    facts = _Facts(n, rank)
     labeling = None
     if fd["codes"] is not None:
         labeling = {
-            names[i]: _value_of_code(c, vals) for i, c in enumerate(fd["codes"])
+            facts.names[i]: _value_of_code(c, vals) for i, c in enumerate(fd["codes"])
         }
     elif fd["labels"] is not None:
         labeling = {v: parse_rational(s) for v, s in fd["labels"].items()}
@@ -584,7 +590,7 @@ def _materialize(fd: dict, vals) -> Certificate:
     evidence["order"] = n
     evidence["tree_index"] = rank
     return Certificate(
-        tree=tree, labeling=labeling, claim_violated=fd["claim"], evidence=evidence
+        tree=facts.tree, labeling=labeling, claim_violated=fd["claim"], evidence=evidence
     )
 
 
@@ -614,9 +620,9 @@ def _execute(theorem, n_max, values, budget, jobs, subchecks=None) -> Verificati
         from multiprocessing import Pool
 
         with Pool(workers) as pool:  # one task per hand-out, so chunks run side by side
-            parts = pool.map(_run_chunk, tasks, chunksize=1)
+            parts = pool.map(_sweep, tasks, chunksize=1)
     else:
-        parts = [_run_chunk(t) for t in tasks]
+        parts = [_sweep(t) for t in tasks]
     cases = sum(p[0] for p in parts)
     if cases != predicted:
         raise RuntimeError(
@@ -747,15 +753,6 @@ def report_to_dict(report: VerificationReport) -> dict:
     return out
 
 
-def _matrix_is_valid(lt: LabeledTree) -> bool:
-    points, rows = raw_distance_matrix(lt)
-    try:
-        validate_ultrametric(points, rows)
-    except (PositivityViolation, SymmetryViolation, StrongTriangleViolation):
-        return False
-    return True
-
-
 def replay_certificate(cert: Certificate) -> bool:
     """Re-run the single check behind a certificate on its stored data.
 
@@ -763,35 +760,7 @@ def replay_certificate(cert: Certificate) -> bool:
     claim holds on the data. Claims needing a labeling raise ValueError if
     the certificate lacks one.
     """
-    claim = cert.claim_violated
-    tree = cert.tree
-    if claim in (CLAIM_VALID_IFF_NONDEG, CLAIM_WITNESS, CLAIM_COUNTEREXAMPLE):
-        if cert.labeling is None:
-            raise ValueError(f"claim {claim!r} needs a labeling to replay")
-        lt = LabeledTree(tree, dict(cert.labeling))
-        if claim == CLAIM_VALID_IFF_NONDEG:
-            return is_nondegenerate(lt) != _matrix_is_valid(lt)
-        if claim == CLAIM_WITNESS:
-            return is_nondegenerate(lt) and us_witness(build_ultrametric(lt)) is None
-        return us_witness(build_ultrametric(lt)) is not None
-    if claim == CLAIM_II_IFF_III:
-        return (longest_path_length(tree) <= 3) != (len(high_degree_vertices(tree)) <= 2)
-    if claim == CLAIM_ADJACENT:
-        if longest_path_length(tree) > 3:
-            return False
-        highs = sorted(high_degree_vertices(tree))
-        edge_set = set(tree.edges)
-        return any(
-            pair not in edge_set for pair in itertools.combinations(highs, 2)
-        )
-    if claim == CLAIM_AT_MOST_TWO:
-        return longest_path_length(tree) <= 3 and len(high_degree_vertices(tree)) > 2
-    if claim in (CLAIM_CE_INAPPLICABLE, CLAIM_CE_APPLICABLE):
-        try:
-            counterexample_labeling(tree)
-        except NoLongPath:
-            return claim == CLAIM_CE_APPLICABLE and longest_path_length(tree) > 3
-        return claim == CLAIM_CE_INAPPLICABLE and longest_path_length(tree) <= 3
-    if claim == CLAIM_CLASS_STRUCTURE:
-        return classify(tree).tag != _kind_of(len(high_degree_vertices(tree)))
-    raise ValueError(f"unknown claim {claim!r}")
+    claim = _CLAIMS.get(cert.claim_violated)
+    if claim is None:
+        raise ValueError(f"unknown claim {cert.claim_violated!r}")
+    return claim.replay(cert)

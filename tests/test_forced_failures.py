@@ -1,0 +1,94 @@
+"""Sweeps forced to fail through verify's patch points, against recorded
+reports.
+
+Each run below breaks one step of a sweep on purpose, so its report carries
+certificates: a flipped verdict of the labeling walk on the path shape, a
+witness found in every counterexample space, a classifier that tags stars as
+double stars. ``forced_failures.json`` holds the reports of these runs
+(``report_to_dict`` with ``elapsed_ms`` dropped) and pins their bytes: the
+order of the failures, their trees, labelings and evidence. Afterwards the
+patches are lifted and every certificate must replay as not reproducing,
+since each claim holds on its data.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from ultratree import (
+    TreeClass,
+    TreeKind,
+    replay_certificate,
+    report_to_dict,
+    verify_classification,
+    verify_main_theorem,
+    verify_theorem_nondegeneracy,
+)
+from ultratree import verify
+
+FIXTURE = Path(__file__).with_name("forced_failures.json")
+
+
+def _path_shape(n):
+    """Adjacency of the breadth-first shape of a path walked from one end."""
+    return [[j for j in (k - 1, k + 1) if 0 <= j < n] for k in range(n)]
+
+
+def _flip(monkeypatch, forced):
+    """Flip the walk's verdict on the labeling ``forced`` (cut to the order)
+    of the path shape."""
+    walk = verify._labelings
+
+    def flipped(n, adj, codes, witness, leaf):
+        shape = adj == _path_shape(n)
+
+        def spy(lab, nondeg, verdict):
+            if shape and tuple(lab) == forced[:n]:
+                verdict = not verdict
+            leaf(lab, nondeg, verdict)
+
+        walk(n, adj, codes, witness, spy)
+
+    monkeypatch.setattr(verify, "_labelings", flipped)
+
+
+def _stars_as_double_stars(monkeypatch):
+    real = verify.classify
+
+    def wrong(tree):
+        result = real(tree)
+        if result.tag is TreeKind.STAR:
+            return TreeClass(TreeKind.DOUBLE_STAR, result.centers)
+        return result
+
+    monkeypatch.setattr(verify, "classify", wrong)
+
+
+RUNS = {
+    "nondeg-flip": (lambda mp: _flip(mp, (0, 0, 1, 1, 1)), verify_theorem_nondegeneracy),
+    "main-flip": (lambda mp: _flip(mp, (1, 0, 1, 0, 1)), verify_main_theorem),
+    "main-witness": (
+        lambda mp: mp.setattr(verify, "_witness_index", lambda d: 0), verify_main_theorem
+    ),
+    "classify-tag": (_stars_as_double_stars, verify_classification),
+}
+
+
+def _forced_report(monkeypatch, name):
+    patch, sweep = RUNS[name]
+    patch(monkeypatch)
+    report = sweep(5, (0, 1))
+    monkeypatch.undo()
+    return report
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_forced_report_matches_the_recording(monkeypatch, name):
+    report = _forced_report(monkeypatch, name)
+    got = report_to_dict(report)
+    del got["elapsed_ms"]
+    want = json.loads(FIXTURE.read_text(encoding="utf-8"))[name]
+    assert report.failures
+    assert json.dumps(got) == json.dumps(want)
+    assert not any(replay_certificate(cert) for cert in report.failures)

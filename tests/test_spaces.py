@@ -86,6 +86,20 @@ class TestSpaceType:
         with pytest.raises(UnknownPoint):
             fig1_space().distance("v1", "nope")
 
+    @pytest.mark.parametrize(
+        "points, dist",
+        [
+            (("a", "b"), ((0, 1, 5), (1, 0))),  # a row longer than the points
+            (("a", "b", "c"), ((0, 1), (1, 0))),  # more points than rows
+        ],
+        ids=["long-row", "short-matrix"],
+    )
+    def test_matrix_of_the_wrong_shape_is_rejected(self, points, dist):
+        for build in (FiniteUltrametricSpace, validate_ultrametric):
+            shape = f"distance matrix must be {len(points)}x{len(points)}"
+            with pytest.raises(ValueError, match=shape):
+                build(points, dist)
+
 
 class TestValidateUltrametric:
     def test_valid_example(self):

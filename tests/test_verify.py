@@ -59,7 +59,8 @@ from ultratree.errors import (
     SymmetryViolation,
 )
 from ultratree import verify
-from ultratree.spaces import _witness_index
+from ultratree.spaces import _first_offender, _witness_index
+from ultratree.trees import _index_adjacency, _prufer_edges, _rank_edges
 from ultratree.verify import (
     CLAIM_ADJACENT,
     CLAIM_AT_MOST_TWO,
@@ -70,14 +71,11 @@ from ultratree.verify import (
     CLAIM_II_IFF_III,
     CLAIM_VALID_IFF_NONDEG,
     CLAIM_WITNESS,
+    _Facts,
     _check_counterexample,
     _codes_for,
-    _coded_matrix_violation,
-    _int_adjacency,
-    _int_edges,
     _labelings,
     _materialize,
-    _prufer_sequence,
     _shape_walk,
     _split_range,
     _value_of_code,
@@ -257,7 +255,7 @@ class TestCodedCore:
     def test_prufer_rank_matches_product_order(self):
         seqs = list(itertools.product(range(5), repeat=3))
         for rank, seq in enumerate(seqs):
-            assert _prufer_sequence(rank, 5) == seq
+            assert _rank_edges(5, rank) == _prufer_edges(seq, 5)
 
     def test_split_range_partitions(self):
         for total, parts in ((0, 1), (1, 4), (10, 3), (125, 8), (7, 7), (5, 9)):
@@ -282,15 +280,15 @@ class TestCodedCore:
         codes = _codes_for(vals)
         names = tuple(f"v{i + 1}" for i in range(n))
         for rank in range(cayley(n)):
-            edges = _int_edges(n, rank)
-            adj = _int_adjacency(n, edges)
+            edges = _rank_edges(n, rank)
+            adj = _index_adjacency(n, edges)
             pairs = pair_paths(n, adj)
             tree = validate_tree(names, [(names[a], names[b]) for a, b in edges])
             for coded in itertools.product(range(len(codes)), repeat=n):
                 lab = tuple(codes[i] for i in coded)
                 lt = labeled(tree, tuple(vals[i] for i in coded))
                 d = coded_matrix(n, pairs, lab)
-                viol = _coded_matrix_violation(n, d)
+                viol = _first_offender(d)
                 points, rows = raw_distance_matrix(lt)
                 try:
                     validate_ultrametric(points, rows)
@@ -335,7 +333,7 @@ class TestLabelingWalk:
             lt = labeled(tree, tuple(_value_of_code(c, vals) for c in lab))
             nondeg = is_nondegenerate(lt)
             d = coded_matrix(n, pairs, lab)
-            valid = _coded_matrix_violation(n, d) is None
+            valid = _first_offender(d) is None
             assert axioms[lab] == (nondeg, valid)
             has_witness = (
                 nondeg and brute_witness(space_of(tree.vertices, d)) is not None
@@ -349,8 +347,8 @@ class TestLabelingWalk:
         for n in range(1, 6):
             names = tuple(f"v{i + 1}" for i in range(n))
             for rank in range(cayley(n)):
-                edges = _int_edges(n, rank)
-                adj = _int_adjacency(n, edges)
+                edges = _rank_edges(n, rank)
+                adj = _index_adjacency(n, edges)
                 tree = validate_tree(names, [(names[a], names[b]) for a, b in edges])
                 axioms = _walk_verdicts(n, adj, codes, False)
                 witness = _walk_verdicts(n, adj, codes, True)
@@ -402,7 +400,7 @@ class TestLabelingWalk:
             assert cert.labeling == {v: int(v not in ("v1", near)) for v in names}
             lab = tuple(int(cert.labeling[v]) for v in names)
             pairs = pair_paths(3, index_adjacency(cert.tree))
-            first = _coded_matrix_violation(3, coded_matrix(3, pairs, lab))
+            first = _first_offender(coded_matrix(3, pairs, lab))
             assert first == ("positivity", (0, names.index(near)))
             assert cert.claim_violated == CLAIM_VALID_IFF_NONDEG
             assert cert.evidence["violation"] == {"axiom": first[0], "points": ["v1", near]}
@@ -438,7 +436,7 @@ class TestShapeMemo:
             for witness in (False, True):
                 memo = {}
                 for rank in range(cayley(n)):
-                    adj = _int_adjacency(n, _int_edges(n, rank))
+                    adj = _index_adjacency(n, _rank_edges(n, rank))
                     cases, bad = _shape_walk(memo, n, adj, codes, witness)
                     want_cases, want_bad = _direct_walk(n, adj, codes, witness)
                     assert cases == want_cases == len(codes) ** n
@@ -483,16 +481,16 @@ class TestCodedCounterexample:
         for n in range(1, 7):
             names = tuple(f"v{i + 1}" for i in range(n))
             for rank in range(cayley(n)):
-                edges = _int_edges(n, rank)
+                edges = _rank_edges(n, rank)
                 tree = validate_tree(names, [(names[a], names[b]) for a, b in edges])
                 if brute_longest_path(tree) > 3:
-                    yield n, rank, _int_adjacency(n, edges), tree
+                    yield _Facts(n, rank), tree
 
     def test_verdict_matches_the_fraction_space(self):
         checked = 0
-        for n, rank, adj, tree in self._long_trees():
+        for facts, tree in self._long_trees():
             lt = brute_counterexample(tree)
-            assert (_check_counterexample(n, rank, adj) == []) == (
+            assert (_check_counterexample(facts) == []) == (
                 us_witness(build_ultrametric(lt)) is None
             )
             checked += 1
@@ -501,8 +499,8 @@ class TestCodedCounterexample:
     def test_coded_pattern_is_the_labeling(self, monkeypatch):
         # report every tree as witnessed, so each failure carries its labels
         monkeypatch.setattr(verify, "_witness_index", lambda d: 0)
-        for n, rank, adj, tree in self._long_trees():
-            (fd,) = _check_counterexample(n, rank, adj)
+        for facts, tree in self._long_trees():
+            (fd,) = _check_counterexample(facts)
             assert fd["claim"] == CLAIM_COUNTEREXAMPLE
             assert fd["evidence"] == {"witness": "v1"}
             labels = brute_counterexample(tree).labels
@@ -574,7 +572,8 @@ class TestCertificates:
             assert replay_certificate(cert) is False
 
     def test_replay_structural_claims_hold(self):
-        trees = [self._p5(), star_tree(5), path_tree(4), path_tree(2)]
+        trees = [tree for n in range(1, 6) for tree in enumerate_trees(n)]
+        assert len(trees) == 146
         for claim in (
             CLAIM_II_IFF_III,
             CLAIM_ADJACENT,
