@@ -58,6 +58,14 @@ class BudgetExceeded(UltratreeError):
     code = "budget-exceeded"
 
 
+def _decimal(count: int) -> str:
+    """A count for a message: in decimal up to 13,000 bits (3,913 digits;
+    int-to-str conversion refuses 4,300 by default), else as the power of
+    two it reaches."""
+    bits = count.bit_length()
+    return str(count) if bits <= 13_000 else f"at least 2**{bits - 1}"
+
+
 class UnknownPoint(UltratreeError):
     code = "unknown-point"
 

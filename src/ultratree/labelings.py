@@ -21,6 +21,7 @@ from .errors import (
     DegenerateResult,
     NoLongPath,
     UnknownVertex,
+    _decimal,
 )
 from .rationals import coerce_nonnegative
 from .trees import Tree, _bfs_parents, longest_path_length
@@ -148,8 +149,16 @@ def extend_labeling(tree: Tree, partial: Mapping[str, object], fill) -> dict[str
     return labels
 
 
-_COUNTEREXAMPLE_PATTERN = (Fraction(2), Fraction(2), Fraction(3), Fraction(2), Fraction(2))
-_COUNTEREXAMPLE_FILL = Fraction(2)
+_COUNTEREXAMPLE_VALUES = (Fraction(0), Fraction(2), Fraction(3))  # by rank code
+
+
+def _counterexample_codes(path, n: int) -> list[int]:
+    """counterexample_labeling's codes by vertex index on an order-n tree
+    whose chosen longest path is ``path``: the pattern 2, 2, 3, 2, 2 along
+    the path's first five vertices, 2 everywhere else."""
+    codes = [1] * n
+    codes[path[2]] = 2
+    return codes
 
 
 def counterexample_labeling(tree: Tree) -> LabeledTree:
@@ -169,11 +178,8 @@ def counterexample_labeling(tree: Tree) -> LabeledTree:
     if length < 4:
         raise NoLongPath(f"longest path has {length} edges, need at least 4")
     verts = tree.vertices
-    path = _longest_path(tree._indexed, verts)
-    labels = {v: _COUNTEREXAMPLE_FILL for v in verts}
-    for i, value in zip(path, _COUNTEREXAMPLE_PATTERN):
-        labels[verts[i]] = value
-    return LabeledTree(tree, labels)
+    codes = _counterexample_codes(_longest_path(tree._indexed, verts), len(verts))
+    return LabeledTree(tree, {v: _COUNTEREXAMPLE_VALUES[c] for v, c in zip(verts, codes)})
 
 
 def _longest_path(adj, names) -> list[int]:
@@ -215,13 +221,20 @@ def enumerate_labelings(
     With ``nondegenerate_only`` the degenerate ones are filtered out.
     Raises BudgetExceeded up front when |values| ** order exceeds budget.
     """
+    vals = _canon_values(values)
+    total = len(vals) ** tree.order
+    if total > budget:
+        raise BudgetExceeded(f"{_decimal(total)} labelings exceed the budget of {_decimal(budget)}")
+    return _iter_labelings(tree, vals, nondegenerate_only)
+
+
+def _canon_values(values) -> tuple[Fraction, ...]:
+    """The distinct values, coerced to non-negative Fractions and sorted;
+    ValueError when there are none."""
     vals = sorted({coerce_nonnegative(v) for v in values})
     if not vals:
         raise ValueError("values must be non-empty")
-    total = len(vals) ** tree.order
-    if total > budget:
-        raise BudgetExceeded(f"{total} labelings exceed the budget of {budget}")
-    return _iter_labelings(tree, tuple(vals), nondegenerate_only)
+    return tuple(vals)
 
 
 def _iter_labelings(

@@ -29,7 +29,8 @@ DEFAULT_ENUMERATION_CAP = 8
 
 @dataclass(frozen=True)
 class Tree:
-    """An immutable finite tree. Build instances through validate_tree."""
+    """An immutable finite tree: validate_tree builds one from untrusted
+    input, _index_tree from index edges that form a tree by construction."""
 
     vertices: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
@@ -248,6 +249,11 @@ def _vertex_names(n: int) -> tuple[str, ...]:
     return tuple(f"v{i + 1}" for i in range(n))
 
 
+def _index_tree(names, edges) -> Tree:
+    """The Tree on ``names`` with index ``edges``, which must form a tree."""
+    return Tree(names, [(names[a], names[b]) for a, b in edges])
+
+
 def enumerate_trees(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Tree]:
     """Every tree on vertices v1..vn, one per Prufer sequence.
 
@@ -264,4 +270,4 @@ def enumerate_trees(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Tree
 def _iter_trees(n: int) -> Iterator[Tree]:
     names = _vertex_names(n)
     for rank in range(_tree_count(n)):
-        yield validate_tree(names, [(names[a], names[b]) for a, b in _rank_edges(n, rank)])
+        yield _index_tree(names, _rank_edges(n, rank))

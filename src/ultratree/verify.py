@@ -32,10 +32,11 @@ reads it, the diameter, the high-degree vertices, the public Tree, the
 counterexample path and the labeling walk. The claim table (_CLAIMS) maps
 each claim id to the theorems that report it, with for each the trees it is
 checked on and whether its checks count as cases; to whether it is checked
-once per tree or once per labeling; to its check on the record; and to its
-replay on a certificate's Tree or LabeledTree. One loop (_sweep) runs the
-theorem's checks on each record, predicted_cases counts from the same
-table, and replay_certificate looks the claim up in it.
+once per tree or once per labeling; to its check on the record; and, for a
+claim on one labeling, to its judge on the full path-max matrix. One loop
+(_sweep) runs the theorem's checks on each record, predicted_cases counts
+from the same table, and replay_certificate runs the sweep's own check, the
+claim's judge or its tree test and check, on the certificate's data.
 
 Each run returns a VerificationReport whose cases_checked equals the
 analytically predicted grid size; a mismatch would mean a harness bug and
@@ -45,10 +46,9 @@ The inner sweeps encode label values as small integer codes: code 0 is
 reserved for the value zero and the remaining codes follow the sorted value
 order. Path-maximum distances, the witness condition, and the axiom checks
 use only comparisons and maxima, which the encoding preserves, so the coded
-run decides exactly the same predicates as the Fraction run; so does the
-check of each long tree's counterexample labeling, made on the codes of its
-values. Certificates and every public object are materialized with exact
-Fractions.
+run decides exactly the same predicates as the Fraction run, as do the
+judges on the codes of a certificate's or a counterexample's values.
+Certificates and every public object are materialized with exact Fractions.
 
 Each tree's labelings are swept by one depth-first walk over its vertices
 in breadth-first order from v1, so every vertex z joins the labeled prefix
@@ -80,22 +80,19 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
-from .errors import BudgetExceeded, NoLongPath, ParseError
+from .errors import BudgetExceeded, ParseError, _decimal
 from .labelings import (
-    _COUNTEREXAMPLE_FILL,
-    _COUNTEREXAMPLE_PATTERN,
+    _COUNTEREXAMPLE_VALUES,
     LabeledTree,
-    _coded_distances,
+    _canon_values,
+    _counterexample_codes,
     _longest_path,
     _path_max,
-    build_ultrametric,
-    counterexample_labeling,
-    is_nondegenerate,
 )
-from .rationals import coerce_nonnegative, format_rational, parse_rational
-from .spaces import _first_offender, _witness_index, us_witness
+from .rationals import format_rational, parse_rational
+from .spaces import _first_offender, _witness_index
 from .serialize import tree_to_dict, tree_from_dict
 from .trees import (
     Tree,
@@ -103,13 +100,11 @@ from .trees import (
     _bfs_parents,
     _diameter,
     _index_adjacency,
+    _index_tree,
     _rank_edges,
     _tree_count,
     _vertex_names,
     classify,
-    high_degree_vertices,
-    longest_path_length,
-    validate_tree,
 )
 
 DEFAULT_MAX_ORDER = 6
@@ -294,6 +289,14 @@ class _Facts:
         self.edges = _rank_edges(n, rank)
         self.adj = _index_adjacency(n, self.edges)
 
+    @classmethod
+    def of(cls, tree: Tree) -> _Facts:
+        """The facts of a public tree, for a replay: no rank, no sweep."""
+        facts = cls.__new__(cls)
+        facts.n, facts.rank, facts.adj = tree.order, None, tree._indexed
+        facts.names, facts.tree = tree.vertices, tree
+        return facts
+
     @_fact
     def names(self) -> tuple[str, ...]:
         return _vertex_names(self.n)
@@ -309,8 +312,7 @@ class _Facts:
 
     @_fact
     def tree(self) -> Tree:
-        names = self.names
-        return validate_tree(names, [(names[a], names[b]) for a, b in self.edges])
+        return _index_tree(self.names, self.edges)
 
     @_fact
     def path(self) -> list[int]:
@@ -353,26 +355,44 @@ def _kind_of(high: int) -> TreeKind:
     return TreeKind.DOUBLE_STAR if high == 2 else TreeKind.STAR
 
 
-_CE_VALUES = tuple(sorted({_COUNTEREXAMPLE_FILL, *_COUNTEREXAMPLE_PATTERN}))
-_CE_CODE = dict(zip(_CE_VALUES, _codes_for(_CE_VALUES)))
-_CE_FILL = _CE_CODE[_COUNTEREXAMPLE_FILL]
-_CE_PATTERN = tuple(map(_CE_CODE.get, _COUNTEREXAMPLE_PATTERN))
+# judges of one labeling ``lab``, a rank code per vertex (0 for zero), on the
+# full path-max matrix: each returns the failure's evidence, or None
+
+def _nondegenerate(f: _Facts, lab) -> bool:
+    return all(lab[a] or lab[b] for a, nbrs in enumerate(f.adj) for b in nbrs)
+
+
+def _validity(f: _Facts, lab) -> dict:
+    """The validity claim's evidence, whether the claim holds or not."""
+    viol = _first_offender(_path_max(f.adj, lab, 0))
+    return {
+        "nondegenerate": _nondegenerate(f, lab),
+        "matrix_valid": viol is None,
+        "violation": viol and {"axiom": viol[0], "points": [f.names[i] for i in viol[1]]},
+    }
+
+
+def _judge_validity(f: _Facts, lab) -> dict | None:
+    evidence = _validity(f, lab)
+    return None if evidence["nondegenerate"] == evidence["matrix_valid"] else evidence
+
+
+def _judge_witness(f: _Facts, lab) -> dict | None:
+    if not _nondegenerate(f, lab) or _witness_index(_path_max(f.adj, lab, 0)) is not None:
+        return None
+    return {"witness": None}
+
+
+def _judge_counterexample(f: _Facts, lab) -> dict | None:
+    i = _witness_index(_path_max(f.adj, lab, 0))
+    return None if i is None else {"witness": f.names[i]}
 
 
 def _axioms(f: _Facts):
-    """The walk's axiom verdicts; a wrong one names the first offender of
-    the full matrix."""
+    """The walk's axiom verdicts; a wrong one carries the full matrix's
+    evidence, which shows whether the claim or the walk is at fault."""
     cases, bad = f.walk(False)
-    fails = []
-    for lab, nondeg in bad:
-        viol = _first_offender(_path_max(f.adj, lab, 0))
-        evidence = {
-            "nondegenerate": nondeg,
-            "matrix_valid": viol is None,
-            "violation": viol and {"axiom": viol[0], "points": [f.names[i] for i in viol[1]]},
-        }
-        fails.append(f.fail(CLAIM_VALID_IFF_NONDEG, evidence, codes=lab))
-    return cases, fails
+    return cases, [f.fail(CLAIM_VALID_IFF_NONDEG, _validity(f, lab), codes=lab) for lab, _ in bad]
 
 
 def _witnesses(f: _Facts):
@@ -381,19 +401,16 @@ def _witnesses(f: _Facts):
 
 
 def _check_counterexample(f: _Facts) -> list[dict]:
-    """counterexample_labeling's pattern on the codes of its values (coded
-    like a value grid, which keeps every comparison), and its witness. A
-    path too short for the pattern is counterexample-applicable's failure."""
+    """counterexample_labeling's codes, judged. A path too short for the
+    pattern is counterexample-applicable's failure."""
     if len(f.path) < 5:
         return []
-    lab = [_CE_FILL] * f.n
-    for v, c in zip(f.path, _CE_PATTERN):
-        lab[v] = c
-    i = _witness_index(_path_max(f.adj, lab, 0))
-    if i is None:
+    lab = _counterexample_codes(f.path, f.n)
+    evidence = _judge_counterexample(f, lab)
+    if evidence is None:
         return []
-    labels = {v: format_rational(_value_of_code(c, _CE_VALUES)) for v, c in zip(f.names, lab)}
-    return [f.fail(CLAIM_COUNTEREXAMPLE, {"witness": f.names[i]}, labels=labels)]
+    labels = {v: format_rational(_COUNTEREXAMPLE_VALUES[c]) for v, c in zip(f.names, lab)}
+    return [f.fail(CLAIM_COUNTEREXAMPLE, evidence, labels=labels)]
 
 
 def _iff(f: _Facts) -> list[dict]:
@@ -408,34 +425,6 @@ def _class_structure(f: _Facts) -> list[dict]:
     if tag == _kind_of(high):
         return []
     return [f.fail(CLAIM_CLASS_STRUCTURE, {"tag": tag.value, "high_degree_count": high})]
-
-
-# ---------------------------------------------------------------------------
-# replays on a certificate's Tree or LabeledTree: True when the failure
-# reproduces on the stored data
-
-def _labeled(cert: Certificate) -> LabeledTree:
-    if cert.labeling is None:
-        raise ValueError(f"claim {cert.claim_violated!r} needs a labeling to replay")
-    return LabeledTree(cert.tree, dict(cert.labeling))
-
-
-def _replay_validity(cert: Certificate) -> bool:
-    lt = _labeled(cert)
-    return is_nondegenerate(lt) == (_first_offender(_coded_distances(lt)[2]) is not None)
-
-
-def _replay_witness(cert: Certificate) -> bool:
-    lt = _labeled(cert)
-    return is_nondegenerate(lt) and us_witness(build_ultrametric(lt)) is None
-
-
-def _refuses_counterexample(tree: Tree) -> bool:
-    try:
-        counterexample_labeling(tree)
-    except NoLongPath:
-        return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -460,54 +449,42 @@ class _Claim(NamedTuple):
     reports: dict  # theorem -> (trees checked, whether its checks count as cases)
     per_labeling: bool  # checked once per labeling of the value grid, else once per tree
     check: Callable  # facts -> failure records; (labelings, failure records) per labeling
-    replay: Callable[[Certificate], bool]
+    judge: Callable | None = None  # (facts, codes) -> evidence or None, for a claim on one labeling
 
 
 _CLAIMS = {
-    CLAIM_VALID_IFF_NONDEG: _Claim({THEOREM_NONDEG: (_ALL, True)}, True, _axioms, _replay_validity),
-    CLAIM_II_IFF_III: _Claim(
-        {THEOREM_MAIN: (_ALL, True)}, False, _iff,
-        lambda c: (longest_path_length(c.tree) <= 3) != (len(high_degree_vertices(c.tree)) <= 2),
+    CLAIM_VALID_IFF_NONDEG: _Claim(
+        {THEOREM_NONDEG: (_ALL, True)}, True, _axioms, _judge_validity
     ),
+    CLAIM_II_IFF_III: _Claim({THEOREM_MAIN: (_ALL, True)}, False, _iff),
     CLAIM_WITNESS: _Claim(
         {THEOREM_MAIN: (_SHORT, True), THEOREM_CLASSIFY: (_FEW, True)}, True,
-        _witnesses, _replay_witness,
+        _witnesses, _judge_witness,
     ),
     CLAIM_COUNTEREXAMPLE: _Claim(
         {THEOREM_MAIN: (_LONG, True), THEOREM_CLASSIFY: (_MANY, False)}, False,
-        _check_counterexample,
-        lambda c: us_witness(build_ultrametric(_labeled(c))) is not None,
+        _check_counterexample, _judge_counterexample,
     ),
     CLAIM_CE_APPLICABLE: _Claim(
         {THEOREM_MAIN: (_LONG, False), THEOREM_CLASSIFY: (_MANY, False)}, False,
         lambda f: [f.fail(CLAIM_CE_APPLICABLE, {"longest_path": len(f.path) - 1})]
         if len(f.path) < 5 else [],
-        lambda c: _refuses_counterexample(c.tree) and longest_path_length(c.tree) > 3,
     ),
     CLAIM_AT_MOST_TWO: _Claim(  # one case per tree: the lemma holds vacuously on long trees
         {THEOREM_LEMMAS: (_ALL, True)}, False,
         lambda f: [f.fail(CLAIM_AT_MOST_TWO, {"high_degree": [f.names[v] for v in f.highs]})]
         if f.diameter <= 3 and len(f.highs) > 2 else [],
-        lambda c: longest_path_length(c.tree) <= 3 and len(high_degree_vertices(c.tree)) > 2,
     ),
     CLAIM_ADJACENT: _Claim(
         {THEOREM_LEMMAS: (_SHORT, False)}, False,
         lambda f: [f.fail(CLAIM_ADJACENT, {"pair": [f.names[a], f.names[b]]})
                    for a, b in itertools.combinations(f.highs, 2) if b not in f.adj[a]],
-        lambda c: longest_path_length(c.tree) <= 3 and any(
-            pair not in c.tree.edges
-            for pair in itertools.combinations(sorted(high_degree_vertices(c.tree)), 2)
-        ),
     ),
-    CLAIM_CLASS_STRUCTURE: _Claim(
-        {THEOREM_CLASSIFY: (_ALL, True)}, False, _class_structure,
-        lambda c: classify(c.tree).tag != _kind_of(len(high_degree_vertices(c.tree))),
-    ),
+    CLAIM_CLASS_STRUCTURE: _Claim({THEOREM_CLASSIFY: (_ALL, True)}, False, _class_structure),
     CLAIM_CE_INAPPLICABLE: _Claim(
         {THEOREM_CLASSIFY: (_FEW, False)}, False,
         lambda f: [f.fail(CLAIM_CE_INAPPLICABLE, {"longest_path": f.diameter})]
         if f.diameter >= 4 else [],
-        lambda c: not _refuses_counterexample(c.tree) and longest_path_length(c.tree) <= 3,
     ),
 }
 
@@ -520,16 +497,20 @@ def _reported(theorem: str) -> list[tuple[_Claim, _Trees, bool]]:
     return found
 
 
-def predicted_cases(theorem: str, n_max: int, value_count: int) -> int:
-    """The exact number of checks a run will perform: for each claim the
-    theorem counts, one per tree it is checked on, or one per labeling of
-    such a tree for a claim checked on every labeling."""
-    return sum(
-        trees.count(n) * (value_count ** n if claim.per_labeling else 1)
-        for claim, trees, counted in _reported(theorem)
-        if counted
-        for n in range(1, n_max + 1)
+def _cases_by_order(theorem: str, value_count: int) -> Iterator[int]:
+    """The checks a run performs on the trees of order 1, 2, ...: for each
+    claim the theorem counts, one per tree it is checked on, or one per
+    labeling of such a tree for a claim checked on every labeling."""
+    claims = [(trees, c.per_labeling) for c, trees, counted in _reported(theorem) if counted]
+    return (
+        sum(trees.count(n) * (value_count ** n if each else 1) for trees, each in claims)
+        for n in itertools.count(1)
     )
+
+
+def predicted_cases(theorem: str, n_max: int, value_count: int) -> int:
+    """The exact number of checks a run will perform up to order n_max."""
+    return sum(itertools.islice(_cases_by_order(theorem, value_count), n_max))
 
 
 def _sweep(task: dict) -> tuple[int, list[dict]]:
@@ -552,13 +533,6 @@ def _sweep(task: dict) -> tuple[int, list[dict]]:
 
 # ---------------------------------------------------------------------------
 # orchestration
-
-def _canon_values(values) -> tuple[Fraction, ...]:
-    vals = sorted({coerce_nonnegative(v) for v in values})
-    if not vals:
-        raise ValueError("values must be non-empty")
-    return tuple(vals)
-
 
 def _split_range(total: int, parts: int) -> list[tuple[int, int]]:
     if parts <= 1 or total <= 1:
@@ -600,12 +574,15 @@ def _execute(theorem, n_max, values, budget, jobs, subchecks=None) -> Verificati
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     vals = _canon_values(values) if values is not None else None
-    predicted = predicted_cases(theorem, n_max, len(vals) if vals else 0)
-    if predicted > budget:
-        raise BudgetExceeded(
-            f"{predicted} predicted cases exceed the budget of {budget}; "
-            "raise the budget to run this grid"
-        )
+    predicted = 0
+    for n, cases in zip(range(1, n_max + 1), _cases_by_order(theorem, len(vals or ()))):
+        predicted += cases
+        if predicted > budget:  # stop counting: orders past n only add
+            upto = "" if n == n_max else f" up to order {n}"
+            raise BudgetExceeded(
+                f"{_decimal(predicted)} predicted cases{upto} exceed the budget of "
+                f"{_decimal(budget)}; raise the budget to run this grid"
+            )
     started = time.perf_counter()
     value_strs = tuple(format_rational(v) for v in vals) if vals else None
     chunks = jobs if n_max >= _POOL_MIN_ORDER else 1  # one chunk walks each shape once
@@ -754,13 +731,23 @@ def report_to_dict(report: VerificationReport) -> dict:
 
 
 def replay_certificate(cert: Certificate) -> bool:
-    """Re-run the single check behind a certificate on its stored data.
+    """Re-run the sweep's check behind a certificate on its stored data: the
+    claim's judge on the rank codes of its labeling (ValueError without
+    one), or its check if the tree passes its tree test for some theorem.
 
     Returns True when the recorded violation reproduces, False when the
-    claim holds on the data. Claims needing a labeling raise ValueError if
-    the certificate lacks one.
+    claim holds on the data.
     """
     claim = _CLAIMS.get(cert.claim_violated)
     if claim is None:
         raise ValueError(f"unknown claim {cert.claim_violated!r}")
-    return claim.replay(cert)
+    facts = _Facts.of(cert.tree)
+    if claim.judge is None:
+        tested = any(trees.holds(facts) for trees, _ in claim.reports.values())
+        return tested and bool(claim.check(facts))
+    if cert.labeling is None:
+        raise ValueError(f"claim {cert.claim_violated!r} needs a labeling to replay")
+    labels = LabeledTree(cert.tree, dict(cert.labeling)).labels
+    vals = _canon_values(labels.values())
+    code = dict(zip(vals, _codes_for(vals)))  # the codes a sweep over vals gives
+    return claim.judge(facts, [code[labels[v]] for v in cert.tree.vertices]) is not None

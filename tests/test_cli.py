@@ -201,7 +201,14 @@ class TestVerifyCommand:
 
     def test_budget_refusal(self, capsys):
         assert run(["verify", "--theorem", "nondeg", "--max-order", "7"]) == 1
-        assert "error[budget-exceeded]" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error[budget-exceeded]: 37733457 predicted cases exceed the budget of "
+            "2000000; raise the budget to run this grid\n"
+        )
+
+    def test_budget_refusal_of_a_huge_order(self, capsys):
+        assert run(["verify", "--theorem", "lemmas", "--max-order", "2000"]) == 1
+        assert capsys.readouterr().err.startswith("error[budget-exceeded]: ")
 
     def test_budget_raise_notes(self, capsys):
         assert run(

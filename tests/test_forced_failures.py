@@ -6,9 +6,14 @@ certificates: a flipped verdict of the labeling walk on the path shape, a
 witness found in every counterexample space, a classifier that tags stars as
 double stars. ``forced_failures.json`` holds the reports of these runs
 (``report_to_dict`` with ``elapsed_ms`` dropped) and pins their bytes: the
-order of the failures, their trees, labelings and evidence. Afterwards the
-patches are lifted and every certificate must replay as not reproducing,
-since each claim holds on its data.
+order of the failures, their trees, labelings and evidence.
+
+A replay runs the check the sweep ran, so while the patch is in place every
+certificate of a run that patches such a check (the witness test, the
+classifier) must replay as reproducing; the labeling walk is not replayed,
+so a flipped verdict does not reproduce. Afterwards the patches are lifted
+and every certificate must replay as not reproducing, since each claim
+holds on its data.
 """
 
 import json
@@ -65,27 +70,26 @@ def _stars_as_double_stars(monkeypatch):
     monkeypatch.setattr(verify, "classify", wrong)
 
 
+# name: (patch, sweep, whether the certificates replay as reproducing under the patch)
 RUNS = {
-    "nondeg-flip": (lambda mp: _flip(mp, (0, 0, 1, 1, 1)), verify_theorem_nondegeneracy),
-    "main-flip": (lambda mp: _flip(mp, (1, 0, 1, 0, 1)), verify_main_theorem),
-    "main-witness": (
-        lambda mp: mp.setattr(verify, "_witness_index", lambda d: 0), verify_main_theorem
+    "nondeg-flip": (
+        lambda mp: _flip(mp, (0, 0, 1, 1, 1)), verify_theorem_nondegeneracy, False
     ),
-    "classify-tag": (_stars_as_double_stars, verify_classification),
+    "main-flip": (lambda mp: _flip(mp, (1, 0, 1, 0, 1)), verify_main_theorem, False),
+    "main-witness": (
+        lambda mp: mp.setattr(verify, "_witness_index", lambda d: 0), verify_main_theorem, True
+    ),
+    "classify-tag": (_stars_as_double_stars, verify_classification, True),
 }
-
-
-def _forced_report(monkeypatch, name):
-    patch, sweep = RUNS[name]
-    patch(monkeypatch)
-    report = sweep(5, (0, 1))
-    monkeypatch.undo()
-    return report
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_forced_report_matches_the_recording(monkeypatch, name):
-    report = _forced_report(monkeypatch, name)
+    patch, sweep, reproduces = RUNS[name]
+    patch(monkeypatch)
+    report = sweep(5, (0, 1))
+    assert {replay_certificate(cert) for cert in report.failures} == {reproduces}
+    monkeypatch.undo()
     got = report_to_dict(report)
     del got["elapsed_ms"]
     want = json.loads(FIXTURE.read_text(encoding="utf-8"))[name]

@@ -355,3 +355,8 @@ class TestEnumerateLabelings:
             enumerate_labelings(path_tree(3), (0, 1, 2), budget=26)
         # one under the cap is fine
         assert sum(1 for _ in enumerate_labelings(path_tree(3), (0, 1, 2), budget=27)) == 27
+
+    def test_budget_refusal_past_the_printable_digits(self):
+        # 3 ** 10000 has 4,772 digits, more than str() of an int allows
+        with pytest.raises(BudgetExceeded, match=r"at least 2\*\*15849 labelings"):
+            enumerate_labelings(star_tree(10_000), (0, 1, 2))

@@ -33,7 +33,7 @@ from ultratree import (
     unique_path,
     validate_tree,
 )
-from ultratree.trees import _prufer_edges
+from ultratree.trees import _index_tree, _prufer_edges, _rank_edges, _vertex_names
 
 
 class TestValidateTree:
@@ -246,6 +246,16 @@ class TestEnumerateTrees:
         for n in range(2, 8):
             for seq in itertools.product(range(n), repeat=n - 2):
                 assert _prufer_edges(seq, n) == brute_prufer_edges(seq, n)
+
+    def test_rank_trees_built_unvalidated_equal_validated(self):
+        for n in range(1, 7):
+            names = _vertex_names(n)
+            for rank in range(cayley(n)):
+                edges = _rank_edges(n, rank)
+                tree = _index_tree(names, edges)
+                want = validate_tree(names, [(names[a], names[b]) for a, b in edges])
+                assert tree == want
+                assert tree._indexed == want._indexed
 
     def test_no_duplicates_and_shape(self):
         seen = set()

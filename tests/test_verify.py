@@ -52,7 +52,6 @@ from ultratree import (
     verify_theorem_nondegeneracy,
 )
 from ultratree.errors import (
-    NoLongPath,
     ParseError,
     PositivityViolation,
     StrongTriangleViolation,
@@ -185,6 +184,21 @@ class TestParameterErrors:
     def test_default_budget_blocks_order_seven_grid(self):
         with pytest.raises(BudgetExceeded):
             verify_theorem_nondegeneracy(7)
+
+    @pytest.mark.parametrize("n_max", [2000, 100_000])
+    def test_budget_refusal_counts_only_to_the_budget(self, n_max):
+        # the full count has thousands of digits; orders 1-9 already pass the budget
+        with pytest.raises(BudgetExceeded, match="5063362 predicted cases up to order 9 exceed"):
+            verify_structure_lemmas(n_max)
+
+    def test_budget_refusal_past_the_printable_digits(self):
+        # a budget of 5,001 digits, and a count past it: neither prints in decimal
+        want = (
+            r"^at least 2\*\*\d+ predicted cases up to order \d+ "
+            r"exceed the budget of at least 2\*\*16609;"
+        )
+        with pytest.raises(BudgetExceeded, match=want):
+            verify_structure_lemmas(2000, budget=10**5000)
 
     def test_jobs_below_one(self):
         for jobs in (0, -3):
@@ -589,17 +603,16 @@ class TestCertificates:
                 assert replay_certificate(cert) is False
 
     def test_replay_reproduces_counterexample_applicability(self, monkeypatch):
-        def refuses(tree):
-            raise NoLongPath("stand-in")
-
-        monkeypatch.setattr(verify, "counterexample_labeling", refuses)
+        # a one-vertex path: too short for the pattern on every tree
+        monkeypatch.setattr(verify, "_longest_path", lambda adj, names: [0])
         for claim, tree, reproduces in (
             (CLAIM_CE_APPLICABLE, self._p5(), True),
             (CLAIM_CE_INAPPLICABLE, star_tree(4), False),
         ):
             cert = Certificate(tree=tree, labeling=None, claim_violated=claim, evidence={})
             assert replay_certificate(cert) is reproduces
-        monkeypatch.setattr(verify, "counterexample_labeling", lambda tree: None)
+        monkeypatch.undo()
+        monkeypatch.setattr(verify, "_diameter", lambda adj: 4)  # every tree long
         for claim, tree, reproduces in (
             (CLAIM_CE_INAPPLICABLE, star_tree(4), True),
             (CLAIM_CE_APPLICABLE, self._p5(), False),
