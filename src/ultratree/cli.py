@@ -187,7 +187,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--values",
         default="0,1,2",
-        help="comma-separated label values, ignored for lemmas (default 0,1,2)",
+        help="comma-separated label values, parsed but not used for lemmas (default 0,1,2)",
     )
     p.add_argument("--jobs", type=int, default=1, metavar="K")
     p.add_argument(

@@ -24,6 +24,7 @@ from .errors import (
     _decimal,
 )
 from .rationals import coerce_nonnegative
+from .spaces import FiniteUltrametricSpace, _compact, _decode, _value_codes
 from .trees import Tree, _bfs_parents, longest_path_length
 
 DEFAULT_LABELING_BUDGET = 1_000_000
@@ -58,8 +59,13 @@ class LabeledTree:
 
 def is_nondegenerate(lt: LabeledTree) -> bool:
     """True when every edge has an endpoint with a positive label."""
-    labels = lt.labels
-    return all(labels[a] > 0 or labels[b] > 0 for a, b in lt.tree.edges)
+    return _zero_edge(lt.tree.edges, lt.labels) is None
+
+
+def _zero_edge(edges, labels):
+    """The first of ``edges`` with zero on both ends, or None; ``labels`` is
+    indexed by the edges' ends (names and Fractions, or indices and codes)."""
+    return next(((a, b) for a, b in edges if not labels[a] and not labels[b]), None)
 
 
 def raw_distance_matrix(lt: LabeledTree) -> tuple[tuple[str, ...], tuple[tuple[Fraction, ...], ...]]:
@@ -69,20 +75,15 @@ def raw_distance_matrix(lt: LabeledTree) -> tuple[tuple[str, ...], tuple[tuple[F
     labeling the result is not an ultrametric (some distinct pair lands at
     distance zero); build_ultrametric is the checked entry point. O(n^2).
     """
-    return lt.tree.vertices, _coded_distances(lt)[0]
+    return lt.tree.vertices, _decode(*_coded_distances(lt))
 
 
 def _coded_distances(lt: LabeledTree):
-    """The path-maximum matrix run on rank codes of the labels (0 for zero):
-    its Fraction rows, the sorted values it holds and its codes."""
-    values = sorted({Fraction(0), *lt.labels.values()})
-    code = {v: c for c, v in enumerate(values)}
-    codes = _path_max(lt.tree._indexed, [code[lt.labels[v]] for v in lt.tree.vertices], 0)
-    held = sorted({0}.union(*codes))  # a label below all its neighbours shows nowhere
-    if len(held) < len(values):
-        recode = dict(zip(held, range(len(held))))
-        values, codes = [values[c] for c in held], [list(map(recode.__getitem__, r)) for r in codes]
-    return tuple(tuple(map(values.__getitem__, row)) for row in codes), values, codes
+    """The path-maximum matrix run on rank codes of the labels: the values
+    it holds (a label below all its neighbours shows nowhere) and its codes."""
+    values, code = _value_codes(lt.labels.values())
+    lab = [code[lt.labels[v]] for v in lt.tree.vertices]
+    return _compact(values, _path_max(lt.tree._indexed, lab, 0))
 
 
 def _path_max(adj, labels, zero) -> list[list]:
@@ -114,14 +115,10 @@ def build_ultrametric(lt: LabeledTree):
     when some edge carries zero on both endpoints, since the path maximum
     then fails positivity.
     """
-    from .spaces import FiniteUltrametricSpace
-
-    if not is_nondegenerate(lt):
-        bad = next(
-            (a, b) for a, b in lt.tree.edges if lt.labels[a] == 0 and lt.labels[b] == 0
-        )
+    bad = _zero_edge(lt.tree.edges, lt.labels)
+    if bad is not None:
         raise DegenerateLabeling(f"edge {bad} has label zero on both endpoints", bad)
-    return FiniteUltrametricSpace._of_fractions(lt.tree.vertices, *_coded_distances(lt))
+    return FiniteUltrametricSpace._coded(lt.tree.vertices, *_coded_distances(lt))
 
 
 def extend_labeling(tree: Tree, partial: Mapping[str, object], fill) -> dict[str, Fraction]:
@@ -141,11 +138,11 @@ def extend_labeling(tree: Tree, partial: Mapping[str, object], fill) -> dict[str
             raise UnknownVertex(f"partial labeling names unknown vertex {v!r}", (v,))
         values[v] = coerce_nonnegative(raw)
     labels = {v: values.get(v, fill_value) for v in tree.vertices}
-    for a, b in tree.edges:
-        if labels[a] == 0 and labels[b] == 0:
-            raise DegenerateResult(
-                f"extension leaves edge ({a!r}, {b!r}) with zero on both endpoints", (a, b)
-            )
+    bad = _zero_edge(tree.edges, labels)
+    if bad is not None:
+        raise DegenerateResult(
+            f"extension leaves edge ({bad[0]!r}, {bad[1]!r}) with zero on both endpoints", bad
+        )
     return labels
 
 
@@ -241,11 +238,7 @@ def _iter_labelings(
     tree: Tree, vals: tuple[Fraction, ...], nondegenerate_only: bool
 ) -> Iterator[dict[str, Fraction]]:
     verts = tree.vertices
-    edges = tree.edges
     for combo in itertools.product(vals, repeat=len(verts)):
         labels = dict(zip(verts, combo))
-        if nondegenerate_only and any(
-            labels[a] == 0 and labels[b] == 0 for a, b in edges
-        ):
-            continue
-        yield labels
+        if not nondegenerate_only or _zero_edge(tree.edges, labels) is None:
+            yield labels

@@ -32,9 +32,13 @@ from .rationals import coerce_nonnegative, format_rational
 class FiniteUltrametricSpace:
     """Ordered points with an exact symmetric distance matrix.
 
-    Construction coerces each distinct entry object to a Fraction once and
-    rank-codes the matrix (see _ranked). It rejects a matrix that is not
-    N x N for N points with ValueError, but does not check the axioms;
+    Every space is born rank-coded: ``_ranked`` holds (values, codes) with
+    values[codes[i][j]] == dist[i][j] and values[0] == 0, the values sorted
+    and each held by some entry or zero. The constructor coerces each
+    distinct entry object to a Fraction once and codes the matrix; the
+    package's own spaces (validate_ultrametric, build_ultrametric, restrict)
+    are made from codes by _coded. It rejects a matrix that is not N x N for
+    N points with ValueError, but does not check the axioms;
     validate_ultrametric is the checked entry point for untrusted data.
     """
 
@@ -45,33 +49,27 @@ class FiniteUltrametricSpace:
         object.__setattr__(self, "points", tuple(self.points))
         rows = tuple(map(tuple, self.dist))
         _check_shape(self.points, rows)
-        dist, *ranked = _rank(rows)
-        object.__setattr__(self, "dist", dist)
-        self.__dict__["_ranked"] = tuple(ranked)
+        self._set_codes(*_rank(rows))
+
+    def _set_codes(self, values, codes) -> None:
+        object.__setattr__(self, "dist", _decode(values, codes))
+        object.__setattr__(self, "_ranked", (values, codes))
 
     @property
     def size(self) -> int:
         return len(self.points)
 
     @classmethod
-    def _of_fractions(cls, points, dist, *ranked) -> "FiniteUltrametricSpace":
-        """A space over tuples already holding Fractions; ``ranked`` seeds _ranked."""
+    def _coded(cls, points, values, codes) -> "FiniteUltrametricSpace":
+        """A space over a tuple of points and their rank codes, unchecked."""
         space = object.__new__(cls)
         object.__setattr__(space, "points", points)
-        object.__setattr__(space, "dist", dist)
-        if ranked:
-            space.__dict__["_ranked"] = ranked
+        space._set_codes(values, codes)
         return space
 
     @cached_property
     def _index(self) -> dict[str, int]:
         return {p: i for i, p in enumerate(self.points)}
-
-    @cached_property
-    def _ranked(self) -> tuple[list[Fraction], list[list[int]]]:
-        """Integer ranks: values[codes[i][j]] == dist[i][j], values[0] == 0;
-        seeded wherever a space is made except by restrict."""
-        return _rank(self.dist)[1:]
 
     def distance(self, x: str, y: str) -> Fraction:
         try:
@@ -97,14 +95,14 @@ def validate_ultrametric(points: Sequence[str], dist: Sequence[Sequence]) -> Fin
         raise ValueError("point names must be unique")
     _check_shape(pts, dist)
     try:
-        rows, values, codes = _rank(tuple(map(tuple, dist)))
+        values, codes = _rank(tuple(map(tuple, dist)))
     except ValueError as exc:
         a, b = (pts[k] for k in exc.at)
         raise PositivityViolation(f"negative distance at ({a!r}, {b!r})", (a, b)) from None
 
     offence = _first_offender(codes)
     if offence is None:
-        return FiniteUltrametricSpace._of_fractions(pts, rows, values, codes)
+        return FiniteUltrametricSpace._coded(pts, values, codes)
     axiom, at = offence
     a, b, *c = (pts[k] for k in at)
     if axiom == "symmetry":
@@ -148,10 +146,9 @@ def _first_offender(codes):
 
 
 def _rank(rows):
-    """(Fraction rows, sorted values with 0 at code 0, codes) of a matrix of
-    tuples, which keep entries alive so ids stay unique. Each distinct object
-    is coerced once in row-major order, so the first bad entry raises first;
-    a ValueError names its cell in ``at``."""
+    """(values, codes) of a matrix of tuples, which keep entries alive so ids
+    stay unique. Each distinct object is coerced once in row-major order, so
+    the first bad entry raises first; a ValueError names its cell in ``at``."""
     ids = [list(map(id, row)) for row in rows]
     fracs = {}
     for key, x in dict(zip(chain.from_iterable(ids), chain.from_iterable(rows))).items():
@@ -160,11 +157,33 @@ def _rank(rows):
         except ValueError as exc:
             exc.at = next((i, j) for i, row in enumerate(rows) for j, y in enumerate(row) if y is x)
             raise
-    values = sorted({Fraction(0), *fracs.values()})
-    code = {v: c for c, v in enumerate(values)}
+    values, code = _value_codes(fracs.values())
     by_id = {key: code[q] for key, q in fracs.items()}
-    codes = [list(map(by_id.__getitem__, row)) for row in ids]
-    return tuple(tuple(map(values.__getitem__, row)) for row in codes), values, codes
+    return values, [list(map(by_id.__getitem__, row)) for row in ids]
+
+
+def _value_codes(fracs):
+    """The rank coding of some Fractions: (values, code) with ``values`` the
+    sorted distinct ones plus zero, so zero has code 0, and code[v] the
+    index of v in values. Comparisons and maxima of values are those of
+    their codes, which is all the path-max metric and the checks read."""
+    values = sorted({Fraction(0), *fracs})
+    return values, {v: c for c, v in enumerate(values)}
+
+
+def _compact(values, codes):
+    """(values, codes) with the values no entry holds dropped, zero kept at
+    code 0, and the codes renumbered to match."""
+    held = sorted({0}.union(*codes))
+    if len(held) < len(values):
+        recode = dict(zip(held, range(len(held))))
+        values, codes = [values[c] for c in held], [list(map(recode.__getitem__, r)) for r in codes]
+    return values, codes
+
+
+def _decode(values, codes) -> tuple[tuple[Fraction, ...], ...]:
+    """The Fraction rows of a matrix of rank codes."""
+    return tuple(tuple(map(values.__getitem__, row)) for row in codes)
 
 
 def _mst(codes) -> list[tuple[int, int, int]]:
@@ -225,8 +244,9 @@ def restrict(space: FiniteUltrametricSpace, subset: Iterable[str]) -> FiniteUltr
             raise UnknownPoint(f"point {p!r} is not in the space", (p,))
     keep = [i for i, p in enumerate(space.points) if p in wanted]
     pts = tuple(space.points[i] for i in keep)
-    rows = tuple(tuple(space.dist[i][j] for j in keep) for i in keep)
-    return FiniteUltrametricSpace._of_fractions(pts, rows)
+    values, codes = space._ranked
+    block = [[codes[i][j] for j in keep] for i in keep]
+    return FiniteUltrametricSpace._coded(pts, *_compact(values, block))
 
 
 def realize_as_star(space: FiniteUltrametricSpace):

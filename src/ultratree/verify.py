@@ -42,13 +42,15 @@ Each run returns a VerificationReport whose cases_checked equals the
 analytically predicted grid size; a mismatch would mean a harness bug and
 raises RuntimeError. Failures carry replayable Certificates.
 
-The inner sweeps encode label values as small integer codes: code 0 is
-reserved for the value zero and the remaining codes follow the sorted value
-order. Path-maximum distances, the witness condition, and the axiom checks
-use only comparisons and maxima, which the encoding preserves, so the coded
-run decides exactly the same predicates as the Fraction run, as do the
-judges on the codes of a certificate's or a counterexample's values.
-Certificates and every public object are materialized with exact Fractions.
+The sweeps run on the rank codes of spaces._value_codes: code 0 is the value
+zero and the remaining codes follow the sorted value order. Path-maximum
+distances, the witness condition, and the axiom checks use only comparisons
+and maxima, which the coding preserves, so the coded run decides exactly the
+same predicates as the Fraction run, as do the judges on the codes of a
+certificate's or a counterexample's values. A sweep stays in codes end to
+end: its tasks carry the grid's Fractions, and a failure becomes a
+Certificate where it is found (_Facts.fail), its labeling the values of its
+codes, the counterexample's over (0, 2, 3) included.
 
 Each tree's labelings are swept by one depth-first walk over its vertices
 in breadth-first order from v1, so every vertex z joins the labeled prefix
@@ -90,9 +92,10 @@ from .labelings import (
     _counterexample_codes,
     _longest_path,
     _path_max,
+    _zero_edge,
 )
 from .rationals import format_rational, parse_rational
-from .spaces import _first_offender, _witness_index
+from .spaces import _first_offender, _value_codes, _witness_index
 from .serialize import tree_to_dict, tree_from_dict
 from .trees import (
     Tree,
@@ -279,13 +282,14 @@ class _fact:
 
 class _Facts:
     """One tree of a sweep by Prufer rank, in index form (vertex i is
-    v(i+1)), with the labeling codes and walk memo of its sweep. The facts
-    past the adjacency are computed when a claim first reads them, so a
-    sweep pays only for what its theorem's claims use."""
+    v(i+1)), with the labeling walk memo of its sweep and the codes of its
+    value grid, ``values[code]`` being a code's value. The facts past the
+    adjacency are computed when a claim first reads them, so a sweep pays
+    only for what its theorem's claims use."""
 
-    def __init__(self, n: int, rank: int, codes=(), memo=None):
+    def __init__(self, n: int, rank: int, values=(), codes=(), memo=None):
         self.n, self.rank = n, rank
-        self.codes, self.memo = codes, {} if memo is None else memo
+        self.values, self.codes, self.memo = values, codes, {} if memo is None else memo
         self.edges = _rank_edges(n, rank)
         self.adj = _index_adjacency(n, self.edges)
 
@@ -294,6 +298,7 @@ class _Facts:
         """The facts of a public tree, for a replay: no rank, no sweep."""
         facts = cls.__new__(cls)
         facts.n, facts.rank, facts.adj = tree.order, None, tree._indexed
+        facts.edges = [(tree._index[a], tree._index[b]) for a, b in tree.edges]
         facts.names, facts.tree = tree.vertices, tree
         return facts
 
@@ -323,30 +328,19 @@ class _Facts:
         """_shape_walk over the sweep's codes, one memo per mode."""
         return _shape_walk(self.memo.setdefault(witness, {}), self.n, self.adj, self.codes, witness)
 
-    def fail(self, claim: str, evidence: dict, codes=None, labels=None) -> dict:
-        """A failure record, materialized into a Certificate at the end."""
-        return {
-            "n": self.n,
-            "rank": self.rank,
-            "claim": claim,
-            "evidence": evidence,
-            "codes": list(codes) if codes is not None else None,
-            "labels": labels,
-        }
+    def fail(self, claim: str, evidence: dict, lab=None, values=None) -> Certificate:
+        """The certificate of a failure on this tree: on the labeling ``lab``
+        if one was in play, a code per vertex into ``values`` (by default
+        the sweep's), and with the tree's order and rank as evidence."""
+        labeling = None
+        if lab is not None:
+            labeling = dict(zip(self.names, map((values or self.values).__getitem__, lab)))
+        evidence = {**evidence, "order": self.n, "tree_index": self.rank}
+        return Certificate(self.tree, labeling, claim, evidence)
 
 
 # ---------------------------------------------------------------------------
 # the claim checks on a tree's facts
-
-def _codes_for(vals: tuple[Fraction, ...]) -> tuple[int, ...]:
-    offset = 0 if vals[0] == 0 else 1
-    return tuple(range(offset, offset + len(vals)))
-
-
-def _value_of_code(code: int, vals: tuple[Fraction, ...]) -> Fraction:
-    offset = 0 if vals[0] == 0 else 1
-    return vals[code - offset]
-
 
 def _kind_of(high: int) -> TreeKind:
     """The class of a tree with ``high`` vertices of degree two or more."""
@@ -358,15 +352,11 @@ def _kind_of(high: int) -> TreeKind:
 # judges of one labeling ``lab``, a rank code per vertex (0 for zero), on the
 # full path-max matrix: each returns the failure's evidence, or None
 
-def _nondegenerate(f: _Facts, lab) -> bool:
-    return all(lab[a] or lab[b] for a, nbrs in enumerate(f.adj) for b in nbrs)
-
-
 def _validity(f: _Facts, lab) -> dict:
     """The validity claim's evidence, whether the claim holds or not."""
     viol = _first_offender(_path_max(f.adj, lab, 0))
     return {
-        "nondegenerate": _nondegenerate(f, lab),
+        "nondegenerate": _zero_edge(f.edges, lab) is None,
         "matrix_valid": viol is None,
         "violation": viol and {"axiom": viol[0], "points": [f.names[i] for i in viol[1]]},
     }
@@ -378,9 +368,9 @@ def _judge_validity(f: _Facts, lab) -> dict | None:
 
 
 def _judge_witness(f: _Facts, lab) -> dict | None:
-    if not _nondegenerate(f, lab) or _witness_index(_path_max(f.adj, lab, 0)) is not None:
+    if _zero_edge(f.edges, lab) is not None:
         return None
-    return {"witness": None}
+    return None if _witness_index(_path_max(f.adj, lab, 0)) is not None else {"witness": None}
 
 
 def _judge_counterexample(f: _Facts, lab) -> dict | None:
@@ -392,15 +382,15 @@ def _axioms(f: _Facts):
     """The walk's axiom verdicts; a wrong one carries the full matrix's
     evidence, which shows whether the claim or the walk is at fault."""
     cases, bad = f.walk(False)
-    return cases, [f.fail(CLAIM_VALID_IFF_NONDEG, _validity(f, lab), codes=lab) for lab, _ in bad]
+    return cases, [f.fail(CLAIM_VALID_IFF_NONDEG, _validity(f, lab), lab) for lab, _ in bad]
 
 
 def _witnesses(f: _Facts):
     cases, bad = f.walk(True)
-    return cases, [f.fail(CLAIM_WITNESS, {"witness": None}, codes=lab) for lab, _ in bad]
+    return cases, [f.fail(CLAIM_WITNESS, {"witness": None}, lab) for lab, _ in bad]
 
 
-def _check_counterexample(f: _Facts) -> list[dict]:
+def _check_counterexample(f: _Facts) -> list[Certificate]:
     """counterexample_labeling's codes, judged. A path too short for the
     pattern is counterexample-applicable's failure."""
     if len(f.path) < 5:
@@ -409,18 +399,17 @@ def _check_counterexample(f: _Facts) -> list[dict]:
     evidence = _judge_counterexample(f, lab)
     if evidence is None:
         return []
-    labels = {v: format_rational(_COUNTEREXAMPLE_VALUES[c]) for v, c in zip(f.names, lab)}
-    return [f.fail(CLAIM_COUNTEREXAMPLE, evidence, labels=labels)]
+    return [f.fail(CLAIM_COUNTEREXAMPLE, evidence, lab, _COUNTEREXAMPLE_VALUES)]
 
 
-def _iff(f: _Facts) -> list[dict]:
+def _iff(f: _Facts) -> list[Certificate]:
     high = len(f.highs)
     if (f.diameter <= 3) == (high <= 2):
         return []
     return [f.fail(CLAIM_II_IFF_III, {"longest_path": f.diameter, "high_degree_count": high})]
 
 
-def _class_structure(f: _Facts) -> list[dict]:
+def _class_structure(f: _Facts) -> list[Certificate]:
     tag, high = classify(f.tree).tag, len(f.highs)
     if tag == _kind_of(high):
         return []
@@ -448,7 +437,7 @@ _MANY = _Trees(lambda f: len(f.highs) > 2, _long_count)
 class _Claim(NamedTuple):
     reports: dict  # theorem -> (trees checked, whether its checks count as cases)
     per_labeling: bool  # checked once per labeling of the value grid, else once per tree
-    check: Callable  # facts -> failure records; (labelings, failure records) per labeling
+    check: Callable  # facts -> certificates; (labelings, certificates) per labeling
     judge: Callable | None = None  # (facts, codes) -> evidence or None, for a claim on one labeling
 
 
@@ -510,19 +499,22 @@ def _cases_by_order(theorem: str, value_count: int) -> Iterator[int]:
 
 def predicted_cases(theorem: str, n_max: int, value_count: int) -> int:
     """The exact number of checks a run will perform up to order n_max."""
+    if n_max < 0:
+        raise ValueError(f"n_max must be at least 0, got {n_max}")
     return sum(itertools.islice(_cases_by_order(theorem, value_count), n_max))
 
 
-def _sweep(task: dict) -> tuple[int, list[dict]]:
-    """(cases, failure records) of one rank range of one order: each tree's
+def _sweep(task: dict) -> tuple[int, list[Certificate]]:
+    """(cases, certificates) of one rank range of one order: each tree's
     facts go through the checks the table lists for the theorem."""
-    n, values = task["n"], task["values"]
+    n, vals = task["n"], task["values"] or ()
     claims = _reported(task["theorem"])
-    codes = _codes_for(tuple(map(Fraction, values))) if values is not None else ()
+    values, code = _value_codes(vals)
+    codes = [code[v] for v in vals]
     memo: dict = {}
     cases, fails = 0, []
     for rank in range(task["lo"], task["hi"]):
-        facts = _Facts(n, rank, codes, memo)
+        facts = _Facts(n, rank, values, codes, memo)
         for claim, trees, counted in claims:
             if trees.holds(facts):
                 made, found = claim.check(facts) if claim.per_labeling else (1, claim.check(facts))
@@ -541,31 +533,12 @@ def _split_range(total: int, parts: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
 
 
-def _fail_key(fd: dict):
-    return (
-        fd["n"],
-        fd["rank"],
-        tuple(fd["codes"]) if fd["codes"] is not None else (),
-        fd["claim"],
-    )
-
-
-def _materialize(fd: dict, vals) -> Certificate:
-    n, rank = fd["n"], fd["rank"]
-    facts = _Facts(n, rank)
-    labeling = None
-    if fd["codes"] is not None:
-        labeling = {
-            facts.names[i]: _value_of_code(c, vals) for i, c in enumerate(fd["codes"])
-        }
-    elif fd["labels"] is not None:
-        labeling = {v: parse_rational(s) for v, s in fd["labels"].items()}
-    evidence = dict(fd["evidence"])
-    evidence["order"] = n
-    evidence["tree_index"] = rank
-    return Certificate(
-        tree=facts.tree, labeling=labeling, claim_violated=fd["claim"], evidence=evidence
-    )
+def _report_key(cert: Certificate):
+    """Failures in report order: by tree, then, for a claim checked on every
+    labeling, by labeling (codes rise with values), then by claim."""
+    evidence, claim = cert.evidence, cert.claim_violated
+    lab = tuple(cert.labeling.values()) if _CLAIMS[claim].per_labeling else ()
+    return evidence["order"], evidence["tree_index"], lab, claim
 
 
 def _execute(theorem, n_max, values, budget, jobs, subchecks=None) -> VerificationReport:
@@ -584,13 +557,12 @@ def _execute(theorem, n_max, values, budget, jobs, subchecks=None) -> Verificati
                 f"{_decimal(budget)}; raise the budget to run this grid"
             )
     started = time.perf_counter()
-    value_strs = tuple(format_rational(v) for v in vals) if vals else None
     chunks = jobs if n_max >= _POOL_MIN_ORDER else 1  # one chunk walks each shape once
     tasks = []
     for n in range(n_max, 0, -1):  # largest first, so the workers finish together
         for lo, hi in _split_range(_tree_count(n), chunks):
             tasks.append(
-                {"theorem": theorem, "n": n, "lo": lo, "hi": hi, "values": value_strs}
+                {"theorem": theorem, "n": n, "lo": lo, "hi": hi, "values": vals}
             )
     workers = min(chunks, len(tasks), os.cpu_count() or 1)
     if workers > 1:
@@ -605,14 +577,13 @@ def _execute(theorem, n_max, values, budget, jobs, subchecks=None) -> Verificati
         raise RuntimeError(
             f"harness accounting bug: checked {cases} cases, predicted {predicted}"
         )
-    fail_dicts = sorted((f for p in parts for f in p[1]), key=_fail_key)
-    failures = tuple(_materialize(fd, vals) for fd in fail_dicts)
+    failures = tuple(sorted((c for p in parts for c in p[1]), key=_report_key))
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     return VerificationReport(
         theorem=theorem,
         parameters={
             "max_order": n_max,
-            "values": list(value_strs) if value_strs else None,
+            "values": [format_rational(v) for v in vals] if vals else None,
         },
         cases_checked=cases,
         failures=failures,
@@ -748,6 +719,5 @@ def replay_certificate(cert: Certificate) -> bool:
     if cert.labeling is None:
         raise ValueError(f"claim {cert.claim_violated!r} needs a labeling to replay")
     labels = LabeledTree(cert.tree, dict(cert.labeling)).labels
-    vals = _canon_values(labels.values())
-    code = dict(zip(vals, _codes_for(vals)))  # the codes a sweep over vals gives
+    code = _value_codes(labels.values())[1]  # the codes a sweep over these values gives
     return claim.judge(facts, [code[labels[v]] for v in cert.tree.vertices]) is not None

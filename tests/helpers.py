@@ -217,6 +217,15 @@ def brute_prufer_edges(seq, n):
     return edges
 
 
+def brute_zero_edge(tree, labels):
+    """The first edge in ``tree.edges`` order whose two ends are labeled
+    zero, or None when the labeling is non-degenerate."""
+    for edge in tree.edges:
+        if all(labels[v] == 0 for v in edge):
+            return edge
+    return None
+
+
 def independent_ranking(space):
     """(values, codes) of a space's matrix: the sorted set of its entries
     plus 0, and each entry's position in that list."""

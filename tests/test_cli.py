@@ -185,6 +185,13 @@ class TestVerifyCommand:
         assert "values: -" in text
         assert "cases checked: 21" in text
 
+    def test_lemmas_still_parses_values(self, capsys):
+        # the values are outside input: checked, though lemmas does not use them
+        assert run(["verify", "--theorem", "lemmas", "--values", "x"]) == 1
+        assert capsys.readouterr().err == (
+            "error[parse-error]: expected 'p' or 'p/q' with non-negative integers, got 'x'\n"
+        )
+
     def test_jobs_flag(self, capsys):
         assert run(
             ["verify", "--theorem", "lemmas", "--max-order", "5", "--jobs", "2"]

@@ -10,6 +10,7 @@ from helpers import (
     all_labelings,
     brute_counterexample,
     brute_witness,
+    brute_zero_edge,
     coded_matrix,
     index_adjacency,
     labeled,
@@ -41,6 +42,7 @@ from ultratree import (
     validate_tree,
     validate_ultrametric,
 )
+from ultratree.verify import _Facts, _validity
 
 
 def fig1_tree():
@@ -195,6 +197,38 @@ class TestValidityMatchesNondegeneracy:
                 else:
                     with pytest.raises(PositivityViolation):
                         validate_ultrametric(points, rows)
+
+
+class TestZeroEdge:
+    def test_every_check_names_the_first_zero_edge(self):
+        # every labeling over (0, 1) of every tree up to order 5
+        several = 0  # labelings with more than one zero edge, where "first" matters
+        for n in range(1, 6):
+            for rank in range(n ** max(n - 2, 0)):
+                facts = _Facts(n, rank)
+                tree = facts.tree
+                labelings = [dict(zip(tree.vertices, map(Fraction, lab)))
+                             for lab in itertools.product((0, 1), repeat=n)]
+                kept = [lab for lab in labelings if brute_zero_edge(tree, lab) is None]
+                assert list(enumerate_labelings(tree, (0, 1), nondegenerate_only=True)) == kept
+                for labels in labelings:
+                    first = brute_zero_edge(tree, labels)
+                    assert is_nondegenerate(LabeledTree(tree, labels)) == (first is None)
+                    codes = [int(labels[v]) for v in tree.vertices]
+                    for judged in (facts, _Facts.of(tree)):
+                        assert _validity(judged, codes)["nondegenerate"] == (first is None)
+                    if first is None:
+                        build_ultrametric(LabeledTree(tree, labels))
+                        assert extend_labeling(tree, labels, 1) == labels
+                        continue
+                    with pytest.raises(DegenerateLabeling) as info:
+                        build_ultrametric(LabeledTree(tree, labels))
+                    assert info.value.offenders == first
+                    with pytest.raises(DegenerateResult) as info:
+                        extend_labeling(tree, labels, 1)
+                    assert info.value.offenders == first
+                    several += sum(all(labels[v] == 0 for v in e) for e in tree.edges) > 1
+        assert several > 100
 
 
 class TestExtendLabeling:

@@ -195,6 +195,27 @@ class TestRestrict:
         for subset in (("c", "x"), ("x", "y", "z"), ("c", "z"), ("y",)):
             assert us_witness(restrict(s, subset)) is not None
 
+    @settings(max_examples=60)
+    @given(random_spaces(max_order=40), st.data())
+    def test_subspaces_are_coded_where_made(self, space, data):
+        # small subsets of large spaces often lose some distance values
+        subset = data.draw(st.sets(st.sampled_from(space.points), min_size=1, max_size=8)
+                           | st.sets(st.sampled_from(space.points), min_size=1))
+        sub = restrict(space, subset)
+        assert _is_seeded(sub)
+        assert us_witness(sub) == brute_witness(sub)
+        assert canonical_form(sub) == brute_form(sub)
+
+    def test_values_no_entry_holds_are_dropped(self):
+        # the path 1 - 4 - 2 - 5 - 3 holds 4 and 5; v1..v3 hold only 4, v1 and v5 only 5
+        space = build_ultrametric(labeled(path_tree(5), (1, 4, 2, 5, 3)))
+        assert space._ranked[0] == [0, 4, 5]
+        sub = restrict(space, ("v1", "v2", "v3"))
+        assert sub._ranked == ([0, 4], [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+        sub = restrict(space, ("v5", "v1"))
+        assert sub._ranked == ([0, 5], [[0, 1], [1, 0]]) == independent_ranking(sub)
+        assert sub.dist == ((0, 5), (5, 0))
+
 
 class TestRealizeAsStar:
     def test_star_space_round_trip(self):
@@ -557,8 +578,7 @@ class TestRankedBoundary:
             if us_witness(space) is not None:
                 assert build_ultrametric(realize_as_star(space)) == space
         sub = restrict(built, built.points[::2])
-        assert "_ranked" not in sub.__dict__
-        assert sub._ranked == independent_ranking(sub)
+        assert _is_seeded(sub)
 
     def test_labels_that_never_show_are_not_ranked(self):
         # a star's leaves below their center's label appear in no distance

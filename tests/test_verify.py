@@ -37,7 +37,6 @@ from ultratree import (
     certificate_to_dict,
     counterexample_labeling,
     enumerate_trees,
-    format_rational,
     is_nondegenerate,
     predicted_cases,
     raw_distance_matrix,
@@ -58,7 +57,7 @@ from ultratree.errors import (
     SymmetryViolation,
 )
 from ultratree import verify
-from ultratree.spaces import _first_offender, _witness_index
+from ultratree.spaces import _first_offender, _value_codes, _witness_index
 from ultratree.trees import _index_adjacency, _prufer_edges, _rank_edges
 from ultratree.verify import (
     CLAIM_ADJACENT,
@@ -72,13 +71,17 @@ from ultratree.verify import (
     CLAIM_WITNESS,
     _Facts,
     _check_counterexample,
-    _codes_for,
     _labelings,
-    _materialize,
     _shape_walk,
     _split_range,
-    _value_of_code,
 )
+
+
+def _grid(values):
+    """A value grid as a sweep codes it: (each code's value, the grid's codes)."""
+    vals = sorted({Fraction(v) for v in values})
+    by_code, code = _value_codes(vals)
+    return by_code, tuple(code[v] for v in vals)
 
 
 class TestCaseCounting:
@@ -106,6 +109,12 @@ class TestCaseCounting:
     def test_unknown_theorem(self):
         with pytest.raises(ValueError):
             predicted_cases("bogus", 3, 2)
+
+    def test_negative_order_refused(self):
+        for n_max in (-1, -10):
+            with pytest.raises(ValueError, match=f"n_max must be at least 0, got {n_max}"):
+                predicted_cases("main", n_max, 3)
+        assert predicted_cases("main", 0, 3) == 0
 
 
 class TestNondegeneracyTheorem:
@@ -280,18 +289,15 @@ class TestCodedCore:
             assert covered == list(range(total))
 
     def test_code_assignment(self):
-        assert _codes_for((Fraction(0), Fraction(1), Fraction(2))) == (0, 1, 2)
-        assert _codes_for((Fraction(1), Fraction(3))) == (1, 2)
-        vals = (Fraction(0), Fraction(1, 2), Fraction(7))
-        for code in _codes_for(vals):
-            assert _value_of_code(code, vals) == vals[code]
-        vals = (Fraction(1), Fraction(3))
-        assert _value_of_code(1, vals) == 1
-        assert _value_of_code(2, vals) == 3
+        # zero is code 0 whether or not the grid holds it; the rest in sorted order
+        assert _grid((0, 1, 2)) == ([0, 1, 2], (0, 1, 2))
+        assert _grid((3, 1)) == ([0, 1, 3], (1, 2))
+        assert _grid((7, "1/2", 0, 7)) == ([0, Fraction(1, 2), 7], (0, 1, 2))
+        values, code = _value_codes([Fraction(5), Fraction(0), Fraction(5), Fraction(2)])
+        assert values == [0, 2, 5] and code == {0: 0, 2: 1, 5: 2}
 
     def _agreement_on(self, n, values):
-        vals = tuple(sorted(Fraction(v) for v in values))
-        codes = _codes_for(vals)
+        vals, codes = _grid(values)
         names = tuple(f"v{i + 1}" for i in range(n))
         for rank in range(cayley(n)):
             edges = _rank_edges(n, rank)
@@ -300,7 +306,7 @@ class TestCodedCore:
             tree = validate_tree(names, [(names[a], names[b]) for a, b in edges])
             for coded in itertools.product(range(len(codes)), repeat=n):
                 lab = tuple(codes[i] for i in coded)
-                lt = labeled(tree, tuple(vals[i] for i in coded))
+                lt = labeled(tree, tuple(vals[c] for c in lab))
                 d = coded_matrix(n, pairs, lab)
                 viol = _first_offender(d)
                 points, rows = raw_distance_matrix(lt)
@@ -344,7 +350,7 @@ class TestLabelingWalk:
         n = tree.order
         pairs = pair_paths(n, adj)
         for lab in labs:
-            lt = labeled(tree, tuple(_value_of_code(c, vals) for c in lab))
+            lt = labeled(tree, tuple(vals[c] for c in lab))
             nondeg = is_nondegenerate(lt)
             d = coded_matrix(n, pairs, lab)
             valid = _first_offender(d) is None
@@ -356,8 +362,7 @@ class TestLabelingWalk:
 
     @pytest.mark.parametrize("values", [(0, 1, 2), (1, 3), (0, "1/2", 7)])
     def test_every_labeling_up_to_order_five(self, values):
-        vals = tuple(sorted(Fraction(v) for v in values))
-        codes = _codes_for(vals)
+        vals, codes = _grid(values)
         for n in range(1, 6):
             names = tuple(f"v{i + 1}" for i in range(n))
             for rank in range(cayley(n)):
@@ -379,8 +384,7 @@ class TestLabelingWalk:
     def test_random_labelings_of_larger_trees(self, tree, values, data):
         n = tree.order
         adj = index_adjacency(tree)
-        vals = tuple(sorted(Fraction(v) for v in values))
-        codes = _codes_for(vals)
+        vals, codes = _grid(values)
         labs = data.draw(
             st.lists(st.tuples(*[st.sampled_from(codes)] * n), min_size=1, max_size=10)
         )
@@ -444,7 +448,7 @@ class TestShapeMemo:
 
     @pytest.mark.parametrize("values", [(0, 1, 2), (1, 3), (0, "1/2", 7)])
     def test_every_tree_up_to_order_five(self, values):
-        codes = _codes_for(tuple(sorted(Fraction(v) for v in values)))
+        codes = _grid(values)[1]
         mapped = 0
         for n in range(1, 6):
             for witness in (False, True):
@@ -463,7 +467,7 @@ class TestShapeMemo:
     def test_random_trees_of_orders_seven_and_eight(self, tree, rnd):
         n = tree.order
         adj = index_adjacency(tree)
-        codes = _codes_for((Fraction(0), Fraction(1), Fraction(2)))
+        codes = _grid((0, 1, 2))[1]
         witness = rnd.random() < 0.5
         memo = {}
         want = _direct_walk(n, adj, codes, witness)
@@ -511,37 +515,32 @@ class TestCodedCounterexample:
         assert checked == sum(cayley(n) - qualifying_count(n) for n in range(1, 7))
 
     def test_coded_pattern_is_the_labeling(self, monkeypatch):
-        # report every tree as witnessed, so each failure carries its labels
+        # report every tree as witnessed, so each failure carries its labeling
         monkeypatch.setattr(verify, "_witness_index", lambda d: 0)
         for facts, tree in self._long_trees():
-            (fd,) = _check_counterexample(facts)
-            assert fd["claim"] == CLAIM_COUNTEREXAMPLE
-            assert fd["evidence"] == {"witness": "v1"}
-            labels = brute_counterexample(tree).labels
-            assert fd["labels"] == {v: format_rational(q) for v, q in labels.items()}
+            (cert,) = _check_counterexample(facts)
+            assert cert.claim_violated == CLAIM_COUNTEREXAMPLE
+            assert cert.tree == tree
+            assert cert.evidence == {"witness": "v1", "order": facts.n, "tree_index": facts.rank}
+            assert cert.labeling == brute_counterexample(tree).labels
+            assert all(type(q) is Fraction for q in cert.labeling.values())
 
 
 class TestCertificates:
     def _p5(self):
         return path_tree(5)
 
-    def test_materialize_rebuilds_the_case(self):
-        fd = {
-            "n": 5,
-            "rank": 0,
-            "claim": CLAIM_WITNESS,
-            "evidence": {"witness": None},
-            "codes": (1, 1, 2, 1, 1),
-            "labels": None,
-        }
-        cert = _materialize(fd, (Fraction(0), Fraction(1), Fraction(2)))
-        assert cert.tree.order == 5
-        assert cert.labeling == {
-            "v1": 1, "v2": 1, "v3": 2, "v4": 1, "v5": 1,
-        }
-        assert cert.evidence["order"] == 5
-        assert cert.evidence["tree_index"] == 0
-        assert cert.claim_violated == CLAIM_WITNESS
+    def test_fail_builds_the_certificate(self):
+        # codes map to the grid's values, with or without zero in the grid
+        for grid, top in (((0, 1, 2), 2), ((1, 3), 3)):
+            facts = _Facts(5, 0, *_grid(grid))
+            cert = facts.fail(CLAIM_WITNESS, {"witness": None}, (1, 1, 2, 1, 1))
+            assert cert.tree == _Facts(5, 0).tree and cert.tree.order == 5
+            assert cert.labeling == {
+                "v1": 1, "v2": 1, "v3": top, "v4": 1, "v5": 1,
+            }
+            assert cert.evidence == {"witness": None, "order": 5, "tree_index": 0}
+            assert cert.claim_violated == CLAIM_WITNESS
 
     def test_replay_witness_claim(self):
         flat = Certificate(
