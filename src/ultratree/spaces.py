@@ -82,11 +82,13 @@ def validate_ultrametric(points: Sequence[str], dist: Sequence[Sequence]) -> Fin
     """Check the three ultrametric axioms in O(n^2) and return the space.
 
     Symmetry and positivity (zero exactly on the diagonal, nothing negative)
-    entry by entry; the strong triangle inequality by the minimum spanning
-    tree test (Gower & Ross 1969), then a scan over triples only to name a
-    failure's first offender (see _first_offender). Raises ValueError for a
-    matrix that is not N x N, SymmetryViolation, PositivityViolation, or
-    StrongTriangleViolation naming the points.
+    entry by entry; the strong triangle inequality by the join rule: each
+    point k, at distance m from a, the first of its nearest earlier points,
+    has d(k, x) = max(m, d(a, x)) for every x before it (see _joins). A scan
+    over triples runs only to name a failure's first offender (see
+    _first_offender). Raises ValueError for a matrix that is not N x N,
+    SymmetryViolation, PositivityViolation, or StrongTriangleViolation
+    naming the points.
     """
     pts = tuple(points)
     if not pts:
@@ -122,10 +124,11 @@ def _check_shape(points, dist) -> None:
 def _first_offender(codes):
     """The first axiom a square matrix of rank codes breaks, as (axiom,
     point indices), or None. Row by row, the diagonal entry and then each
-    pair i < j for symmetry and positivity; then, unless the minimum
-    spanning tree test passes, the first strong-triangle triple (i, j, k)
-    with i < j, which on a symmetric matrix is also the first over ordered
-    pairs: an offender (j, i, k) with j > i makes (i, j, k) one."""
+    pair i < j for symmetry and positivity; then, unless every point joins
+    the points before it by the join rule (_links, _joins), the first
+    strong-triangle triple (i, j, k) with i < j, which on a symmetric matrix
+    is also the first over ordered pairs: an offender (j, i, k) with j > i
+    makes (i, j, k) one."""
     n = len(codes)
     for i, row in enumerate(codes):
         if row[i]:
@@ -135,7 +138,7 @@ def _first_offender(codes):
                 return "symmetry", (i, j)
             if not row[j]:
                 return "positivity", (i, j)
-    if _is_subdominant(codes, _mst(codes)):
+    if all(_joins(codes[k][:k], m, codes[a][:k]) for m, a, k in _links(codes)):
         return None
     for i, row in enumerate(codes):
         for j in range(i + 1, n):
@@ -186,33 +189,28 @@ def _decode(values, codes) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(map(values.__getitem__, row)) for row in codes)
 
 
-def _mst(codes) -> list[tuple[int, int, int]]:
-    """Prim's MST of ``codes``: (weight, parent, vertex) in joining order."""
-    best = list(codes[0])
-    near = [0] * len(codes)
-    todo = list(range(1, len(codes)))
-    edges = []
-    while todo:
-        v = min(todo, key=best.__getitem__)
-        todo.remove(v)
-        edges.append((best[v], near[v], v))
-        row = codes[v]
-        for u in todo:
-            if row[u] < best[u]:
-                best[u] = row[u]
-                near[u] = v
-    return edges
+def _links(codes):
+    """(m, a, k) for each point k > 0 of a square matrix of rank codes: a is
+    the first of k's nearest earlier points and m their distance.
+
+    On a valid ultrametric the largest link on the path between two points
+    is their distance, by induction on k: k's path to an earlier x runs
+    through a, and the join rule gives d(k, x) = max(m, d(a, x)). So no
+    entry lies below a link on its path, and the links form a minimum
+    spanning tree."""
+    for k in range(1, len(codes)):
+        row = codes[k][:k]
+        m = min(row)
+        yield m, row.index(m), k
 
 
-def _is_subdominant(codes, edges) -> bool:
-    """Whether each entry is the largest edge on its path in the Prim-ordered
-    MST ``edges``; the path from a joining v to an earlier u passes v's parent."""
-    seen = [0]
-    for w, p, v in edges:
-        if any(codes[v][u] != max(w, codes[p][u]) for u in seen):
-            return False
-        seen.append(v)
-    return True
+def _joins(r, m, near) -> bool:
+    """The join rule: a point with codes ``r`` to the points of an
+    ultrametric, at distance m from the first of its nearest ones (codes
+    ``near``), keeps it one exactly when m > 0 and r = max(m, near) entry by
+    entry. The isosceles property forces that row, and the row keeps every
+    triple through the new point isosceles."""
+    return m > 0 and r == [m if m > w else w for w in near]
 
 
 def us_witness(space: FiniteUltrametricSpace) -> str | None:
@@ -308,8 +306,9 @@ class CanonicalForm:
 def canonical_form(space: FiniteUltrametricSpace) -> CanonicalForm:
     """Canonical form of a valid space; equal forms mean isometric spaces.
 
-    Built bottom-up in O(n^2) without recursion: MST edges in increasing
-    order join classes by union-find, all joins at one distance one node."""
+    Built bottom-up in O(n^2) without recursion: the links of _links, a
+    minimum spanning tree, join classes by union-find in increasing order,
+    all joins at one distance one node."""
     values, codes = space._ranked
     root = list(range(space.size))
 
@@ -320,7 +319,7 @@ def canonical_form(space: FiniteUltrametricSpace) -> CanonicalForm:
         return v
 
     forms = [CanonicalForm(Fraction(0), ())] * space.size
-    for w, group in groupby(sorted(_mst(codes)), key=itemgetter(0)):
+    for w, group in groupby(sorted(_links(codes)), key=itemgetter(0)):
         kids: dict[int, list[CanonicalForm]] = {}
         for _, a, b in group:
             a, b = find(a), find(b)
@@ -329,8 +328,6 @@ def canonical_form(space: FiniteUltrametricSpace) -> CanonicalForm:
         for r, children in kids.items():
             children.sort(key=attrgetter("serialized"))
             forms[r] = CanonicalForm(values[w], tuple(children))
-            inner = "".join(c.serialized for c in children)
-            forms[r].__dict__["serialized"] = f"({format_rational(values[w])}{inner})"
     return forms[find(0)]
 
 

@@ -59,8 +59,9 @@ and parent p, z's row is d(z, x) = max(c, d(p, x)), reading d(p, p) as p's
 label; with m its minimum, first reached at a, the rest costs O(k):
 
 * Axioms: a valid prefix stays valid iff m > 0 and d(z, x) = max(m, d(a, x))
-  for all x: the isosceles property at (z, a, x) forces this row, and it
-  keeps every triple through z isosceles. Failure is kept by extensions.
+  for all x, the join rule spaces._joins that validation applies too: the
+  isosceles property at (z, a, x) forces this row, and it keeps every
+  triple through z isosceles. Failure is kept by extensions.
 * Witness: old candidate x0 stays one iff d(z, x0) = m and no other column
   minimum drops (x0's row must hold them all); z becomes one iff no column
   minimum lies below its row. A dropped candidate never returns.
@@ -95,7 +96,7 @@ from .labelings import (
     _zero_edge,
 )
 from .rationals import format_rational, parse_rational
-from .spaces import _first_offender, _value_codes, _witness_index
+from .spaces import _first_offender, _joins, _value_codes, _witness_index
 from .serialize import tree_to_dict, tree_from_dict
 from .trees import (
     Tree,
@@ -220,7 +221,7 @@ def _labelings(n: int, adj, codes, witness: bool, leaf) -> None:
                     cm.append(m)
                     ok = bool(keep)
                 else:
-                    ok = m > 0 and r == [m if m > w else w for w in d[r.index(m)][:k]]
+                    ok = _joins(r, m, d[r.index(m)][:k])
                 if k < n - 1:
                     d[k][:k] = r
                     for x in range(k):
@@ -546,7 +547,8 @@ def _execute(theorem, n_max, values, budget, jobs, subchecks=None) -> Verificati
         raise ValueError("n_max must be at least 1")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    vals = _canon_values(values) if values is not None else None
+    labeled = any(claim.per_labeling for claim, _, _ in _reported(theorem))
+    vals = _canon_values(() if values is None else values) if labeled else None
     predicted = 0
     for n, cases in zip(range(1, n_max + 1), _cases_by_order(theorem, len(vals or ()))):
         predicted += cases

@@ -1,3 +1,4 @@
+import itertools
 import sys
 from collections.abc import Sequence
 from fractions import Fraction
@@ -48,6 +49,7 @@ from ultratree import (
     validate_tree,
     validate_ultrametric,
 )
+from ultratree.spaces import _first_offender
 
 
 def fig1_space():
@@ -465,6 +467,43 @@ class TestAgainstOracles:
         assert form != CanonicalForm(Fraction(0), ())
         assert repr(hand).startswith("CanonicalForm('(1099(0)(1098(0)")
         assert hand.serialized.count("(") == 2 * n - 1
+
+
+def _small_code_matrices(max_order=5, codes=(1, 2, 3)):
+    """Every symmetric matrix with a zero diagonal and off-diagonal entries
+    from ``codes``, on 1 to ``max_order`` points."""
+    for n in range(1, max_order + 1):
+        pairs = list(itertools.combinations(range(n), 2))
+        for upper in itertools.product(codes, repeat=len(pairs)):
+            d = [[0] * n for _ in range(n)]
+            for (i, j), x in zip(pairs, upper):
+                d[i][j] = d[j][i] = x
+            yield d
+
+
+class TestJoinRule:
+    """The join rule of validation and canonical forms on every small matrix
+    of rank codes, against the scan over every ordered triple and the
+    recursive split."""
+
+    def test_every_small_matrix(self):
+        matrices = ultrametrics = 0
+        for d in _small_code_matrices():
+            n = len(d)
+            triples = itertools.product(range(n), repeat=3)
+            valid = not any(d[i][j] > max(d[i][k], d[k][j]) for i, j, k in triples)
+            offence = _first_offender(d)
+            if valid:
+                assert offence is None
+                space = FiniteUltrametricSpace(tuple(f"p{i}" for i in range(n)), d)
+                assert canonical_form(space) == brute_form(space)
+                ultrametrics += 1
+            else:
+                axiom, (i, j, k) = offence
+                assert axiom == "strong-triangle"
+                assert d[i][j] > max(d[i][k], d[k][j])
+            matrices += 1
+        assert (matrices, ultrametrics) == (59_809, 434)
 
 
 def _any_outcome(validate, points, rows):

@@ -184,6 +184,14 @@ class TestParameterErrors:
         with pytest.raises(ValueError):
             verify_theorem_nondegeneracy(3, (0, -1))
 
+    @pytest.mark.parametrize(
+        "sweep", [verify_theorem_nondegeneracy, verify_main_theorem, verify_classification]
+    )
+    def test_no_values(self, sweep):
+        # a labeled sweep over no value grid would check no labeling and pass
+        with pytest.raises(ValueError, match="values must be non-empty"):
+            sweep(5, None)
+
     def test_budget_boundary(self):
         report = verify_theorem_nondegeneracy(2, (0, 1), budget=6)
         assert report.cases_checked == 6
