@@ -227,8 +227,8 @@ def enumerate_labelings(
 
 def _canon_values(values) -> tuple[Fraction, ...]:
     """The distinct values, coerced to non-negative Fractions and sorted;
-    ValueError when there are none."""
-    vals = sorted({coerce_nonnegative(v) for v in values})
+    ValueError when there are none (``values`` empty or None)."""
+    vals = sorted({coerce_nonnegative(v) for v in values or ()})
     if not vals:
         raise ValueError("values must be non-empty")
     return tuple(vals)

@@ -245,6 +245,32 @@ def _diameter(adj) -> int:
     return steps
 
 
+def _canonical_tree(adj) -> tuple[tuple[int, ...], list[int]]:
+    """(key, position of each vertex) in the canonical form: the preorder
+    from the first root of least AHU string, children by ascending string.
+    The key, each position's parent position (the root its own), spells the
+    form, so isomorphic trees and no others share it."""
+    n, best = len(adj), None
+    for root in range(n):
+        parent, order = _bfs_parents(n, adj, root)
+        text, kids = [""] * n, [[] for _ in range(n)]
+        for v in reversed(order):  # children before parents
+            kids[v].sort(key=text.__getitem__)
+            text[v] = "(" + "".join(map(text.__getitem__, kids[v])) + ")"
+            if v != root:
+                kids[parent[v]].append(v)
+        if best is None or text[root] < best[0]:
+            best = text[root], root, parent, kids
+    _, root, parent, kids = best
+    at, key, stack = [0] * n, [], [root]
+    while stack:
+        v = stack.pop()
+        at[v] = len(key)
+        key.append(at[parent[v]])
+        stack.extend(reversed(kids[v]))
+    return tuple(key), at
+
+
 def _vertex_names(n: int) -> tuple[str, ...]:
     return tuple(f"v{i + 1}" for i in range(n))
 

@@ -69,10 +69,12 @@ label; with m its minimum, first reached at a, the rest costs O(k):
   axioms, a non-degenerate one for the witness. Each labeling is counted
   with its own verdict at a leaf; a mismatch rebuilds the full matrix.
 
-The walk reads only the tree's breadth-first shape, each position's parent
-position, so a sweep walks each shape once (42 shapes for the 1,296 trees
-of order 6) and keeps its leaf count and failing labelings; each tree of the
-shape adds the count and maps the failures to its own vertices.
+A vertex relabeling carries every verdict across, so a sweep walks each
+isomorphism class once (6 for the 1,296 trees of order 6), on the tree its
+key (trees._canonical_tree) spells, keeping its leaf count and failing
+labelings. Trees are keyed by breadth-first shape, each position's parent
+position: a shape's first tree maps its class's failures to the shape's
+positions, and each tree adds the count and maps them to its own vertices.
 """
 
 from __future__ import annotations
@@ -102,6 +104,7 @@ from .trees import (
     Tree,
     TreeKind,
     _bfs_parents,
+    _canonical_tree,
     _diameter,
     _index_adjacency,
     _index_tree,
@@ -239,26 +242,36 @@ def _labelings(n: int, adj, codes, witness: bool, leaf) -> None:
             extend(1, True, True, [0], [float("inf")])  # one point: no other in its column
 
 
-def _shape_walk(memo: dict, n: int, adj, codes, witness: bool):
+def _shape_walk(memo: dict, n: int, adj, codes, witness: bool, classes: dict | None = None):
     """(cases, failures) of _labelings on one tree, a failure being
     (labeling by vertex, nondeg) with a wrong verdict. The walk runs once
-    per shape (each breadth-first position's parent position) in ``memo``,
-    on the tree whose vertices are the positions."""
+    per isomorphism class in ``classes`` (by default this call's), on the
+    tree its key spells; ``memo`` keeps, per shape (each breadth-first
+    position's parent position), the class's count and failures by the
+    shape's positions."""
+
+    def spelled(key):  # the tree on 0..n-1 in which k's parent is key[k]
+        return _index_adjacency(n, zip(key[1:], range(1, n)))
+
     parent, order = _bfs_parents(n, adj, 0)
     at = {v: k for k, v in enumerate(order)}
     key = tuple(at[parent[v]] for v in order)
-    if key not in memo:  # parents listed first, so BFS visits 0, 1, ..., n - 1
-        shape = _index_adjacency(n, ((key[k], k) for k in range(1, n)))
-        cases, bad = 0, []
+    if key not in memo:
+        form, pos = _canonical_tree(spelled(key))
+        classes = {} if classes is None else classes
+        if form not in classes:
+            cases, bad = 0, []
 
-        def leaf(lab, nondeg, verdict):
-            nonlocal cases
-            cases += 1
-            if (nondeg and not verdict) if witness else verdict != nondeg:
-                bad.append((tuple(lab), nondeg))
+            def leaf(lab, nondeg, verdict):
+                nonlocal cases
+                cases += 1
+                if (nondeg and not verdict) if witness else verdict != nondeg:
+                    bad.append((tuple(lab), nondeg))
 
-        _labelings(n, shape, codes, witness, leaf)
-        memo[key] = cases, bad
+            _labelings(n, spelled(form), codes, witness, leaf)
+            classes[form] = cases, bad
+        cases, bad = classes[form]
+        memo[key] = cases, [([by_form[p] for p in pos], nondeg) for by_form, nondeg in bad]
     cases, bad = memo[key]
     return cases, [([by_pos[at[v]] for v in range(n)], nondeg) for by_pos, nondeg in bad]
 
@@ -326,8 +339,9 @@ class _Facts:
         return _longest_path(self.adj, self.names)
 
     def walk(self, witness: bool):
-        """_shape_walk over the sweep's codes, one memo per mode."""
-        return _shape_walk(self.memo.setdefault(witness, {}), self.n, self.adj, self.codes, witness)
+        """_shape_walk over the sweep's codes, a shape and a class memo per mode."""
+        shapes, classes = self.memo.setdefault(witness, ({}, {}))
+        return _shape_walk(shapes, self.n, self.adj, self.codes, witness, classes)
 
     def fail(self, claim: str, evidence: dict, lab=None, values=None) -> Certificate:
         """The certificate of a failure on this tree: on the labeling ``lab``
@@ -548,7 +562,7 @@ def _execute(theorem, n_max, values, budget, jobs, subchecks=None) -> Verificati
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     labeled = any(claim.per_labeling for claim, _, _ in _reported(theorem))
-    vals = _canon_values(() if values is None else values) if labeled else None
+    vals = _canon_values(values) if labeled else None
     predicted = 0
     for n, cases in zip(range(1, n_max + 1), _cases_by_order(theorem, len(vals or ()))):
         predicted += cases
@@ -559,7 +573,7 @@ def _execute(theorem, n_max, values, budget, jobs, subchecks=None) -> Verificati
                 f"{_decimal(budget)}; raise the budget to run this grid"
             )
     started = time.perf_counter()
-    chunks = jobs if n_max >= _POOL_MIN_ORDER else 1  # one chunk walks each shape once
+    chunks = jobs if n_max >= _POOL_MIN_ORDER else 1  # one chunk walks each class once
     tasks = []
     for n in range(n_max, 0, -1):  # largest first, so the workers finish together
         for lo, hi in _split_range(_tree_count(n), chunks):

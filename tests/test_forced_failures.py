@@ -2,7 +2,7 @@
 reports.
 
 Each run below breaks one step of a sweep on purpose, so its report carries
-certificates: a flipped verdict of the labeling walk on the path shape, a
+certificates: a flipped verdict of the labeling walk on the path, a
 witness found in every counterexample space, a classifier that tags stars as
 double stars. ``forced_failures.json`` holds the reports of these runs
 (``report_to_dict`` with ``elapsed_ms`` dropped) and pins their bytes: the
@@ -36,13 +36,14 @@ FIXTURE = Path(__file__).with_name("forced_failures.json")
 
 
 def _path_shape(n):
-    """Adjacency of the breadth-first shape of a path walked from one end."""
+    """Adjacency of the path's canonical form, walked from one end, which
+    every labeled path of order n shares."""
     return [[j for j in (k - 1, k + 1) if 0 <= j < n] for k in range(n)]
 
 
 def _flip(monkeypatch, forced):
     """Flip the walk's verdict on the labeling ``forced`` (cut to the order)
-    of the path shape."""
+    of the path's canonical form."""
     walk = verify._labelings
 
     def flipped(n, adj, codes, witness, leaf):

@@ -383,6 +383,8 @@ class TestEnumerateLabelings:
     def test_empty_values(self):
         with pytest.raises(ValueError):
             enumerate_labelings(path_tree(2), ())
+        with pytest.raises(ValueError, match="values must be non-empty"):
+            enumerate_labelings(path_tree(2), None)
 
     def test_budget_checked_before_iteration(self):
         with pytest.raises(BudgetExceeded):

@@ -33,7 +33,14 @@ from ultratree import (
     unique_path,
     validate_tree,
 )
-from ultratree.trees import _index_tree, _prufer_edges, _rank_edges, _vertex_names
+from ultratree.trees import (
+    _canonical_tree,
+    _index_adjacency,
+    _index_tree,
+    _prufer_edges,
+    _rank_edges,
+    _vertex_names,
+)
 
 
 class TestValidateTree:
@@ -279,3 +286,35 @@ class TestEnumerateTrees:
         first = list(itertools.islice(gen, 3))
         assert len(first) == 3
         assert all(t.order == 9 for t in first)
+
+
+def _bfs_shapes(n):
+    """Every breadth-first shape of order n: the parent position of each
+    position, the root its own, non-decreasing and each below its own
+    position. There are Catalan(n - 1) of them."""
+    shapes = [(0,)]
+    for k in range(1, n):
+        shapes = [s + (p,) for s in shapes for p in range(s[-1], k)]
+    return shapes
+
+
+class TestCanonicalTree:
+    def test_every_shape_to_order_eight_against_networkx(self):
+        nx = pytest.importorskip("networkx")
+        shapes = 0
+        for n in range(1, 9):
+            forms = set()
+            for key in _bfs_shapes(n):
+                edges = list(zip(key[1:], range(1, n)))
+                form, at = _canonical_tree(_index_adjacency(n, edges))
+                spelled = list(zip(form[1:], range(1, n)))
+                # a preorder of a rooted tree, onto which ``at`` maps every edge
+                assert form[0] == 0 and all(p < k for p, k in spelled)
+                assert sorted(at) == list(range(n))
+                mapped = {frozenset((at[a], at[b])) for a, b in edges}
+                assert mapped == set(map(frozenset, spelled))
+                assert _canonical_tree(_index_adjacency(n, spelled))[0] == form
+                forms.add(form)
+                shapes += 1
+            assert len(forms) == (len(list(nx.nonisomorphic_trees(n))) if n >= 2 else 1)
+        assert shapes == 626

@@ -402,14 +402,15 @@ class TestLabelingWalk:
         self._check(tree, adj, vals, labs, axioms, witness)
 
     def test_forced_mismatch_names_the_full_scan_offender(self, monkeypatch):
-        # flip the verdict on labeling (0, 0, 1) by breadth-first position
-        # of the order-3 path shape, which v1 - v2 - v3 and v1 - v3 - v2 share
-        forced, path_shape = (0, 0, 1), [[1], [0, 2], [1]]
+        # flip the verdict on labeling (0, 0, 1) by position of the order-3
+        # path's canonical form, walked from one end, which all three
+        # labeled trees of order 3 share
+        forced, path_form = (0, 0, 1), [[1], [0, 2], [1]]
         walk = verify._labelings
 
         def flipped(n, adj, codes, witness, leaf):
             def spy(lab, nondeg, verdict):
-                if adj == path_shape and tuple(lab) == forced:
+                if adj == path_form and tuple(lab) == forced:
                     verdict = not verdict
                 leaf(lab, nondeg, verdict)
 
@@ -419,10 +420,11 @@ class TestLabelingWalk:
         report = verify_theorem_nondegeneracy(3, (0, 1))
         assert report.cases_checked == expected_cases("nondeg", 3, 2)
         names = ("v1", "v2", "v3")
+        star = validate_tree(names, [("v1", "v2"), ("v1", "v3")])
         far_path = validate_tree(names, [("v1", "v3"), ("v3", "v2")])
-        assert [cert.tree for cert in report.failures] == [path_tree(3), far_path]
-        for cert, near in zip(report.failures, ("v2", "v3")):
-            # v1 and its neighbour take the two zeros, each tree by its own vertices
+        assert [cert.tree for cert in report.failures] == [star, path_tree(3), far_path]
+        for cert, near in zip(report.failures, ("v2", "v2", "v3")):
+            # v1 and a neighbour take the two zeros, each tree by its own vertices
             assert cert.labeling == {v: int(v not in ("v1", near)) for v in names}
             lab = tuple(int(cert.labeling[v]) for v in names)
             pairs = pair_paths(3, index_adjacency(cert.tree))
@@ -449,10 +451,25 @@ def _direct_walk(n, adj, codes, witness):
     return cases, bad
 
 
+def _counted_walks(mp):
+    """Stands verify._labelings in with a walk that records the order of
+    each tree it walks; returns the list of orders."""
+    walked = []
+    walk = verify._labelings
+
+    def counting(n, adj, codes, witness, leaf):
+        walked.append(n)
+        walk(n, adj, codes, witness, leaf)
+
+    mp.setattr(verify, "_labelings", counting)
+    return walked
+
+
 class TestShapeMemo:
-    """One walk per breadth-first shape, mapped back to each tree, against
-    a walk on each tree. Long trees are included: their labelings without
-    a witness give the witness mode failures to map."""
+    """One walk per isomorphism class, mapped back to each breadth-first
+    shape and each tree, against a walk on each tree. Long trees are
+    included: their labelings without a witness give the witness mode
+    failures to map."""
 
     @pytest.mark.parametrize("values", [(0, 1, 2), (1, 3), (0, "1/2", 7)])
     def test_every_tree_up_to_order_five(self, values):
@@ -475,31 +492,31 @@ class TestShapeMemo:
     def test_random_trees_of_orders_seven_and_eight(self, tree, rnd):
         n = tree.order
         adj = index_adjacency(tree)
+        new = list(range(n))
+        rnd.shuffle(new)
+        copy = [None] * n  # the tree with vertex v renamed new[v]
+        for v in range(n):
+            copy[new[v]] = [new[u] for u in adj[v]]
         codes = _grid((0, 1, 2))[1]
         witness = rnd.random() < 0.5
-        memo = {}
-        want = _direct_walk(n, adj, codes, witness)
-        for _ in range(2):  # the walk, then the memo
-            cases, bad = _shape_walk(memo, n, adj, codes, witness)
-            assert cases == want[0] == 3**n
-            assert sorted(bad) == sorted(want[1])
-        assert len(memo) == 1
+        memo, classes = {}, {}
+        with pytest.MonkeyPatch.context() as mp:
+            walked = _counted_walks(mp)
+            for each in (adj, adj, copy):  # the walk, the memo, an isomorphic copy
+                cases, bad = _shape_walk(memo, n, each, codes, witness, classes)
+                want = _direct_walk(n, each, codes, witness)
+                assert cases == want[0] == 3**n
+                assert sorted(bad) == sorted(want[1])
+        assert walked == [n]
 
     def test_memo_lives_within_one_call(self, monkeypatch):
-        walked = []
-        walk = verify._labelings
-
-        def counting(n, adj, codes, witness, leaf):
-            walked.append(n)
-            walk(n, adj, codes, witness, leaf)
-
-        monkeypatch.setattr(verify, "_labelings", counting)
+        walked = _counted_walks(monkeypatch)
         for _ in range(2):
             walked.clear()
             report = verify_theorem_nondegeneracy(5, (0, 1))
             assert report.cases_checked == expected_cases("nondeg", 5, 2)
-            # shapes by order: 1, 1, 2, 5, 14 (Catalan numbers)
-            assert len(walked) == 1 + 1 + 2 + 5 + 14 == 23
+            # free trees by order: 1, 1, 1, 2, 3 (OEIS A000055)
+            assert len(walked) == 1 + 1 + 1 + 2 + 3 == 8
 
 
 class TestCodedCounterexample:
