@@ -242,13 +242,13 @@ def _labelings(n: int, adj, codes, witness: bool, leaf) -> None:
             extend(1, True, True, [0], [float("inf")])  # one point: no other in its column
 
 
-def _shape_walk(memo: dict, n: int, adj, codes, witness: bool, classes: dict | None = None):
+def _shape_walk(memo: dict, classes: dict, n: int, adj, codes, witness: bool):
     """(cases, failures) of _labelings on one tree, a failure being
     (labeling by vertex, nondeg) with a wrong verdict. The walk runs once
-    per isomorphism class in ``classes`` (by default this call's), on the
-    tree its key spells; ``memo`` keeps, per shape (each breadth-first
-    position's parent position), the class's count and failures by the
-    shape's positions."""
+    per isomorphism class, on the tree its key spells, and ``classes``
+    keeps its count and failures by the key's positions; ``memo`` keeps,
+    per shape (each breadth-first position's parent position), the
+    class's count and failures by the shape's positions."""
 
     def spelled(key):  # the tree on 0..n-1 in which k's parent is key[k]
         return _index_adjacency(n, zip(key[1:], range(1, n)))
@@ -258,7 +258,6 @@ def _shape_walk(memo: dict, n: int, adj, codes, witness: bool, classes: dict | N
     key = tuple(at[parent[v]] for v in order)
     if key not in memo:
         form, pos = _canonical_tree(spelled(key))
-        classes = {} if classes is None else classes
         if form not in classes:
             cases, bad = 0, []
 
@@ -341,7 +340,7 @@ class _Facts:
     def walk(self, witness: bool):
         """_shape_walk over the sweep's codes, a shape and a class memo per mode."""
         shapes, classes = self.memo.setdefault(witness, ({}, {}))
-        return _shape_walk(shapes, self.n, self.adj, self.codes, witness, classes)
+        return _shape_walk(shapes, classes, self.n, self.adj, self.codes, witness)
 
     def fail(self, claim: str, evidence: dict, lab=None, values=None) -> Certificate:
         """The certificate of a failure on this tree: on the labeling ``lab``

@@ -298,9 +298,12 @@ def _bfs_shapes(n):
     return shapes
 
 
+# free trees by order, 1 through 8 (OEIS A000055)
+FREE_TREES = (1, 1, 1, 2, 3, 6, 11, 23)
+
+
 class TestCanonicalTree:
-    def test_every_shape_to_order_eight_against_networkx(self):
-        nx = pytest.importorskip("networkx")
+    def test_every_shape_to_order_eight(self):
         shapes = 0
         for n in range(1, 9):
             forms = set()
@@ -316,5 +319,10 @@ class TestCanonicalTree:
                 assert _canonical_tree(_index_adjacency(n, spelled))[0] == form
                 forms.add(form)
                 shapes += 1
-            assert len(forms) == (len(list(nx.nonisomorphic_trees(n))) if n >= 2 else 1)
+            assert len(forms) == FREE_TREES[n - 1]
         assert shapes == 626
+
+    def test_free_tree_counts_against_networkx(self):
+        nx = pytest.importorskip("networkx")
+        counts = tuple(len(list(nx.nonisomorphic_trees(n))) for n in range(2, 9))
+        assert FREE_TREES[1:] == counts

@@ -472,19 +472,22 @@ class TestShapeMemo:
     failures to map."""
 
     @pytest.mark.parametrize("values", [(0, 1, 2), (1, 3), (0, "1/2", 7)])
-    def test_every_tree_up_to_order_five(self, values):
+    def test_every_tree_up_to_order_five(self, values, monkeypatch):
         codes = _grid(values)[1]
+        walked = _counted_walks(monkeypatch)
         mapped = 0
         for n in range(1, 6):
             for witness in (False, True):
-                memo = {}
+                memo, classes = {}, {}
                 for rank in range(cayley(n)):
                     adj = _index_adjacency(n, _rank_edges(n, rank))
-                    cases, bad = _shape_walk(memo, n, adj, codes, witness)
+                    cases, bad = _shape_walk(memo, classes, n, adj, codes, witness)
                     want_cases, want_bad = _direct_walk(n, adj, codes, witness)
                     assert cases == want_cases == len(codes) ** n
                     assert sorted(bad) == sorted(want_bad)
                     mapped += len(bad)
+        # one walk per free tree (1, 1, 1, 2, 3 by order) and mode
+        assert len(walked) == 2 * 8
         assert mapped > 0
 
     @settings(max_examples=30)
@@ -503,7 +506,7 @@ class TestShapeMemo:
         with pytest.MonkeyPatch.context() as mp:
             walked = _counted_walks(mp)
             for each in (adj, adj, copy):  # the walk, the memo, an isomorphic copy
-                cases, bad = _shape_walk(memo, n, each, codes, witness, classes)
+                cases, bad = _shape_walk(memo, classes, n, each, codes, witness)
                 want = _direct_walk(n, each, codes, witness)
                 assert cases == want[0] == 3**n
                 assert sorted(bad) == sorted(want[1])
