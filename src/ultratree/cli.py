@@ -1,9 +1,11 @@
 """Command line entry points.
 
-One subcommand per invocation. Exit codes: 0 for success or a positive
-answer, 1 for usage, parsing, input-validation, or budget errors, 2 for a
-negative answer (no witness, not isometric, counterexample inapplicable,
-verification failure).
+One subcommand per invocation, each a row of ``_COMMANDS``, the table the
+parser is built from. A row's handler reads its inputs, prints the answer and
+returns ``(payload, exit_code)``; ``run`` writes the payload to ``--json OUT``
+when given. Exit codes: 0 for success or a positive answer, 1 for usage,
+parsing, input-validation, or budget errors, 2 for a negative answer (no
+witness, not isometric, counterexample inapplicable, verification failure).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import csv
 import json
 import sys
 
+from . import verify
 from .errors import NoLongPath, NotUS, UltratreeError
 from .labelings import build_ultrametric, counterexample_labeling
 from .rationals import format_rational, parse_rational
@@ -25,14 +28,15 @@ from .serialize import (
 )
 from .spaces import check_isometric, realize_as_star, us_witness
 from .trees import classify
-from .verify import (
-    DEFAULT_CASE_BUDGET,
-    report_to_dict,
-    verify_classification,
-    verify_main_theorem,
-    verify_structure_lemmas,
-    verify_theorem_nondegeneracy,
-)
+from .verify import DEFAULT_CASE_BUDGET, report_to_dict
+
+# the sweep in ``verify`` for each --theorem, looked up per call so a patched binding applies
+_THEOREMS = {
+    "nondeg": "verify_theorem_nondegeneracy",
+    "main": "verify_main_theorem",
+    "lemmas": "verify_structure_lemmas",
+    "classify": "verify_classification",
+}
 
 
 def _load(path):
@@ -40,83 +44,64 @@ def _load(path):
         return json.load(fh)
 
 
-def _emit_json(obj, path):
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, indent=2)
-            fh.write("\n")
-
-
-def _cmd_distance(args) -> int:
+def _distance(args):
     lt = labeled_tree_from_dict(_load(args.file))
     space = build_ultrametric(lt)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow([""] + list(space.points))
     for name, row in zip(space.points, space.dist):
         writer.writerow([name] + [format_rational(x) for x in row])
-    _emit_json(space_to_dict(space), args.json)
-    return 0
+    return space_to_dict(space), 0
 
 
-def _cmd_check_us(args) -> int:
+def _check_us(args):
     space = space_from_dict(_load(args.file))
     witness = us_witness(space)
     print(witness if witness is not None else "NOT-US")
-    _emit_json({"witness": witness}, args.json)
-    return 0 if witness is not None else 2
+    return {"witness": witness}, 0 if witness is not None else 2
 
 
-def _cmd_realize(args) -> int:
+def _realize(args):
     space = space_from_dict(_load(args.file))
     payload = labeled_tree_to_dict(realize_as_star(space))
     print(json.dumps(payload, indent=2))
-    _emit_json(payload, args.json)
-    return 0
+    return payload, 0
 
 
-def _cmd_classify(args) -> int:
+def _classify(args):
     result = classify(tree_from_dict(_load(args.file)))
     print(result.tag.value)
-    _emit_json({"tag": result.tag.value, "centers": list(result.centers)}, args.json)
-    return 0
+    return {"tag": result.tag.value, "centers": list(result.centers)}, 0
 
 
-def _cmd_isometric(args) -> int:
+def _isometric(args):
     a = space_from_dict(_load(args.first))
     b = space_from_dict(_load(args.second))
     result = check_isometric(a, b)
     print("true" if result else "false")
-    _emit_json({"isometric": result}, args.json)
-    return 0 if result else 2
+    return {"isometric": result}, 0 if result else 2
 
 
-def _cmd_counterexample(args) -> int:
+def _counterexample(args):
     tree = tree_from_dict(_load(args.file))
     payload = labeled_tree_to_dict(counterexample_labeling(tree))
     print(json.dumps(payload, indent=2))
-    _emit_json(payload, args.json)
-    return 0
+    return payload, 0
 
 
-def _cmd_verify(args) -> int:
+def _verify(args):
     pieces = [s.strip() for s in args.values.split(",") if s.strip()]
     values = [parse_rational(s) for s in pieces]
-    if not values and args.theorem != "lemmas":
+    grid = (values,) if args.theorem != "lemmas" else ()  # lemmas checks trees only
+    if grid and not values:
         raise ValueError("--values must name at least one rational")
     if args.budget > DEFAULT_CASE_BUDGET:
         print(
             f"note: budget raised to {args.budget}, large grids can take minutes",
             file=sys.stderr,
         )
-    kwargs = {"budget": args.budget, "jobs": args.jobs}
-    if args.theorem == "nondeg":
-        report = verify_theorem_nondegeneracy(args.max_order, values, **kwargs)
-    elif args.theorem == "main":
-        report = verify_main_theorem(args.max_order, values, **kwargs)
-    elif args.theorem == "lemmas":
-        report = verify_structure_lemmas(args.max_order, **kwargs)
-    else:
-        report = verify_classification(args.max_order, values, **kwargs)
+    sweep = getattr(verify, _THEOREMS[args.theorem])
+    report = sweep(args.max_order, *grid, budget=args.budget, jobs=args.jobs)
 
     params = report.parameters
     values_text = ",".join(params["values"]) if params["values"] else "-"
@@ -132,8 +117,44 @@ def _cmd_verify(args) -> int:
             f"  violated: {cert.claim_violated} on a tree of order {cert.tree.order}",
             file=sys.stderr,
         )
-    _emit_json(report_to_dict(report), args.json)
-    return 0 if report.status == "pass" else 2
+    return report_to_dict(report), 0 if report.status == "pass" else 2
+
+
+_SPACE = {"file": dict(help="space JSON")}
+# name: (handler, help, {positional input or option: add_argument keywords}, help of --json OUT)
+_COMMANDS = {
+    "distance": (
+        _distance, "distance matrix of a labeled tree, as CSV",
+        {"file": dict(help="labeled tree JSON")}, "also write the space as JSON",
+    ),
+    "check-us": (_check_us, "witness point of a space, or NOT-US", _SPACE, None),
+    "realize": (_realize, "labeled star generating a space", _SPACE, None),
+    "classify": (
+        _classify, "Star, DoubleStar, or Other",
+        {"file": dict(help="tree JSON (labels, if present, are ignored)")}, None,
+    ),
+    "isometric": (
+        _isometric, "whether two spaces are isometric",
+        {"first": dict(help="space JSON"), "second": dict(help="space JSON")}, None,
+    ),
+    "counterexample": (
+        _counterexample, "labeling of a long-path tree whose space is not star generated",
+        {"file": dict(help="tree JSON")}, None,
+    ),
+    "verify": (
+        _verify, "exhaustive theorem verification",
+        {
+            "--theorem": dict(required=True, choices=list(_THEOREMS)),
+            "--max-order": dict(type=int, default=6, metavar="N"),
+            "--values": dict(default="0,1,2", help="comma-separated label values, "
+                             "parsed but not used for lemmas (default 0,1,2)"),
+            "--jobs": dict(type=int, default=1, metavar="K"),
+            "--budget": dict(type=int, default=DEFAULT_CASE_BUDGET,
+                             help=f"maximum predicted cases (default {DEFAULT_CASE_BUDGET})"),
+        },
+        "write the report as JSON",
+    ),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -142,63 +163,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Ultrametric spaces generated by vertex-labeled trees",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("distance", help="distance matrix of a labeled tree, as CSV")
-    p.add_argument("file", help="labeled tree JSON")
-    p.add_argument("--json", metavar="OUT", help="also write the space as JSON")
-    p.set_defaults(handler=_cmd_distance)
-
-    p = sub.add_parser("check-us", help="witness point of a space, or NOT-US")
-    p.add_argument("file", help="space JSON")
-    p.add_argument("--json", metavar="OUT")
-    p.set_defaults(handler=_cmd_check_us)
-
-    p = sub.add_parser("realize", help="labeled star generating a space")
-    p.add_argument("file", help="space JSON")
-    p.add_argument("--json", metavar="OUT")
-    p.set_defaults(handler=_cmd_realize)
-
-    p = sub.add_parser("classify", help="Star, DoubleStar, or Other")
-    p.add_argument("file", help="tree JSON (labels, if present, are ignored)")
-    p.add_argument("--json", metavar="OUT")
-    p.set_defaults(handler=_cmd_classify)
-
-    p = sub.add_parser("isometric", help="whether two spaces are isometric")
-    p.add_argument("first", help="space JSON")
-    p.add_argument("second", help="space JSON")
-    p.add_argument("--json", metavar="OUT")
-    p.set_defaults(handler=_cmd_isometric)
-
-    p = sub.add_parser(
-        "counterexample",
-        help="labeling of a long-path tree whose space is not star generated",
-    )
-    p.add_argument("file", help="tree JSON")
-    p.add_argument("--json", metavar="OUT")
-    p.set_defaults(handler=_cmd_counterexample)
-
-    p = sub.add_parser("verify", help="exhaustive theorem verification")
-    p.add_argument(
-        "--theorem",
-        required=True,
-        choices=["nondeg", "main", "lemmas", "classify"],
-    )
-    p.add_argument("--max-order", type=int, default=6, metavar="N")
-    p.add_argument(
-        "--values",
-        default="0,1,2",
-        help="comma-separated label values, parsed but not used for lemmas (default 0,1,2)",
-    )
-    p.add_argument("--jobs", type=int, default=1, metavar="K")
-    p.add_argument(
-        "--budget",
-        type=int,
-        default=DEFAULT_CASE_BUDGET,
-        help=f"maximum predicted cases (default {DEFAULT_CASE_BUDGET})",
-    )
-    p.add_argument("--json", metavar="OUT", help="write the report as JSON")
-    p.set_defaults(handler=_cmd_verify)
-
+    for name, (handler, text, arguments, json_help) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for argument, keywords in arguments.items():
+            p.add_argument(argument, **keywords)
+        p.add_argument("--json", metavar="OUT", help=json_help)
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -208,13 +178,14 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:
-        return args.handler(args)
-    except (NotUS, NoLongPath) as err:
-        print(f"error[{err.code}]: {err}", file=sys.stderr)
-        return 2
+        payload, code = args.handler(args)
+        if args.json:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                print(json.dumps(payload, indent=2), file=fh)
+        return code
     except UltratreeError as err:
         print(f"error[{err.code}]: {err}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(err, (NotUS, NoLongPath)) else 1  # a negative answer, or an error
     except OSError as err:
         print(f"error[io]: {err}", file=sys.stderr)
         return 1

@@ -83,16 +83,16 @@ def _coded_distances(lt: LabeledTree):
     it holds (a label below all its neighbours shows nowhere) and its codes."""
     values, code = _value_codes(lt.labels.values())
     lab = [code[lt.labels[v]] for v in lt.tree.vertices]
-    return _compact(values, _path_max(lt.tree._indexed, lab, 0))
+    return _compact(values, _path_max(lt.tree._indexed, lab))
 
 
-def _path_max(adj, labels, zero) -> list[list]:
-    """Path-maximum matrix of the tree with index adjacency lists ``adj``,
-    ``zero`` on the diagonal. In breadth-first order from vertex 0 each row
-    is the label maxed into the parent's row, whose own entry reads as the
-    parent's label: paths to earlier vertices run through the parent."""
+def _path_max(adj, labels) -> list[list]:
+    """Path-maximum matrix of the tree with index adjacency lists ``adj``, 0
+    on the diagonal. In breadth-first order from vertex 0 each row is the
+    label maxed into the parent's row, whose own entry reads as the parent's
+    label: paths to earlier vertices run through the parent."""
     n = len(labels)
-    rows = [[zero] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     seen = [True] + [False] * (n - 1)
     order = [0]
     for p in order:

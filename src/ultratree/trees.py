@@ -162,14 +162,19 @@ def longest_path_length(tree: Tree) -> int:
     return _diameter(tree._indexed)
 
 
+def _kind_of(high: int) -> TreeKind:
+    """The class of a tree with ``high`` vertices of degree two or more."""
+    if high >= 3:
+        return TreeKind.OTHER
+    return TreeKind.DOUBLE_STAR if high == 2 else TreeKind.STAR
+
+
 def classify(tree: Tree) -> TreeClass:
-    """Star / DoubleStar / Other by the number of high-degree vertices."""
+    """Star / DoubleStar / Other by the number of high-degree vertices,
+    which are the centers of a star or a double star."""
     high = sorted(high_degree_vertices(tree))
-    if len(high) <= 1:
-        return TreeClass(TreeKind.STAR, tuple(high))
-    if len(high) == 2:
-        return TreeClass(TreeKind.DOUBLE_STAR, tuple(high))
-    return TreeClass(TreeKind.OTHER, ())
+    kind = _kind_of(len(high))
+    return TreeClass(kind, () if kind is TreeKind.OTHER else tuple(high))
 
 
 # ---------------------------------------------------------------------------

@@ -102,12 +102,12 @@ from .spaces import _first_offender, _joins, _value_codes, _witness_index
 from .serialize import tree_to_dict, tree_from_dict
 from .trees import (
     Tree,
-    TreeKind,
     _bfs_parents,
     _canonical_tree,
     _diameter,
     _index_adjacency,
     _index_tree,
+    _kind_of,
     _rank_edges,
     _tree_count,
     _vertex_names,
@@ -356,19 +356,12 @@ class _Facts:
 # ---------------------------------------------------------------------------
 # the claim checks on a tree's facts
 
-def _kind_of(high: int) -> TreeKind:
-    """The class of a tree with ``high`` vertices of degree two or more."""
-    if high >= 3:
-        return TreeKind.OTHER
-    return TreeKind.DOUBLE_STAR if high == 2 else TreeKind.STAR
-
-
 # judges of one labeling ``lab``, a rank code per vertex (0 for zero), on the
 # full path-max matrix: each returns the failure's evidence, or None
 
 def _validity(f: _Facts, lab) -> dict:
     """The validity claim's evidence, whether the claim holds or not."""
-    viol = _first_offender(_path_max(f.adj, lab, 0))
+    viol = _first_offender(_path_max(f.adj, lab))
     return {
         "nondegenerate": _zero_edge(f.edges, lab) is None,
         "matrix_valid": viol is None,
@@ -384,11 +377,11 @@ def _judge_validity(f: _Facts, lab) -> dict | None:
 def _judge_witness(f: _Facts, lab) -> dict | None:
     if _zero_edge(f.edges, lab) is not None:
         return None
-    return None if _witness_index(_path_max(f.adj, lab, 0)) is not None else {"witness": None}
+    return None if _witness_index(_path_max(f.adj, lab)) is not None else {"witness": None}
 
 
 def _judge_counterexample(f: _Facts, lab) -> dict | None:
-    i = _witness_index(_path_max(f.adj, lab, 0))
+    i = _witness_index(_path_max(f.adj, lab))
     return None if i is None else {"witness": f.names[i]}
 
 

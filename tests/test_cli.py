@@ -4,6 +4,7 @@ import json
 import os
 import tempfile
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -103,6 +104,12 @@ class TestRealize:
         assert all("c" in edge for edge in lt.tree.edges)
         assert build_ultrametric(lt) == space
 
+    def test_json_side_file_is_what_stdout_prints(self, capsys, tmp_path):
+        path, _ = star_space_file(tmp_path)
+        out = tmp_path / "star.json"
+        assert run(["realize", path, "--json", str(out)]) == 0
+        assert out.read_text() == capsys.readouterr().out
+
     def test_refuses_two_level_space(self, capsys):
         assert run(["realize", FIG1_SPACE]) == 2
         assert "error[not-us]" in capsys.readouterr().err
@@ -157,6 +164,11 @@ class TestCounterexample:
         assert payload["labels"] == {
             "v1": "2", "v2": "2", "v3": "3", "v4": "2", "v5": "2",
         }
+
+    def test_json_side_file_is_what_stdout_prints(self, capsys, tmp_path):
+        out = tmp_path / "labeling.json"
+        assert run(["counterexample", FIG1_PATH, "--json", str(out)]) == 0
+        assert out.read_text() == capsys.readouterr().out
 
     def test_short_tree(self, capsys):
         assert run(["counterexample", STAR]) == 2
@@ -241,6 +253,22 @@ class TestVerifyCommand:
             assert "error[usage]" in capsys.readouterr().err
 
 
+_USAGE = {
+    "": "usage: ultratree [-h]\n"
+    "                 {distance,check-us,realize,classify,isometric,counterexample,verify}\n"
+    "                 ...",
+    "distance": "usage: ultratree distance [-h] [--json OUT] file",
+    "check-us": "usage: ultratree check-us [-h] [--json OUT] file",
+    "realize": "usage: ultratree realize [-h] [--json OUT] file",
+    "classify": "usage: ultratree classify [-h] [--json OUT] file",
+    "isometric": "usage: ultratree isometric [-h] [--json OUT] first second",
+    "counterexample": "usage: ultratree counterexample [-h] [--json OUT] file",
+    "verify": "usage: ultratree verify [-h] --theorem {nondeg,main,lemmas,classify}\n"
+    "                        [--max-order N] [--values VALUES] [--jobs K]\n"
+    "                        [--budget BUDGET] [--json OUT]",
+}
+
+
 class TestUsageAndIO:
     def test_no_arguments(self, capsys):
         assert run([]) == 1
@@ -249,6 +277,12 @@ class TestUsageAndIO:
     def test_help(self, capsys):
         assert run(["--help"]) == 0
         assert "ultrametric" in capsys.readouterr().out.lower()
+
+    @pytest.mark.parametrize("command", sorted(_USAGE))
+    def test_usage_lines(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+        assert run([command, "--help"] if command else ["--help"]) == 0
+        assert capsys.readouterr().out.split("\n\n")[0] == _USAGE[command]
 
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == 1

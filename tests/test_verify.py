@@ -5,7 +5,7 @@ import os
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -490,7 +490,8 @@ class TestShapeMemo:
         assert len(walked) == 2 * 8
         assert mapped > 0
 
-    @settings(max_examples=30)
+    # no shrink phase: shrinking a failure of this test takes minutes
+    @settings(max_examples=30, phases=[Phase.explicit, Phase.reuse, Phase.generate])
     @given(random_trees(min_order=7, max_order=8), st.randoms(use_true_random=False))
     def test_random_trees_of_orders_seven_and_eight(self, tree, rnd):
         n = tree.order
