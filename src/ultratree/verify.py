@@ -52,11 +52,12 @@ end: its tasks carry the grid's Fractions, and a failure becomes a
 Certificate where it is found (_Facts.fail), its labeling the values of its
 codes, the counterexample's over (0, 2, 3) included.
 
-Each tree's labelings are swept by one depth-first walk over its vertices
-in breadth-first order from v1, so every vertex z joins the labeled prefix
-as a leaf and labelings sharing a prefix share its work. With code c on z
-and parent p, z's row is d(z, x) = max(c, d(p, x)), reading d(p, p) as p's
-label; with m its minimum, first reached at a, the rest costs O(k):
+Each tree's labelings are swept by one depth-first walk over its class
+key (see below), each vertex after its parent, so every vertex z joins the
+labeled prefix as a leaf and labelings sharing a prefix share its work. With
+code c on z and parent p, z's row is d(z, x) = max(c, d(p, x)), reading
+d(p, p) as p's label; with m its minimum, first reached at a, the rest costs
+O(k):
 
 * Axioms: a valid prefix stays valid iff m > 0 and d(z, x) = max(m, d(a, x))
   for all x, the join rule spaces._joins that validation applies too: the
@@ -70,11 +71,12 @@ label; with m its minimum, first reached at a, the rest costs O(k):
   with its own verdict at a leaf; a mismatch rebuilds the full matrix.
 
 A vertex relabeling carries every verdict across, so a sweep walks each
-isomorphism class once (6 for the 1,296 trees of order 6), on the tree its
-key (trees._canonical_tree) spells, keeping its leaf count and failing
-labelings. Trees are keyed by breadth-first shape, each position's parent
-position: a shape's first tree maps its class's failures to the shape's
-positions, and each tree adds the count and maps them to its own vertices.
+isomorphism class once (6 for the 1,296 trees of order 6), on its key
+(trees._canonical_tree), in which vertex k > 0 hangs from key[k] < k, and
+keeps its leaf count and failing labelings by key position. A tree's
+breadth-first shape, each position's parent position, is canonicalized
+once per shape, and each tree reads its class's failures through its
+vertices' key positions.
 """
 
 from __future__ import annotations
@@ -191,25 +193,26 @@ def _long_count(n: int) -> int:
 # ---------------------------------------------------------------------------
 # the labeling walk
 
-def _labelings(n: int, adj, codes, witness: bool, leaf) -> None:
-    """Call leaf(lab, nondeg, verdict) once for every labeling of the tree
-    over ``codes``; ``lab`` lists codes by vertex and is reused between
-    calls. The verdict is whether the path-max matrix is an ultrametric,
-    or with ``witness`` whether the matrix of a non-degenerate labeling has
-    a witness (False on degenerate ones). See the module docstring."""
-    parent, order = _bfs_parents(n, adj, 0)
-    at = {v: k for k, v in enumerate(order)}
+def _labelings(parents, codes, witness: bool, leaf) -> None:
+    """Call leaf(lab, nondeg, verdict) once for every labeling over ``codes``
+    of the tree in which vertex k > 0 hangs from ``parents[k]`` < k, a class
+    key of trees._canonical_tree; ``lab`` lists codes by vertex and is
+    reused between calls. The verdict is whether the path-max matrix is an
+    ultrametric, or with ``witness`` whether the matrix of a non-degenerate
+    labeling has a witness (False on degenerate ones). See the module
+    docstring."""
+    n = len(parents)
     lab = [0] * n
-    d = [[0] * n for _ in range(n)]  # by BFS position, zero diagonal
+    d = [[0] * n for _ in range(n)]  # zero diagonal
 
     def extend(k, nondeg, valid, cand, colmin):
-        z, p = order[k], parent[order[k]]
+        p = parents[k]
         above = lab[p]
-        dp = d[at[p]][:k]
-        dp[at[p]] = above
+        dp = d[p][:k]
+        dp[p] = above
         low = min(dp)
         for c in codes:
-            lab[z] = c
+            lab[k] = c
             nd = nondeg and (c > 0 or above > 0)
             ok, keep, cm = False, None, None
             if nd if witness else valid:
@@ -243,36 +246,31 @@ def _labelings(n: int, adj, codes, witness: bool, leaf) -> None:
 
 
 def _shape_walk(memo: dict, classes: dict, n: int, adj, codes, witness: bool):
-    """(cases, failures) of _labelings on one tree, a failure being
-    (labeling by vertex, nondeg) with a wrong verdict. The walk runs once
-    per isomorphism class, on the tree its key spells, and ``classes``
-    keeps its count and failures by the key's positions; ``memo`` keeps,
-    per shape (each breadth-first position's parent position), the
-    class's count and failures by the shape's positions."""
-
-    def spelled(key):  # the tree on 0..n-1 in which k's parent is key[k]
-        return _index_adjacency(n, zip(key[1:], range(1, n)))
-
+    """(cases, failing labelings by vertex) of _labelings on one tree. The
+    walk runs once per isomorphism class, on its key, and ``classes`` keeps
+    its count and failing labelings by key position; ``memo`` keeps, per
+    shape (each breadth-first position's parent position), the class key
+    and each position's key position."""
     parent, order = _bfs_parents(n, adj, 0)
     at = {v: k for k, v in enumerate(order)}
     key = tuple(at[parent[v]] for v in order)
     if key not in memo:
-        form, pos = _canonical_tree(spelled(key))
-        if form not in classes:
-            cases, bad = 0, []
+        # the shape's own tree, position k hanging from key[k]
+        memo[key] = _canonical_tree(_index_adjacency(n, zip(key[1:], range(1, n))))
+    form, pos = memo[key]
+    if form not in classes:
+        cases, bad = 0, []
 
-            def leaf(lab, nondeg, verdict):
-                nonlocal cases
-                cases += 1
-                if (nondeg and not verdict) if witness else verdict != nondeg:
-                    bad.append((tuple(lab), nondeg))
+        def leaf(lab, nondeg, verdict):
+            nonlocal cases
+            cases += 1
+            if (nondeg and not verdict) if witness else verdict != nondeg:
+                bad.append(tuple(lab))
 
-            _labelings(n, spelled(form), codes, witness, leaf)
-            classes[form] = cases, bad
-        cases, bad = classes[form]
-        memo[key] = cases, [([by_form[p] for p in pos], nondeg) for by_form, nondeg in bad]
-    cases, bad = memo[key]
-    return cases, [([by_pos[at[v]] for v in range(n)], nondeg) for by_pos, nondeg in bad]
+        _labelings(form, codes, witness, leaf)
+        classes[form] = cases, bad
+    cases, bad = classes[form]
+    return cases, [[lab[pos[at[v]]] for v in range(n)] for lab in bad]
 
 
 # ---------------------------------------------------------------------------
@@ -389,12 +387,12 @@ def _axioms(f: _Facts):
     """The walk's axiom verdicts; a wrong one carries the full matrix's
     evidence, which shows whether the claim or the walk is at fault."""
     cases, bad = f.walk(False)
-    return cases, [f.fail(CLAIM_VALID_IFF_NONDEG, _validity(f, lab), lab) for lab, _ in bad]
+    return cases, [f.fail(CLAIM_VALID_IFF_NONDEG, _validity(f, lab), lab) for lab in bad]
 
 
 def _witnesses(f: _Facts):
     cases, bad = f.walk(True)
-    return cases, [f.fail(CLAIM_WITNESS, {"witness": None}, lab) for lab, _ in bad]
+    return cases, [f.fail(CLAIM_WITNESS, {"witness": None}, lab) for lab in bad]
 
 
 def _check_counterexample(f: _Facts) -> list[Certificate]:
@@ -565,14 +563,15 @@ def _execute(theorem, n_max, values, budget, jobs, subchecks=None) -> Verificati
                 f"{_decimal(budget)}; raise the budget to run this grid"
             )
     started = time.perf_counter()
-    chunks = jobs if n_max >= _POOL_MIN_ORDER else 1  # one chunk walks each class once
+    # one chunk walks each class once; chunks past the processor count only add tasks
+    chunks = min(jobs, os.cpu_count() or 1) if n_max >= _POOL_MIN_ORDER else 1
     tasks = []
     for n in range(n_max, 0, -1):  # largest first, so the workers finish together
         for lo, hi in _split_range(_tree_count(n), chunks):
             tasks.append(
                 {"theorem": theorem, "n": n, "lo": lo, "hi": hi, "values": vals}
             )
-    workers = min(chunks, len(tasks), os.cpu_count() or 1)
+    workers = min(chunks, len(tasks))
     if workers > 1:
         from multiprocessing import Pool
 

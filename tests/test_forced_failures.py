@@ -35,26 +35,21 @@ from ultratree import verify
 FIXTURE = Path(__file__).with_name("forced_failures.json")
 
 
-def _path_shape(n):
-    """Adjacency of the path's canonical form, walked from one end, which
-    every labeled path of order n shares."""
-    return [[j for j in (k - 1, k + 1) if 0 <= j < n] for k in range(n)]
-
-
 def _flip(monkeypatch, forced):
     """Flip the walk's verdict on the labeling ``forced`` (cut to the order)
-    of the path's canonical form."""
+    of the path's class key, the path rooted at one end, which every
+    labeled path of order n shares."""
     walk = verify._labelings
 
-    def flipped(n, adj, codes, witness, leaf):
-        shape = adj == _path_shape(n)
+    def flipped(parents, codes, witness, leaf):
+        path = list(parents) == [0, *range(len(parents) - 1)]
 
         def spy(lab, nondeg, verdict):
-            if shape and tuple(lab) == forced[:n]:
+            if path and tuple(lab) == forced[:len(parents)]:
                 verdict = not verdict
             leaf(lab, nondeg, verdict)
 
-        walk(n, adj, codes, witness, spy)
+        walk(parents, codes, witness, spy)
 
     monkeypatch.setattr(verify, "_labelings", flipped)
 

@@ -58,7 +58,7 @@ from ultratree.errors import (
 )
 from ultratree import verify
 from ultratree.spaces import _first_offender, _value_codes, _witness_index
-from ultratree.trees import _index_adjacency, _prufer_edges, _rank_edges
+from ultratree.trees import _bfs_parents, _index_adjacency, _prufer_edges, _rank_edges
 from ultratree.verify import (
     CLAIM_ADJACENT,
     CLAIM_AT_MOST_TWO,
@@ -273,6 +273,15 @@ class TestParallelExecution:
             assert chunksize == 1
             assert orders == sorted(orders, reverse=True)
 
+    def test_chunks_per_order_are_clamped_to_the_processors(self, monkeypatch):
+        asked = self._recording_pool(monkeypatch, 2)
+        monkeypatch.setattr(verify, "_POOL_MIN_ORDER", 1)
+        report = verify_structure_lemmas(6, jobs=10**6)
+        assert report.cases_checked == expected_cases("lemmas", 6, 0)
+        [(workers, _, orders)] = asked
+        assert workers == 2
+        assert all(orders.count(n) <= 2 for n in range(1, 7))
+
     def test_small_sweeps_run_in_process(self, monkeypatch):
         asked = self._recording_pool(monkeypatch, 2)
         small = verify_structure_lemmas(verify._POOL_MIN_ORDER - 1, jobs=2)
@@ -340,13 +349,27 @@ class TestCodedCore:
         self._agreement_on(3, (1, 3))
 
 
-def _walk_verdicts(n, adj, codes, witness):
+def _walk_tree(adj, codes, witness, leaf):
+    """_labelings on the tree with adjacency ``adj``: the walk runs on its
+    breadth-first positions from vertex 0, and ``leaf`` gets each labeling
+    by vertex."""
+    n = len(adj)
+    parent, order = _bfs_parents(n, adj, 0)
+    at = {v: k for k, v in enumerate(order)}
+
+    def by_vertex(lab, nondeg, verdict):
+        leaf([lab[at[v]] for v in range(n)], nondeg, verdict)
+
+    _labelings([at[parent[v]] for v in order], codes, witness, by_vertex)
+
+
+def _walk_verdicts(adj, codes, witness):
     verdicts = {}
 
     def leaf(lab, nondeg, verdict):
         verdicts[tuple(lab)] = (nondeg, verdict)
 
-    _labelings(n, adj, codes, witness, leaf)
+    _walk_tree(adj, codes, witness, leaf)
     return verdicts
 
 
@@ -377,8 +400,8 @@ class TestLabelingWalk:
                 edges = _rank_edges(n, rank)
                 adj = _index_adjacency(n, edges)
                 tree = validate_tree(names, [(names[a], names[b]) for a, b in edges])
-                axioms = _walk_verdicts(n, adj, codes, False)
-                witness = _walk_verdicts(n, adj, codes, True)
+                axioms = _walk_verdicts(adj, codes, False)
+                witness = _walk_verdicts(adj, codes, True)
                 labs = list(itertools.product(codes, repeat=n))
                 assert len(axioms) == len(witness) == len(labs)
                 self._check(tree, adj, vals, labs, axioms, witness)
@@ -396,25 +419,25 @@ class TestLabelingWalk:
         labs = data.draw(
             st.lists(st.tuples(*[st.sampled_from(codes)] * n), min_size=1, max_size=10)
         )
-        axioms = _walk_verdicts(n, adj, codes, False)
-        witness = _walk_verdicts(n, adj, codes, True)
+        axioms = _walk_verdicts(adj, codes, False)
+        witness = _walk_verdicts(adj, codes, True)
         assert len(axioms) == len(witness) == len(codes) ** n
         self._check(tree, adj, vals, labs, axioms, witness)
 
     def test_forced_mismatch_names_the_full_scan_offender(self, monkeypatch):
         # flip the verdict on labeling (0, 0, 1) by position of the order-3
-        # path's canonical form, walked from one end, which all three
+        # path's class key, the path rooted at one end, which all three
         # labeled trees of order 3 share
-        forced, path_form = (0, 0, 1), [[1], [0, 2], [1]]
+        forced, path_key = (0, 0, 1), (0, 0, 1)
         walk = verify._labelings
 
-        def flipped(n, adj, codes, witness, leaf):
+        def flipped(parents, codes, witness, leaf):
             def spy(lab, nondeg, verdict):
-                if adj == path_form and tuple(lab) == forced:
+                if tuple(parents) == path_key and tuple(lab) == forced:
                     verdict = not verdict
                 leaf(lab, nondeg, verdict)
 
-            walk(n, adj, codes, witness, spy)
+            walk(parents, codes, witness, spy)
 
         monkeypatch.setattr(verify, "_labelings", flipped)
         report = verify_theorem_nondegeneracy(3, (0, 1))
@@ -436,18 +459,18 @@ class TestLabelingWalk:
             assert cert.evidence["matrix_valid"] is False
 
 
-def _direct_walk(n, adj, codes, witness):
-    """(cases, failures) as _shape_walk reports them, from a walk on the
-    tree's own adjacency."""
+def _direct_walk(adj, codes, witness):
+    """(cases, failing labelings) as _shape_walk reports them, from a walk
+    on the tree itself."""
     cases, bad = 0, []
 
     def leaf(lab, nondeg, verdict):
         nonlocal cases
         cases += 1
         if (nondeg and not verdict) if witness else verdict != nondeg:
-            bad.append((list(lab), nondeg))
+            bad.append(lab)
 
-    _labelings(n, adj, codes, witness, leaf)
+    _walk_tree(adj, codes, witness, leaf)
     return cases, bad
 
 
@@ -457,17 +480,17 @@ def _counted_walks(mp):
     walked = []
     walk = verify._labelings
 
-    def counting(n, adj, codes, witness, leaf):
-        walked.append(n)
-        walk(n, adj, codes, witness, leaf)
+    def counting(parents, codes, witness, leaf):
+        walked.append(len(parents))
+        walk(parents, codes, witness, leaf)
 
     mp.setattr(verify, "_labelings", counting)
     return walked
 
 
 class TestShapeMemo:
-    """One walk per isomorphism class, mapped back to each breadth-first
-    shape and each tree, against a walk on each tree. Long trees are
+    """One walk per isomorphism class, its failures mapped to each tree's
+    vertices, against a walk on each tree. Long trees are
     included: their labelings without a witness give the witness mode
     failures to map."""
 
@@ -482,7 +505,7 @@ class TestShapeMemo:
                 for rank in range(cayley(n)):
                     adj = _index_adjacency(n, _rank_edges(n, rank))
                     cases, bad = _shape_walk(memo, classes, n, adj, codes, witness)
-                    want_cases, want_bad = _direct_walk(n, adj, codes, witness)
+                    want_cases, want_bad = _direct_walk(adj, codes, witness)
                     assert cases == want_cases == len(codes) ** n
                     assert sorted(bad) == sorted(want_bad)
                     mapped += len(bad)
@@ -508,7 +531,7 @@ class TestShapeMemo:
             walked = _counted_walks(mp)
             for each in (adj, adj, copy):  # the walk, the memo, an isomorphic copy
                 cases, bad = _shape_walk(memo, classes, n, each, codes, witness)
-                want = _direct_walk(n, each, codes, witness)
+                want = _direct_walk(each, codes, witness)
                 assert cases == want[0] == 3**n
                 assert sorted(bad) == sorted(want[1])
         assert walked == [n]
