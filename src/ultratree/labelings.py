@@ -25,7 +25,7 @@ from .errors import (
 )
 from .rationals import coerce_nonnegative
 from .spaces import FiniteUltrametricSpace, _compact, _decode, _value_codes
-from .trees import Tree, _bfs_parents
+from .trees import Tree, _far, _longest_path
 
 DEFAULT_LABELING_BUDGET = 1_000_000
 
@@ -167,41 +167,15 @@ def counterexample_labeling(tree: Tree) -> LabeledTree:
     generated space to those five vertices reproduces the pattern space,
     which has no witness point, so the full space has none either.
 
-    Deterministic choice: among all vertex pairs realizing the longest path
-    length, the lexicographically least (sorted) pair is used, and the
-    subpath starts from its smaller endpoint.
+    Deterministic choice: the 3 goes on the third vertex of a longest path,
+    counted from the least-named vertex that ends one.
     """
-    verts = tree.vertices
-    path = _longest_path(tree._indexed, verts)
+    verts, adj = tree.vertices, tree._indexed
+    path = _longest_path(adj, verts, _far(adj))
     if len(path) < 5:
         raise NoLongPath(f"longest path has {len(path) - 1} edges, need at least 4")
     codes = _counterexample_codes(path, len(verts))
     return LabeledTree(tree, {v: _COUNTEREXAMPLE_VALUES[c] for v, c in zip(verts, codes)})
-
-
-def _longest_path(adj, names) -> list[int]:
-    """The longest path chosen by counterexample_labeling, as indices into
-    the index adjacency lists ``adj``: the least pair of sorted ``names``
-    among the pairs farthest apart, listed from its smaller name. A vertex
-    ends a longest path iff its distance to one end a or b of a diameter
-    is the diameter, so four breadth-first searches find the pair."""
-    n = len(adj)
-
-    def reach(src):  # breadth-first parents, visiting order and distances from src
-        parent, order = _bfs_parents(n, adj, src)
-        dist = [0] * n
-        for v in order[1:]:
-            dist[v] = dist[parent[v]] + 1
-        return parent, order, dist
-
-    _, order, from_a = reach(_bfs_parents(n, adj, 0)[1][-1])
-    far, from_b = from_a[order[-1]], reach(order[-1])[2]
-    u = min((x for x in range(n) if far in (from_a[x], from_b[x])), key=names.__getitem__)
-    parent, _, from_u = reach(u)
-    path = [min((x for x in range(n) if from_u[x] == far), key=names.__getitem__)]
-    while path[-1] != u:
-        path.append(parent[path[-1]])
-    return path[::-1]
 
 
 def enumerate_labelings(

@@ -159,7 +159,7 @@ def high_degree_vertices(tree: Tree) -> set[str]:
 
 def longest_path_length(tree: Tree) -> int:
     """Edge count of a longest simple path (0 for the one-vertex tree)."""
-    return _diameter(tree._indexed)
+    return _far(tree._indexed)[2]
 
 
 def _kind_of(high: int) -> TreeKind:
@@ -236,18 +236,40 @@ def _bfs_parents(n: int, adj, src: int) -> tuple[list[int], list[int]]:
     return parent, order
 
 
-def _diameter(adj) -> int:
-    """Edge count of a longest path, by two breadth-first sweeps: the last
-    vertex reached from any start ends some longest path, and the last one
-    reached from there realizes its full length."""
+def _far(adj) -> tuple[list[int], list[int], int]:
+    """(parents, visiting order, diameter D) of the breadth-first search
+    from one end a of a longest path: the last vertex reached from any start
+    ends some longest path, and the last one reached from a, b, is D away."""
     n = len(adj)
-    start = _bfs_parents(n, adj, 0)[1][-1]
-    parent, order = _bfs_parents(n, adj, start)
+    parent, order = _bfs_parents(n, adj, _bfs_parents(n, adj, 0)[1][-1])
     steps, v = 0, order[-1]
-    while v != start:
+    while parent[v] != v:
         v = parent[v]
         steps += 1
-    return steps
+    return parent, order, steps
+
+
+def _longest_path(adj, names, far) -> list[int]:
+    """The longest path counterexample_labeling labels, as indices into the
+    index adjacency lists ``adj``, given ``far`` = _far(adj). A vertex ends a
+    longest path iff _far's end a or b is D away from it, so one more
+    search, from b, finds u, the least of ``names`` that does; the path is
+    u's parent chain in the search from that end. Which far end it reaches
+    cannot show: every longest path from u runs through the center, so all
+    of them share their first ceil(D/2) + 1 vertices."""
+    n, (parent_a, order_a, d) = len(adj), far
+    ends = {}
+    for parent, order in (parent_a, order_a), _bfs_parents(n, adj, order_a[-1]):
+        depth = [-1] * n  # the root, its own parent, gets 0
+        for v in order:
+            depth[v] = depth[parent[v]] + 1
+            if depth[v] == d:
+                ends[v] = parent
+    path = [min(ends, key=names.__getitem__)]
+    parent = ends[path[0]]
+    while parent[path[-1]] != path[-1]:
+        path.append(parent[path[-1]])
+    return path
 
 
 def _canonical_tree(adj) -> tuple[tuple[int, ...], list[int]]:

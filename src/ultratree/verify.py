@@ -28,8 +28,9 @@ finite value set. Each reports the claims the claim table lists for it:
 
 A sweep decodes each tree rank once into a facts record (_Facts): order,
 rank, index edges and adjacency, and, each computed when a claim first
-reads it, the diameter, the high-degree vertices, the public Tree, the
-counterexample path and the labeling walk. The claim table (_CLAIMS) maps
+reads it, the search record of trees._far (the diameter, and two of the
+three searches of the counterexample path), the high-degree vertices, the
+public Tree, that path and the labeling walk. The claim table (_CLAIMS) maps
 each claim id to the theorems that report it, with for each the trees it is
 checked on and whether its checks count as cases; to whether it is checked
 once per tree or once per labeling; to its check on the record; and, for a
@@ -95,7 +96,6 @@ from .labelings import (
     LabeledTree,
     _canon_values,
     _counterexample_codes,
-    _longest_path,
     _path_max,
     _zero_edge,
 )
@@ -106,10 +106,11 @@ from .trees import (
     Tree,
     _bfs_parents,
     _canonical_tree,
-    _diameter,
+    _far,
     _index_adjacency,
     _index_tree,
     _kind_of,
+    _longest_path,
     _rank_edges,
     _tree_count,
     _vertex_names,
@@ -318,8 +319,9 @@ class _Facts:
         return _vertex_names(self.n)
 
     @_fact
-    def diameter(self) -> int:
-        return _diameter(self.adj)
+    def far(self) -> tuple[list[int], list[int], int]:
+        """trees._far, whose ``far[2]`` is the diameter; the path reuses it."""
+        return _far(self.adj)
 
     @_fact
     def highs(self) -> list[int]:
@@ -333,7 +335,7 @@ class _Facts:
     @_fact
     def path(self) -> list[int]:
         """The longest path counterexample_labeling labels."""
-        return _longest_path(self.adj, self.names)
+        return _longest_path(self.adj, self.names, self.far)
 
     def walk(self, witness: bool):
         """_shape_walk over the sweep's codes, a shape and a class memo per mode."""
@@ -409,9 +411,9 @@ def _check_counterexample(f: _Facts) -> list[Certificate]:
 
 def _iff(f: _Facts) -> list[Certificate]:
     high = len(f.highs)
-    if (f.diameter <= 3) == (high <= 2):
+    if (f.far[2] <= 3) == (high <= 2):
         return []
-    return [f.fail(CLAIM_II_IFF_III, {"longest_path": f.diameter, "high_degree_count": high})]
+    return [f.fail(CLAIM_II_IFF_III, {"longest_path": f.far[2], "high_degree_count": high})]
 
 
 def _class_structure(f: _Facts) -> list[Certificate]:
@@ -433,8 +435,8 @@ class _Trees(NamedTuple):
 
 
 _ALL = _Trees(lambda f: True, _tree_count)
-_SHORT = _Trees(lambda f: f.diameter <= 3, _qualifying_count)
-_LONG = _Trees(lambda f: f.diameter > 3, _long_count)
+_SHORT = _Trees(lambda f: f.far[2] <= 3, _qualifying_count)
+_LONG = _Trees(lambda f: f.far[2] > 3, _long_count)
 _FEW = _Trees(lambda f: len(f.highs) <= 2, _qualifying_count)
 _MANY = _Trees(lambda f: len(f.highs) > 2, _long_count)
 
@@ -467,7 +469,7 @@ _CLAIMS = {
     CLAIM_AT_MOST_TWO: _Claim(  # one case per tree: the lemma holds vacuously on long trees
         {THEOREM_LEMMAS: (_ALL, True)}, False,
         lambda f: [f.fail(CLAIM_AT_MOST_TWO, {"high_degree": [f.names[v] for v in f.highs]})]
-        if f.diameter <= 3 and len(f.highs) > 2 else [],
+        if f.far[2] <= 3 and len(f.highs) > 2 else [],
     ),
     CLAIM_ADJACENT: _Claim(
         {THEOREM_LEMMAS: (_SHORT, False)}, False,
@@ -477,8 +479,8 @@ _CLAIMS = {
     CLAIM_CLASS_STRUCTURE: _Claim({THEOREM_CLASSIFY: (_ALL, True)}, False, _class_structure),
     CLAIM_CE_INAPPLICABLE: _Claim(
         {THEOREM_CLASSIFY: (_FEW, False)}, False,
-        lambda f: [f.fail(CLAIM_CE_INAPPLICABLE, {"longest_path": f.diameter})]
-        if f.diameter >= 4 else [],
+        lambda f: [f.fail(CLAIM_CE_INAPPLICABLE, {"longest_path": f.far[2]})]
+        if f.far[2] >= 4 else [],
     ),
 }
 

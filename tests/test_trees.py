@@ -1,10 +1,13 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import (
+    adjacency,
+    brute_counterexample,
     brute_longest_path,
     brute_prufer_edges,
     brute_trees,
@@ -19,6 +22,7 @@ from ultratree import (
     CapExceeded,
     EmptyVertexSet,
     HasCycle,
+    NoLongPath,
     NotConnected,
     SamePoint,
     Tree,
@@ -26,6 +30,7 @@ from ultratree import (
     TreeKind,
     UnknownVertex,
     classify,
+    counterexample_labeling,
     degree,
     enumerate_trees,
     high_degree_vertices,
@@ -35,8 +40,10 @@ from ultratree import (
 )
 from ultratree.trees import (
     _canonical_tree,
+    _far,
     _index_adjacency,
     _index_tree,
+    _longest_path,
     _prufer_edges,
     _rank_edges,
     _vertex_names,
@@ -193,6 +200,39 @@ class TestLongestPath:
     @given(random_trees(max_order=7))
     def test_matches_oracle_random(self, tree):
         assert longest_path_length(tree) == brute_longest_path(tree)
+
+    def test_chosen_path_under_scrambled_names(self):
+        # names drawn from v1..v12, so name order is not index order ("v10" < "v2")
+        rnd = random.Random(12)
+        names = [f"v{i}" for i in range(1, 13)]
+        for n in range(1, 8):
+            for tree in enumerate_trees(n):
+                rename = dict(zip(tree.vertices, rnd.sample(names, n)))
+                tree = Tree(tuple(rename.values()), [(rename[a], rename[b]) for a, b in tree.edges])
+                adj, verts = tree._indexed, tree.vertices
+                path = _longest_path(adj, verts, _far(adj))
+                assert len(set(path)) == len(path)
+                assert all(b in adj[a] for a, b in zip(path, path[1:]))
+                assert len(path) == longest_path_length(tree) + 1
+                # eccentricities by a search from every vertex; the far end is free
+                nbrs, eccentricity = adjacency(tree), {}
+                for v in verts:
+                    dist, queue = {v: 0}, [v]
+                    for w in queue:
+                        for u in nbrs[w]:
+                            if u not in dist:
+                                dist[u] = dist[w] + 1
+                                queue.append(u)
+                    eccentricity[v] = max(dist.values())
+                diameter = max(eccentricity.values())
+                assert len(path) == diameter + 1
+                assert verts[path[0]] == min(v for v, e in eccentricity.items() if e == diameter)
+                expected = brute_counterexample(tree)
+                if expected is None:
+                    with pytest.raises(NoLongPath):
+                        counterexample_labeling(tree)
+                else:
+                    assert counterexample_labeling(tree).labels == expected.labels
 
 
 class TestClassify:

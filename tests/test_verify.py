@@ -56,7 +56,7 @@ from ultratree.errors import (
     StrongTriangleViolation,
     SymmetryViolation,
 )
-from ultratree import verify
+from ultratree import labelings, trees, verify
 from ultratree.spaces import _first_offender, _value_codes, _witness_index
 from ultratree.trees import _bfs_parents, _index_adjacency, _prufer_edges, _rank_edges
 from ultratree.verify import (
@@ -546,6 +546,32 @@ class TestShapeMemo:
             assert len(walked) == 1 + 1 + 1 + 2 + 3 == 8
 
 
+class TestLongestPathSearches:
+    def test_diameter_two_searches_and_the_path_one_more(self, monkeypatch):
+        calls = []
+
+        def counting(n, adj, src):
+            calls.append(src)
+            return _bfs_parents(n, adj, src)
+
+        for module in (trees, labelings, verify):  # wherever a search may be bound
+            if hasattr(module, "_bfs_parents"):
+                monkeypatch.setattr(module, "_bfs_parents", counting)
+        long_trees = 0
+        for n in range(1, 7):
+            for rank in range(cayley(n)):
+                calls.clear()
+                facts = _Facts(n, rank)
+                if verify._LONG.holds(facts):  # reads the diameter
+                    assert len(calls) == 2
+                    assert len(facts.path) > 4
+                    assert len(calls) == 3
+                    long_trees += 1
+                else:
+                    assert len(calls) == 2
+        assert long_trees == sum(cayley(n) - qualifying_count(n) for n in range(1, 7))
+
+
 class TestCodedCounterexample:
     def _long_trees(self):
         for n in range(1, 7):
@@ -655,7 +681,7 @@ class TestCertificates:
 
     def test_replay_reproduces_counterexample_applicability(self, monkeypatch):
         # a one-vertex path: too short for the pattern on every tree
-        monkeypatch.setattr(verify, "_longest_path", lambda adj, names: [0])
+        monkeypatch.setattr(verify, "_longest_path", lambda adj, names, far: [0])
         for claim, tree, reproduces in (
             (CLAIM_CE_APPLICABLE, self._p5(), True),
             (CLAIM_CE_INAPPLICABLE, star_tree(4), False),
@@ -663,7 +689,8 @@ class TestCertificates:
             cert = Certificate(tree=tree, labeling=None, claim_violated=claim, evidence={})
             assert replay_certificate(cert) is reproduces
         monkeypatch.undo()
-        monkeypatch.setattr(verify, "_diameter", lambda adj: 4)  # every tree long
+        far = verify._far  # every tree long, the search itself kept for the path
+        monkeypatch.setattr(verify, "_far", lambda adj: (*far(adj)[:2], 4))
         for claim, tree, reproduces in (
             (CLAIM_CE_INAPPLICABLE, star_tree(4), True),
             (CLAIM_CE_APPLICABLE, self._p5(), False),
