@@ -149,12 +149,12 @@ def extend_labeling(tree: Tree, partial: Mapping[str, object], fill) -> dict[str
 _COUNTEREXAMPLE_VALUES = (Fraction(0), Fraction(2), Fraction(3))  # by rank code
 
 
-def _counterexample_codes(path, n: int) -> list[int]:
+def _counterexample_codes(third: int, n: int) -> list[int]:
     """counterexample_labeling's codes by vertex index on an order-n tree
-    whose chosen longest path is ``path``: the pattern 2, 2, 3, 2, 2 along
-    the path's first five vertices, 2 everywhere else."""
+    whose chosen longest path has ``third`` as its third vertex: the pattern
+    2, 2, 3, 2, 2 along the path's first five vertices, 2 everywhere else."""
     codes = [1] * n
-    codes[path[2]] = 2
+    codes[third] = 2
     return codes
 
 
@@ -174,7 +174,7 @@ def counterexample_labeling(tree: Tree) -> LabeledTree:
     path = _longest_path(adj, verts, _far(adj))
     if len(path) < 5:
         raise NoLongPath(f"longest path has {len(path) - 1} edges, need at least 4")
-    codes = _counterexample_codes(path, len(verts))
+    codes = _counterexample_codes(path[2], len(verts))
     return LabeledTree(tree, {v: _COUNTEREXAMPLE_VALUES[c] for v, c in zip(verts, codes)})
 
 

@@ -10,6 +10,8 @@ sorted, as sorted pairs, so structural equality is well defined.
 from __future__ import annotations
 
 import enum
+import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -249,14 +251,11 @@ def _far(adj) -> tuple[list[int], list[int], int]:
     return parent, order, steps
 
 
-def _longest_path(adj, names, far) -> list[int]:
-    """The longest path counterexample_labeling labels, as indices into the
-    index adjacency lists ``adj``, given ``far`` = _far(adj). A vertex ends a
-    longest path iff _far's end a or b is D away from it, so one more
-    search, from b, finds u, the least of ``names`` that does; the path is
-    u's parent chain in the search from that end. Which far end it reaches
-    cannot show: every longest path from u runs through the center, so all
-    of them share their first ceil(D/2) + 1 vertices."""
+def _ends(adj, far) -> dict[int, list[int]]:
+    """Each vertex that ends a longest path, with the parents of the search
+    from a far end D away from it, given ``far`` = _far(adj): a vertex ends
+    a longest path iff _far's end a or b is D away from it, so this adds one
+    search, from b."""
     n, (parent_a, order_a, d) = len(adj), far
     ends = {}
     for parent, order in (parent_a, order_a), _bfs_parents(n, adj, order_a[-1]):
@@ -265,6 +264,17 @@ def _longest_path(adj, names, far) -> list[int]:
             depth[v] = depth[parent[v]] + 1
             if depth[v] == d:
                 ends[v] = parent
+    return ends
+
+
+def _longest_path(adj, names, far) -> list[int]:
+    """The longest path counterexample_labeling labels, as indices into the
+    index adjacency lists ``adj``, given ``far`` = _far(adj): the parent
+    chain, in _ends's search, of u, the least of ``names`` that ends a
+    longest path. Which far end it reaches cannot show: every longest path
+    from u runs through the center, so all of them share their first
+    ceil(D/2) + 1 vertices."""
+    ends = _ends(adj, far)
     path = [min(ends, key=names.__getitem__)]
     parent = ends[path[0]]
     while parent[path[-1]] != path[-1]:
@@ -277,7 +287,15 @@ def _canonical_tree(adj) -> tuple[tuple[int, ...], list[int]]:
     from the first root of least AHU string, children by ascending string.
     The key, each position's parent position (the root its own), spells the
     form, so isomorphic trees and no others share it."""
-    n, best = len(adj), None
+    return _canonical(adj)[:2]
+
+
+def _canonical(adj) -> tuple[tuple[int, ...], list[int], int]:
+    """_canonical_tree's (key, positions) and |Aut T|. The roots of least
+    AHU string form one orbit, so |Aut T| is their number times the
+    automorphisms fixing the first: the product, over its vertices, of m!
+    for each m children of one string."""
+    n, best, ties = len(adj), None, 0
     for root in range(n):
         parent, order = _bfs_parents(n, adj, root)
         text, kids = [""] * n, [[] for _ in range(n)]
@@ -287,15 +305,37 @@ def _canonical_tree(adj) -> tuple[tuple[int, ...], list[int]]:
             if v != root:
                 kids[parent[v]].append(v)
         if best is None or text[root] < best[0]:
-            best = text[root], root, parent, kids
-    _, root, parent, kids = best
+            best, ties = (text[root], root, parent, kids, text), 1
+        elif text[root] == best[0]:
+            ties += 1
+    _, root, parent, kids, text = best
+    aut = ties
+    for group in kids:
+        for _, same in itertools.groupby(map(text.__getitem__, group)):
+            aut *= math.factorial(len(list(same)))
     at, key, stack = [0] * n, [], [root]
     while stack:
         v = stack.pop()
         at[v] = len(key)
         key.append(at[parent[v]])
         stack.extend(reversed(kids[v]))
-    return tuple(key), at
+    return tuple(key), at, aut
+
+
+def _free_trees(n_max: int) -> list[dict[tuple[int, ...], int]]:
+    """The free trees of orders 1..n_max, one dict per order from each class
+    key to |Aut T|: every tree of order n is a tree of order n - 1 with a
+    leaf added, so hanging one from each vertex of each key one order down
+    and keeping the canonical forms finds every class."""
+    found = [{(0,): 1}]
+    for n in range(2, n_max + 1):
+        grown = {}
+        for key in found[-1]:
+            for v in range(n - 1):
+                form, _, aut = _canonical(_index_adjacency(n, zip((*key[1:], v), range(1, n))))
+                grown[form] = aut
+        found.append(grown)
+    return found[:n_max]
 
 
 def _vertex_names(n: int) -> tuple[str, ...]:

@@ -1,7 +1,7 @@
 """Exhaustive desk-scale verification of the structural theorems.
 
-Four entry points sweep every tree up to a given order (one per Prufer
-rank, vertices v1..vn) and, where labelings matter, every labeling over a
+Four entry points check every tree up to a given order (the n^(n-2)
+labeled trees on v1..vn) and, where labelings matter, every labeling over a
 finite value set. Each reports the claims the claim table lists for it:
 
 * verify_theorem_nondegeneracy (``nondeg``):
@@ -26,11 +26,11 @@ finite value set. Each reports the claims the claim table lists for it:
   and counterexample-inapplicable-for-short-tree; elsewhere the two
   counterexample claims of ``main``.
 
-A sweep decodes each tree rank once into a facts record (_Facts): order,
-rank, index edges and adjacency, and, each computed when a claim first
-reads it, the search record of trees._far (the diameter, and two of the
-three searches of the counterexample path), the high-degree vertices, the
-public Tree, that path and the labeling walk. The claim table (_CLAIMS) maps
+A sweep runs on one facts record per tree (_Facts): order, rank, index
+edges and adjacency, and, each computed when a claim first reads it, the
+search record of trees._far (the diameter, and two of the three searches
+of the counterexample path), the high-degree vertices, the public Tree,
+that path and the labeling walk. The claim table (_CLAIMS) maps
 each claim id to the theorems that report it, with for each the trees it is
 checked on and whether its checks count as cases; to whether it is checked
 once per tree or once per labeling; to its check on the record; and, for a
@@ -39,9 +39,21 @@ claim on one labeling, to its judge on the full path-max matrix. One loop
 from the same table, and replay_certificate runs the sweep's own check, the
 claim's judge or its tree test and check, on the certificate's data.
 
+Every claim is invariant under vertex relabeling, so a sweep checks each
+order once per free tree (trees._free_trees), on a record of its class key
+(_ClassFacts), and counts each case n!/|Aut T| times, once per labeled
+tree of the class. Only the counterexample reads vertex names, to pick a
+longest path; a class record judges it with the 3 on every vertex third on
+some longest path, onto which each labeled copy's pick maps. An order
+where any class fails is swept again by Prufer rank, so its report is that
+of a sweep by rank; a passing order never decodes a rank.
+
 Each run returns a VerificationReport whose cases_checked equals the
-analytically predicted grid size; a mismatch would mean a harness bug and
-raises RuntimeError. Failures carry replayable Certificates.
+analytically predicted grid size. Each order is gated on its own: its
+cases against its term of the prediction, its classes against Otter's
+count of free trees (OEIS A000055) and their weights against Cayley's
+n^(n-2). A mismatch would mean a harness bug and raises RuntimeError naming
+the order. Failures carry replayable Certificates.
 
 The sweeps run on the rank codes of spaces._value_codes: code 0 is the value
 zero and the remaining codes follow the sorted value order. Path-maximum
@@ -71,18 +83,18 @@ O(k):
   axioms, a non-degenerate one for the witness. Each labeling is counted
   with its own verdict at a leaf; a mismatch rebuilds the full matrix.
 
-A vertex relabeling carries every verdict across, so a sweep walks each
-isomorphism class once (6 for the 1,296 trees of order 6), on its key
-(trees._canonical_tree), in which vertex k > 0 hangs from key[k] < k, and
-keeps its leaf count and failing labelings by key position. A tree's
-breadth-first shape, each position's parent position, is canonicalized
-once per shape, and each tree reads its class's failures through its
-vertices' key positions.
+The walk runs on a class key (trees._canonical_tree), in which vertex
+k > 0 hangs from key[k] < k. A sweep by rank walks each class once too (6
+for the 1,296 trees of order 6) and keeps its leaf count and failing
+labelings by key position: a tree's breadth-first shape, each position's
+parent position, is canonicalized once per shape, and each tree reads its
+class's failures through its vertices' key positions.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -106,7 +118,9 @@ from .trees import (
     Tree,
     _bfs_parents,
     _canonical_tree,
+    _ends,
     _far,
+    _free_trees,
     _index_adjacency,
     _index_tree,
     _kind_of,
@@ -191,6 +205,17 @@ def _long_count(n: int) -> int:
     return _tree_count(n) - _qualifying_count(n)
 
 
+def _free_tree_count(n: int) -> int:
+    """Free trees of order n >= 1 (OEIS A000055), by Otter's formula
+    t(x) = r(x) - (r(x)^2 - r(x^2)) / 2 on the rooted tree counts r (A000081)."""
+    r = [0, 1]
+    for m in range(1, n):  # r(m + 1), each root's subtrees a multiset of rooted trees
+        divisors = (sum(d * r[d] for d in range(1, k + 1) if k % d == 0) for k in range(1, m + 1))
+        r.append(sum(s * r[m + 1 - k] for k, s in enumerate(divisors, 1)) // m)
+    pairs = sum(r[i] * r[n - i] for i in range(1, n)) - (r[n // 2] if n % 2 == 0 else 0)
+    return r[n] - pairs // 2
+
+
 # ---------------------------------------------------------------------------
 # the labeling walk
 
@@ -260,18 +285,23 @@ def _shape_walk(memo: dict, classes: dict, n: int, adj, codes, witness: bool):
         memo[key] = _canonical_tree(_index_adjacency(n, zip(key[1:], range(1, n))))
     form, pos = memo[key]
     if form not in classes:
-        cases, bad = 0, []
-
-        def leaf(lab, nondeg, verdict):
-            nonlocal cases
-            cases += 1
-            if (nondeg and not verdict) if witness else verdict != nondeg:
-                bad.append(tuple(lab))
-
-        _labelings(form, codes, witness, leaf)
-        classes[form] = cases, bad
+        classes[form] = _class_walk(form, codes, witness)
     cases, bad = classes[form]
     return cases, [[lab[pos[at[v]]] for v in range(n)] for lab in bad]
+
+
+def _class_walk(key, codes, witness: bool):
+    """(cases, failing labelings) of _labelings on the class key ``key``."""
+    cases, bad = 0, []
+
+    def leaf(lab, nondeg, verdict):
+        nonlocal cases
+        cases += 1
+        if (nondeg and not verdict) if witness else verdict != nondeg:
+            bad.append(tuple(lab))
+
+    _labelings(key, codes, witness, leaf)
+    return cases, bad
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +367,11 @@ class _Facts:
         """The longest path counterexample_labeling labels."""
         return _longest_path(self.adj, self.names, self.far)
 
+    @_fact
+    def thirds(self):
+        """The vertices the counterexample check puts its 3 on: the path's third."""
+        return self.path[2:3]
+
     def walk(self, witness: bool):
         """_shape_walk over the sweep's codes, a shape and a class memo per mode."""
         shapes, classes = self.memo.setdefault(witness, ({}, {}))
@@ -351,6 +386,26 @@ class _Facts:
             labeling = dict(zip(self.names, map((values or self.values).__getitem__, lab)))
         evidence = {**evidence, "order": self.n, "tree_index": self.rank}
         return Certificate(self.tree, labeling, claim, evidence)
+
+
+class _ClassFacts(_Facts):
+    """The facts of a free tree's representative, in which vertex k > 0
+    hangs from ``key[k]``: no rank. Its counterexample check judges every
+    vertex third on some longest path, the vertex two steps in from an end,
+    so it fails if the check fails on any labeled copy of the class."""
+
+    def __init__(self, key, values, codes):
+        self.n, self.rank, self.key = len(key), None, key
+        self.values, self.codes = values, codes
+        self.edges = list(zip(key[1:], range(1, self.n)))
+        self.adj = _index_adjacency(self.n, self.edges)
+
+    @_fact
+    def thirds(self):
+        return {parent[parent[end]] for end, parent in _ends(self.adj, self.far).items()}
+
+    def walk(self, witness: bool):
+        return _class_walk(self.key, self.codes, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -398,15 +453,17 @@ def _witnesses(f: _Facts):
 
 
 def _check_counterexample(f: _Facts) -> list[Certificate]:
-    """counterexample_labeling's codes, judged. A path too short for the
-    pattern is counterexample-applicable's failure."""
+    """counterexample_labeling's codes with the 3 on each of ``f.thirds``,
+    judged up to the first failure. A path too short for the pattern is
+    counterexample-applicable's failure."""
     if len(f.path) < 5:
         return []
-    lab = _counterexample_codes(f.path, f.n)
-    evidence = _judge_counterexample(f, lab)
-    if evidence is None:
-        return []
-    return [f.fail(CLAIM_COUNTEREXAMPLE, evidence, lab, _COUNTEREXAMPLE_VALUES)]
+    for third in f.thirds:
+        lab = _counterexample_codes(third, f.n)
+        evidence = _judge_counterexample(f, lab)
+        if evidence is not None:
+            return [f.fail(CLAIM_COUNTEREXAMPLE, evidence, lab, _COUNTEREXAMPLE_VALUES)]
+    return []
 
 
 def _iff(f: _Facts) -> list[Certificate]:
@@ -512,20 +569,25 @@ def predicted_cases(theorem: str, n_max: int, value_count: int) -> int:
 
 
 def _sweep(task: dict) -> tuple[int, list[Certificate]]:
-    """(cases, certificates) of one rank range of one order: each tree's
-    facts go through the checks the table lists for the theorem."""
-    n, vals = task["n"], task["values"] or ()
+    """(cases, certificates) of the trees of one task of one order, a range
+    of Prufer ranks or a list of (class key, weight): each tree's facts go
+    through the checks the table lists for the theorem, and each case counts
+    once per labeled tree, a class's weight times."""
+    n, vals, span = task["n"], task["values"] or (), task["trees"]
     claims = _reported(task["theorem"])
     values, code = _value_codes(vals)
     codes = [code[v] for v in vals]
     memo: dict = {}
+    if isinstance(span, range):
+        units = ((_Facts(n, rank, values, codes, memo), 1) for rank in span)
+    else:
+        units = ((_ClassFacts(key, values, codes), weight) for key, weight in span)
     cases, fails = 0, []
-    for rank in range(task["lo"], task["hi"]):
-        facts = _Facts(n, rank, values, codes, memo)
+    for facts, weight in units:
         for claim, trees, counted in claims:
             if trees.holds(facts):
                 made, found = claim.check(facts) if claim.per_labeling else (1, claim.check(facts))
-                cases += made if counted else 0
+                cases += weight * made if counted else 0
                 fails += found
     return cases, fails
 
@@ -548,6 +610,35 @@ def _report_key(cert: Certificate):
     return evidence["order"], evidence["tree_index"], lab, claim
 
 
+def _gate(n: int, what: str, got: int, want: int) -> None:
+    if got != want:
+        raise RuntimeError(
+            f"harness accounting bug at order {n}: {got} {what}, predicted {want}"
+        )
+
+
+def _by_order(tasks, parts) -> dict[int, tuple[int, list[Certificate]]]:
+    """(cases, certificates) by order of the tasks, from their _sweep results ``parts``."""
+    by_order: dict = {}
+    for task, (cases, found) in zip(tasks, parts):
+        total, fails = by_order.get(task["n"], (0, []))
+        by_order[task["n"]] = total + cases, fails + found
+    return by_order
+
+
+def _orders(tasks, chunks: int, run) -> dict[int, tuple[int, list[Certificate]]]:
+    """_by_order of the class tasks, ``run`` mapping _sweep over a task
+    list; an order with a certificate is swept again in ``chunks`` rank ranges."""
+    by_order = _by_order(tasks, run(tasks))
+    failing = {task["n"]: task for task in tasks if by_order[task["n"]][1]}
+    redo = [
+        {**task, "trees": range(lo, hi)}
+        for n, task in failing.items()
+        for lo, hi in _split_range(_tree_count(n), chunks)
+    ]
+    return {**by_order, **_by_order(redo, run(redo))} if redo else by_order
+
+
 def _execute(theorem, n_max, values, budget, jobs, subchecks=None) -> VerificationReport:
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -555,38 +646,39 @@ def _execute(theorem, n_max, values, budget, jobs, subchecks=None) -> Verificati
         raise ValueError("jobs must be at least 1")
     labeled = any(claim.per_labeling for claim, _, _ in _reported(theorem))
     vals = _canon_values(values) if labeled else None
-    predicted = 0
+    predicted, total = [], 0  # cases by order, and their sum
     for n, cases in zip(range(1, n_max + 1), _cases_by_order(theorem, len(vals or ()))):
-        predicted += cases
-        if predicted > budget:  # stop counting: orders past n only add
+        predicted.append(cases)
+        total += cases
+        if total > budget:  # stop counting: orders past n only add
             upto = "" if n == n_max else f" up to order {n}"
             raise BudgetExceeded(
-                f"{_decimal(predicted)} predicted cases{upto} exceed the budget of "
+                f"{_decimal(total)} predicted cases{upto} exceed the budget of "
                 f"{_decimal(budget)}; raise the budget to run this grid"
             )
     started = time.perf_counter()
-    # one chunk walks each class once; chunks past the processor count only add tasks
+    # chunks past the processor count only add tasks
     chunks = min(jobs, os.cpu_count() or 1) if n_max >= _POOL_MIN_ORDER else 1
     tasks = []
-    for n in range(n_max, 0, -1):  # largest first, so the workers finish together
-        for lo, hi in _split_range(_tree_count(n), chunks):
-            tasks.append(
-                {"theorem": theorem, "n": n, "lo": lo, "hi": hi, "values": vals}
-            )
+    for n, found in reversed(list(enumerate(_free_trees(n_max), 1))):  # largest order first
+        classes = [(key, math.factorial(n) // aut) for key, aut in found.items()]
+        _gate(n, "free trees", len(classes), _free_tree_count(n))
+        _gate(n, "labeled trees", sum(weight for _, weight in classes), _tree_count(n))
+        # every chunks-th class: the stars and double stars, whose walks are
+        # most of the work, are generated last, one after another
+        for i in range(min(chunks, len(classes))):
+            tasks.append({"theorem": theorem, "n": n, "trees": classes[i::chunks], "values": vals})
     workers = min(chunks, len(tasks))
     if workers > 1:
         from multiprocessing import Pool
 
         with Pool(workers) as pool:  # one task per hand-out, so chunks run side by side
-            parts = pool.map(_sweep, tasks, chunksize=1)
+            by_order = _orders(tasks, chunks, lambda ts: pool.map(_sweep, ts, chunksize=1))
     else:
-        parts = [_sweep(t) for t in tasks]
-    cases = sum(p[0] for p in parts)
-    if cases != predicted:
-        raise RuntimeError(
-            f"harness accounting bug: checked {cases} cases, predicted {predicted}"
-        )
-    failures = tuple(sorted((c for p in parts for c in p[1]), key=_report_key))
+        by_order = _orders(tasks, chunks, lambda ts: list(map(_sweep, ts)))
+    for n, want in enumerate(predicted, 1):
+        _gate(n, "cases", by_order[n][0], want)
+    failures = sorted((c for _, found in by_order.values() for c in found), key=_report_key)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     return VerificationReport(
         theorem=theorem,
@@ -594,8 +686,8 @@ def _execute(theorem, n_max, values, budget, jobs, subchecks=None) -> Verificati
             "max_order": n_max,
             "values": [format_rational(v) for v in vals] if vals else None,
         },
-        cases_checked=cases,
-        failures=failures,
+        cases_checked=total,
+        failures=tuple(failures),
         elapsed_ms=elapsed_ms,
         subchecks=dict(subchecks) if subchecks else {},
     )

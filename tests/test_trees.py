@@ -1,4 +1,6 @@
+import collections
 import itertools
+import math
 import random
 
 import pytest
@@ -41,6 +43,7 @@ from ultratree import (
 from ultratree.trees import (
     _canonical_tree,
     _far,
+    _free_trees,
     _index_adjacency,
     _index_tree,
     _longest_path,
@@ -366,3 +369,30 @@ class TestCanonicalTree:
         nx = pytest.importorskip("networkx")
         counts = tuple(len(list(nx.nonisomorphic_trees(n))) for n in range(2, 9))
         assert FREE_TREES[1:] == counts
+
+
+class TestFreeTrees:
+    """Leaf augmentation against hard-coded A000055 and networkx, and each
+    class weight n!/|Aut T| against a count of the labeled trees."""
+
+    def test_classes_against_a000055_and_networkx(self):
+        nx = pytest.importorskip("networkx")
+        found = _free_trees(10)
+        assert tuple(map(len, found)) == FREE_TREES + (47, 106)
+        for n, keys in enumerate(found, 1):
+            for key in keys:  # each a canonical key, spelling its own form
+                assert _canonical_tree(_index_adjacency(n, zip(key[1:], range(1, n))))[0] == key
+            if n > 1:
+                theirs = {
+                    _canonical_tree(_index_adjacency(n, tree.edges()))[0]
+                    for tree in nx.nonisomorphic_trees(n)
+                }
+                assert theirs == set(keys)
+
+    def test_weights_count_the_labeled_trees(self):
+        for n, keys in enumerate(_free_trees(7), 1):
+            labeled = collections.Counter(
+                _canonical_tree(_index_adjacency(n, _rank_edges(n, rank)))[0]
+                for rank in range(cayley(n))
+            )
+            assert labeled == {key: math.factorial(n) // aut for key, aut in keys.items()}

@@ -1,5 +1,7 @@
+import collections
 import itertools
 import json
+import math
 import multiprocessing
 import os
 from fractions import Fraction
@@ -258,10 +260,10 @@ class TestParallelExecution:
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         return asked
 
-    # lemmas through order 4 split into 6 tasks at jobs=2 and 21 beyond
+    # lemmas through order 4 split into 5 tasks, one per free tree (1 + 1 + 1 + 2)
     @pytest.mark.parametrize(
         "jobs, cpus, workers",
-        [(1, 64, None), (2, 3, 2), (10_000, 3, 3), (10_000, 64, 21), (10_000, None, None)],
+        [(1, 64, None), (2, 3, 2), (10_000, 3, 3), (10_000, 64, 5), (10_000, None, None)],
     )
     def test_pool_size_is_clamped(self, monkeypatch, jobs, cpus, workers):
         asked = self._recording_pool(monkeypatch, cpus)
@@ -281,6 +283,18 @@ class TestParallelExecution:
         [(workers, _, orders)] = asked
         assert workers == 2
         assert all(orders.count(n) <= 2 for n in range(1, 7))
+
+    def test_chunks_divide_each_orders_classes(self, monkeypatch):
+        self._recording_pool(monkeypatch, 2)
+        monkeypatch.setattr(verify, "_POOL_MIN_ORDER", 1)
+        seen, sweep = [], verify._sweep
+        monkeypatch.setattr(verify, "_sweep", lambda task: seen.append(task) or sweep(task))
+        verify_main_theorem(6, (0, 1), jobs=2)
+        assert not any(isinstance(task["trees"], range) for task in seen)
+        for n, keys in enumerate(trees._free_trees(6), 1):
+            chunks = [task["trees"] for task in seen if task["n"] == n]
+            assert len(chunks) == min(2, len(keys))  # each class walked by one worker
+            assert sorted(key for chunk in chunks for key, _ in chunk) == sorted(keys)
 
     def test_small_sweeps_run_in_process(self, monkeypatch):
         asked = self._recording_pool(monkeypatch, 2)
@@ -544,6 +558,97 @@ class TestShapeMemo:
             assert report.cases_checked == expected_cases("nondeg", 5, 2)
             # free trees by order: 1, 1, 1, 2, 3 (OEIS A000055)
             assert len(walked) == 1 + 1 + 1 + 2 + 3 == 8
+
+
+def _class_tasks(theorem, n, values):
+    """The class sweep's tasks of order n, one class each."""
+    return [
+        {"theorem": theorem, "n": n, "trees": [(key, math.factorial(n) // aut)], "values": values}
+        for key, aut in trees._free_trees(n)[n - 1].items()
+    ]
+
+
+class TestClassSweep:
+    """Each order swept once per free tree, each case weighted by the
+    class's labeled trees, against the sweep by Prufer rank."""
+
+    @pytest.mark.parametrize("values", [(0, 1, 2), (1, 3)])
+    @pytest.mark.parametrize("theorem", ["nondeg", "main", "lemmas", "classify"])
+    def test_matches_the_rank_sweep_through_order_seven(self, theorem, values):
+        vals = tuple(map(Fraction, values)) if theorem != "lemmas" else None
+        for n in range(1, 8):
+            task = {"theorem": theorem, "n": n, "trees": range(cayley(n)), "values": vals}
+            ranks = verify._sweep(task)
+            parts = [verify._sweep(task) for task in _class_tasks(theorem, n, vals)]
+            assert (sum(p[0] for p in parts), [c for p in parts for c in p[1]]) == ranks
+
+    def test_thirds_are_the_third_vertices_of_every_longest_path(self):
+        chosen = collections.defaultdict(set)  # each labeled tree's third, by key position
+        for n in range(5, 8):
+            for rank in range(cayley(n)):
+                facts = _Facts(n, rank)
+                if facts.far[2] >= 4:
+                    key, at = trees._canonical_tree(facts.adj)
+                    chosen[key].add(at[facts.path[2]])
+        assert len(chosen) == 1 + 3 + 8  # long free trees of orders 5, 6 and 7
+        for key, some in chosen.items():
+            facts = verify._ClassFacts(key, (), ())
+            # every longest path, read from each end, by the pairs' own searches
+            paths = [path for _, _, path in pair_paths(facts.n, facts.adj)]
+            longest = [path for path in paths if len(path) == max(map(len, paths))]
+            assert facts.thirds == {path[k] for path in longest for k in (2, -3)}
+            assert some <= facts.thirds
+
+    def test_passing_run_decodes_no_rank(self, monkeypatch):
+        decoded, decode = [], verify._rank_edges
+
+        def spy(n, rank):
+            decoded.append((n, rank))
+            return decode(n, rank)
+
+        monkeypatch.setattr(verify, "_rank_edges", spy)
+        assert verify_main_theorem(6).status == "pass"
+        assert verify_structure_lemmas(8).status == "pass"
+        assert decoded == []
+        # every counterexample space witnessed: only order 5 has long trees
+        monkeypatch.setattr(verify, "_witness_index", lambda d: 0)
+        report = verify_main_theorem(5, (0, 1))
+        assert sorted(decoded) == [(5, rank) for rank in range(cayley(5))]
+        assert {cert.evidence["order"] for cert in report.failures} == {5}
+
+    @staticmethod
+    def _patch_order(monkeypatch, n, change):
+        """verify._free_trees with order n's classes replaced by ``change`` of them."""
+        real = trees._free_trees
+
+        def patched(n_max):
+            found = real(n_max)
+            found[n - 1] = change(found[n - 1])
+            return found
+
+        monkeypatch.setattr(verify, "_free_trees", patched)
+
+    def test_missing_class_fails_at_its_order(self, monkeypatch):
+        self._patch_order(monkeypatch, 5, lambda keys: dict(list(keys.items())[1:]))
+        with pytest.raises(RuntimeError, match="at order 5: 2 free trees, predicted 3"):
+            verify_structure_lemmas(6)
+
+    def test_wrong_weight_fails_at_its_order(self, monkeypatch):
+        self._patch_order(monkeypatch, 4, lambda keys: {key: 2 * aut for key, aut in keys.items()})
+        with pytest.raises(RuntimeError, match="at order 4: 8 labeled trees, predicted 16"):
+            verify_structure_lemmas(4)
+
+    def test_cases_are_gated_per_order(self, monkeypatch):
+        # one case moved from order 2 to order 3 keeps the total
+        real = verify._cases_by_order
+
+        def moved(theorem, value_count):
+            cases = list(itertools.islice(real(theorem, value_count), 3))
+            return iter([cases[0], cases[1] + 1, cases[2] - 1])
+
+        monkeypatch.setattr(verify, "_cases_by_order", moved)
+        with pytest.raises(RuntimeError, match="at order 2: 1 cases, predicted 2"):
+            verify_structure_lemmas(3)
 
 
 class TestLongestPathSearches:
