@@ -83,6 +83,18 @@ O(k):
   axioms, a non-degenerate one for the witness. Each labeling is counted
   with its own verdict at a leaf; a mismatch rebuilds the full matrix.
 
+A class sweep walks one labeling per orbit (_leaf_groups). The degree-1
+vertices that share a neighbour form a group (for n >= 3 the key's root 0
+is a leaf of vertex 1 and joins its group), and swapping two of them is an
+automorphism, which keeps every verdict. Each member after a group's first
+takes only codes >= the code of the member before it, and the prefix
+carries the orbit's multinomial size: the j-th member, ending a run of r
+equal codes, multiplies it by j and divides by r, exactly at every step. A
+walk leaf counts its weight, and the weights of a class walk must sum to
+|codes|^n, or _gate raises. A failing representative stands for its orbit,
+and its order is swept again by rank, whose walk (_shape_walk) visits every
+labeling, so reports list every failing labeling.
+
 The walk runs on a class key (trees._canonical_tree), in which vertex
 k > 0 hangs from key[k] < k. A sweep by rank walks each class once too (6
 for the 1,296 trees of order 6) and keeps its leaf count and failing
@@ -135,7 +147,8 @@ DEFAULT_MAX_ORDER = 6
 DEFAULT_VALUES = (Fraction(0), Fraction(1), Fraction(2))
 DEFAULT_CASE_BUDGET = 2_000_000
 # below this order a sweep runs in process: a pool costs more than it saves
-_POOL_MIN_ORDER = 7
+# (nondeg gains from order 8; main and classify lose through order 10)
+_POOL_MIN_ORDER = 8
 
 THEOREM_NONDEG = "nondeg"
 THEOREM_MAIN = "main"
@@ -219,26 +232,64 @@ def _free_tree_count(n: int) -> int:
 # ---------------------------------------------------------------------------
 # the labeling walk
 
-def _labelings(parents, codes, witness: bool, leaf) -> None:
-    """Call leaf(lab, nondeg, verdict) once for every labeling over ``codes``
-    of the tree in which vertex k > 0 hangs from ``parents[k]`` < k, a class
-    key of trees._canonical_tree; ``lab`` lists codes by vertex and is
-    reused between calls. The verdict is whether the path-max matrix is an
-    ultrametric, or with ``witness`` whether the matrix of a non-degenerate
-    labeling has a witness (False on degenerate ones). See the module
+def _leaf_groups(parents) -> list:
+    """The interchangeable leaves of the tree in which vertex k > 0 hangs from
+    ``parents[k]``: the degree-1 vertices that share a neighbour form a
+    group, in index order. Entry k is (q, j) for the j-th member of a group
+    (j >= 2), q the member before it, and None for every other vertex."""
+    n = len(parents)
+    degree, neighbour = [0] * n, [0] * n
+    for k in range(1, n):
+        p = parents[k]
+        degree[k] += 1
+        degree[p] += 1
+        neighbour[k], neighbour[p] = p, k
+    after, last = [None] * n, {}  # hub -> (its last leaf so far, their number)
+    for v in range(n):
+        if degree[v] == 1:
+            q, j = last.get(neighbour[v], (None, 0))
+            if q is not None:
+                after[v] = (q, j + 1)
+            last[neighbour[v]] = (v, j + 1)
+    return after
+
+
+def _labelings(parents, codes, witness: bool, leaf, groups=None) -> None:
+    """Call leaf(lab, nondeg, verdict, weight) once for every labeling over
+    ``codes`` (ascending) of the tree in which vertex k > 0 hangs from
+    ``parents[k]`` < k, a class key of trees._canonical_tree; ``lab`` lists
+    codes by vertex and is reused between calls. The verdict is whether the
+    path-max matrix is an ultrametric, or with ``witness`` whether the
+    matrix of a non-degenerate labeling has a witness (False on degenerate
+    ones). With ``groups`` (_leaf_groups of ``parents``) the walk visits one
+    labeling per orbit of interchangeable leaves, ``weight`` the orbit's
+    size; without, every labeling, each of weight 1. See the module
     docstring."""
     n = len(parents)
     lab = [0] * n
     d = [[0] * n for _ in range(n)]  # zero diagonal
+    after = groups or [None] * n
+    at = {c: i for i, c in enumerate(codes)}
+    runs = [1] * n  # each group member's run of equal codes, itself included
 
-    def extend(k, nondeg, valid, cand, colmin):
+    def extend(k, nondeg, valid, cand, colmin, weight):
         p = parents[k]
         above = lab[p]
         dp = d[p][:k]
         dp[p] = above
         low = min(dp)
-        for c in codes:
+        member = after[k]
+        if member is None:
+            tail, size = codes, weight
+        else:  # codes >= the group's member before; the orbit grows j / run-fold
+            q, j = member
+            below, run = lab[q], runs[q]
+            tail = codes[at[below]:]
+        for c in tail:
             lab[k] = c
+            if member is not None:
+                equal = runs[k] = run + 1 if c == below else 1
+                size = weight * j // equal
             nd = nondeg and (c > 0 or above > 0)
             ok, keep, cm = False, None, None
             if nd if witness else valid:
@@ -259,24 +310,24 @@ def _labelings(parents, codes, witness: bool, leaf) -> None:
                     for x in range(k):
                         d[x][k] = r[x]
             if k == n - 1:
-                leaf(lab, nd, ok)
+                leaf(lab, nd, ok, size)
             else:
-                extend(k + 1, nd, ok, keep, cm)
+                extend(k + 1, nd, ok, keep, cm, size)
 
     for c in codes:
         lab[0] = c
         if n == 1:
-            leaf(lab, True, True)
+            leaf(lab, True, True, 1)
         else:
-            extend(1, True, True, [0], [float("inf")])  # one point: no other in its column
+            extend(1, True, True, [0], [float("inf")], 1)  # one point: no other in its column
 
 
 def _shape_walk(memo: dict, classes: dict, n: int, adj, codes, witness: bool):
-    """(cases, failing labelings by vertex) of _labelings on one tree. The
-    walk runs once per isomorphism class, on its key, and ``classes`` keeps
-    its count and failing labelings by key position; ``memo`` keeps, per
-    shape (each breadth-first position's parent position), the class key
-    and each position's key position."""
+    """(cases, failing labelings by vertex) of _labelings on one tree, every
+    labeling walked. The walk runs once per isomorphism class, on its key,
+    and ``classes`` keeps its count and failing labelings by key position;
+    ``memo`` keeps, per shape (each breadth-first position's parent
+    position), the class key and each position's key position."""
     parent, order = _bfs_parents(n, adj, 0)
     at = {v: k for k, v in enumerate(order)}
     key = tuple(at[parent[v]] for v in order)
@@ -290,17 +341,21 @@ def _shape_walk(memo: dict, classes: dict, n: int, adj, codes, witness: bool):
     return cases, [[lab[pos[at[v]]] for v in range(n)] for lab in bad]
 
 
-def _class_walk(key, codes, witness: bool):
-    """(cases, failing labelings) of _labelings on the class key ``key``."""
+def _class_walk(key, codes, witness: bool, orbits: bool = False):
+    """(cases, failing labelings) of _labelings on the class key ``key``:
+    with ``orbits`` one labeling per orbit of interchangeable leaves, counted
+    its orbit's size times, a failing one standing for its orbit. The cases
+    must come to |codes|^n."""
     cases, bad = 0, []
 
-    def leaf(lab, nondeg, verdict):
+    def leaf(lab, nondeg, verdict, weight):
         nonlocal cases
-        cases += 1
+        cases += weight
         if (nondeg and not verdict) if witness else verdict != nondeg:
             bad.append(tuple(lab))
 
-    _labelings(key, codes, witness, leaf)
+    _labelings(key, codes, witness, leaf, _leaf_groups(key) if orbits else None)
+    _gate(len(key), "walked labelings", cases, len(codes) ** len(key))
     return cases, bad
 
 
@@ -405,7 +460,8 @@ class _ClassFacts(_Facts):
         return {parent[parent[end]] for end, parent in _ends(self.adj, self.far).items()}
 
     def walk(self, witness: bool):
-        return _class_walk(self.key, self.codes, witness)
+        """_class_walk over orbits: a class fails iff a representative does."""
+        return _class_walk(self.key, self.codes, witness, orbits=True)
 
 
 # ---------------------------------------------------------------------------

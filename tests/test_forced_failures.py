@@ -38,18 +38,21 @@ FIXTURE = Path(__file__).with_name("forced_failures.json")
 def _flip(monkeypatch, forced):
     """Flip the walk's verdict on the labeling ``forced`` (cut to the order)
     of the path's class key, the path rooted at one end, which every
-    labeled path of order n shares."""
+    labeled path of order n shares. A forced flip must hit an orbit
+    representative, a labeling whose codes rise along each group of leaves
+    sharing a neighbour, because the class pass walks only those: on the
+    order-3 path, a star, ``forced`` puts on its two ends codes that rise."""
     walk = verify._labelings
 
-    def flipped(parents, codes, witness, leaf):
+    def flipped(parents, codes, witness, leaf, groups=None):
         path = list(parents) == [0, *range(len(parents) - 1)]
 
-        def spy(lab, nondeg, verdict):
+        def spy(lab, nondeg, verdict, weight):
             if path and tuple(lab) == forced[:len(parents)]:
                 verdict = not verdict
-            leaf(lab, nondeg, verdict)
+            leaf(lab, nondeg, verdict, weight)
 
-        walk(parents, codes, witness, spy)
+        walk(parents, codes, witness, spy, groups)
 
     monkeypatch.setattr(verify, "_labelings", flipped)
 
@@ -92,3 +95,51 @@ def test_forced_report_matches_the_recording(monkeypatch, name):
     assert report.failures
     assert json.dumps(got) == json.dumps(want)
     assert not any(replay_certificate(cert) for cert in report.failures)
+
+
+STAR_5 = (0, 0, 1, 1, 1)  # the order-5 star's class key: vertex 1 is the center
+STAR_LEAVES = (0, 2, 3, 4)
+
+
+def _flip_orbit(monkeypatch, rep):
+    """Flip the walk's verdict on every labeling of the order-5 star's key
+    in the orbit of ``rep`` (same center code, same leaf codes in any order);
+    returns each flipped labeling with whether its walk went by orbits."""
+    walk, flipped = verify._labelings, []
+    orbit = (rep[1], sorted(rep[v] for v in STAR_LEAVES))
+
+    def spy_walk(parents, codes, witness, leaf, groups=None):
+        def spy(lab, nondeg, verdict, weight):
+            if tuple(parents) == STAR_5 and (lab[1], sorted(lab[v] for v in STAR_LEAVES)) == orbit:
+                verdict = not verdict
+                flipped.append((tuple(lab), groups is not None))
+            leaf(lab, nondeg, verdict, weight)
+
+        walk(parents, codes, witness, spy, groups)
+
+    monkeypatch.setattr(verify, "_labelings", spy_walk)
+    return flipped
+
+
+@pytest.mark.parametrize("sweep", [verify_theorem_nondegeneracy, verify_main_theorem])
+def test_flip_of_a_star_orbit_reports_as_under_the_full_walk(monkeypatch, sweep):
+    """The flip hits the orbit's one representative in the orbit walk of the
+    class pass; that is enough to send order 5 to the sweep by rank, whose
+    full walk flips every labeling of the orbit. The report equals the one
+    where the class pass too walks every labeling."""
+    rep = (0, 1, 0, 1, 1)  # the leaves' codes rise: a representative, orbit size 4!/(2! 2!)
+    flipped = _flip_orbit(monkeypatch, rep)
+    orbit_report = report_to_dict(sweep(5, (0, 1)))
+    assert [lab for lab, grouped in flipped if grouped] == [rep]
+    assert len([lab for lab, grouped in flipped if not grouped]) == 6  # the rank pass
+
+    monkeypatch.setattr(verify, "_leaf_groups", lambda key: None)  # every walk full
+    flipped.clear()
+    full_report = report_to_dict(sweep(5, (0, 1)))
+    assert not any(grouped for _, grouped in flipped) and len(flipped) == 6 + 6
+    for report in (orbit_report, full_report):
+        del report["elapsed_ms"]
+    assert json.dumps(orbit_report) == json.dumps(full_report)
+    # each of the 5 labeled stars, each labeling of the orbit
+    assert len(orbit_report["failures"]) == 5 * 6
+    assert {f["evidence"]["order"] for f in orbit_report["failures"]} == {5}

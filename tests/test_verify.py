@@ -371,8 +371,8 @@ def _walk_tree(adj, codes, witness, leaf):
     parent, order = _bfs_parents(n, adj, 0)
     at = {v: k for k, v in enumerate(order)}
 
-    def by_vertex(lab, nondeg, verdict):
-        leaf([lab[at[v]] for v in range(n)], nondeg, verdict)
+    def by_vertex(lab, nondeg, verdict, weight):
+        leaf([lab[at[v]] for v in range(n)], nondeg, verdict, weight)
 
     _labelings([at[parent[v]] for v in order], codes, witness, by_vertex)
 
@@ -380,7 +380,7 @@ def _walk_tree(adj, codes, witness, leaf):
 def _walk_verdicts(adj, codes, witness):
     verdicts = {}
 
-    def leaf(lab, nondeg, verdict):
+    def leaf(lab, nondeg, verdict, weight):
         verdicts[tuple(lab)] = (nondeg, verdict)
 
     _walk_tree(adj, codes, witness, leaf)
@@ -439,19 +439,22 @@ class TestLabelingWalk:
         self._check(tree, adj, vals, labs, axioms, witness)
 
     def test_forced_mismatch_names_the_full_scan_offender(self, monkeypatch):
-        # flip the verdict on labeling (0, 0, 1) by position of the order-3
-        # path's class key, the path rooted at one end, which all three
-        # labeled trees of order 3 share
+        """Flip the verdict on labeling (0, 0, 1) by position of the order-3
+        path's class key, the path rooted at one end, which all three
+        labeled trees of order 3 share. A forced flip must hit an orbit
+        representative, because the class pass walks only those: the path's
+        two ends are leaves of its middle vertex, and (0, 0, 1) gives them
+        rising codes."""
         forced, path_key = (0, 0, 1), (0, 0, 1)
         walk = verify._labelings
 
-        def flipped(parents, codes, witness, leaf):
-            def spy(lab, nondeg, verdict):
+        def flipped(parents, codes, witness, leaf, groups=None):
+            def spy(lab, nondeg, verdict, weight):
                 if tuple(parents) == path_key and tuple(lab) == forced:
                     verdict = not verdict
-                leaf(lab, nondeg, verdict)
+                leaf(lab, nondeg, verdict, weight)
 
-            walk(parents, codes, witness, spy)
+            walk(parents, codes, witness, spy, groups)
 
         monkeypatch.setattr(verify, "_labelings", flipped)
         report = verify_theorem_nondegeneracy(3, (0, 1))
@@ -478,9 +481,9 @@ def _direct_walk(adj, codes, witness):
     on the tree itself."""
     cases, bad = 0, []
 
-    def leaf(lab, nondeg, verdict):
+    def leaf(lab, nondeg, verdict, weight):
         nonlocal cases
-        cases += 1
+        cases += weight
         if (nondeg and not verdict) if witness else verdict != nondeg:
             bad.append(lab)
 
@@ -494,9 +497,9 @@ def _counted_walks(mp):
     walked = []
     walk = verify._labelings
 
-    def counting(parents, codes, witness, leaf):
+    def counting(parents, codes, witness, leaf, groups=None):
         walked.append(len(parents))
-        walk(parents, codes, witness, leaf)
+        walk(parents, codes, witness, leaf, groups)
 
     mp.setattr(verify, "_labelings", counting)
     return walked
@@ -558,6 +561,116 @@ class TestShapeMemo:
             assert report.cases_checked == expected_cases("nondeg", 5, 2)
             # free trees by order: 1, 1, 1, 2, 3 (OEIS A000055)
             assert len(walked) == 1 + 1 + 1 + 2 + 3 == 8
+
+
+def _leaf_hubs(key):
+    """Each degree-1 vertex of the class key's tree, by its one neighbour,
+    from the key's edges alone: the groups of interchangeable leaves."""
+    adj = _index_adjacency(len(key), zip(key[1:], range(1, len(key))))
+    hubs = collections.defaultdict(list)
+    for v, nbrs in enumerate(adj):
+        if len(nbrs) == 1:
+            hubs[nbrs[0]].append(v)
+    return list(hubs.values())
+
+
+def _representative(lab, groups):
+    """The labeling of ``lab``'s orbit whose codes rise along each group."""
+    rep = list(lab)
+    for members in groups:
+        for v, c in zip(members, sorted(lab[v] for v in members)):
+            rep[v] = c
+    return tuple(rep)
+
+
+def _tally(key, codes, witness, groups):
+    """(weight by (nondeg, verdict), failing labelings) of one walk of ``key``."""
+    tally, bad = collections.Counter(), set()
+
+    def leaf(lab, nondeg, verdict, weight):
+        tally[nondeg, verdict] += weight
+        if (nondeg and not verdict) if witness else verdict != nondeg:
+            bad.add(tuple(lab))
+
+    _labelings(key, codes, witness, leaf, groups)
+    return tally, bad
+
+
+def _stars_and_double_stars(n_max):
+    """The class key of every star and double star of orders 1..n_max."""
+    for n in range(1, n_max + 1):
+        shapes = [[(0, v) for v in range(1, n)]]  # the star
+        for b in range(1, (n - 2) // 2 + 1):  # b leaves on the second center
+            leaves = [(0, v) for v in range(2, n - b)] + [(1, v) for v in range(n - b, n)]
+            shapes.append([(0, 1), *leaves])
+        for edges in shapes:
+            yield trees._canonical_tree(_index_adjacency(n, edges))[0]
+
+
+class TestOrbitWalk:
+    """Class sweeps walk one labeling per orbit of interchangeable leaves,
+    counted with the orbit's multinomial size, against the full walk."""
+
+    def test_groups_are_the_leaves_sharing_a_neighbour(self):
+        for n, found in enumerate(trees._free_trees(8), 1):
+            for key in found:
+                want = [None] * n
+                for members in _leaf_hubs(key):
+                    for j in range(1, len(members)):
+                        want[members[j]] = (members[j - 1], j + 1)
+                assert verify._leaf_groups(key) == want
+
+    @pytest.mark.parametrize("values", [(0, 1, 2), (1, 3), (0, "1/2", 7, 9)])
+    def test_weighted_tallies_match_the_full_walk_through_order_eight(self, values):
+        codes = _grid(values)[1]
+        for found in trees._free_trees(8):
+            for key in found:
+                groups = _leaf_hubs(key)
+                for witness in (False, True):
+                    full, full_bad = _tally(key, codes, witness, None)
+                    orbits, reps = _tally(key, codes, witness, verify._leaf_groups(key))
+                    assert orbits == full
+                    assert sum(full.values()) == len(codes) ** len(key)
+                    # a failing representative for each failing orbit, and no other
+                    assert reps == {_representative(lab, groups) for lab in full_bad}
+
+    def test_weights_sum_to_the_grid_on_stars_and_double_stars_through_order_fourteen(self):
+        codes = _grid((0, 1, 2))[1]
+        keys = list(_stars_and_double_stars(14))
+        assert len(set(keys)) == len(keys) == 14 + sum((n - 2) // 2 for n in range(4, 15))
+        for key in keys:
+            total, visits = 0, 0
+
+            def leaf(lab, nondeg, verdict, weight):
+                nonlocal total, visits
+                total, visits = total + weight, visits + 1
+
+            _labelings(key, codes, False, leaf, verify._leaf_groups(key))
+            assert total == 3 ** len(key)
+            # one visit per multiset of codes on each group, times the rest's codes
+            groups = _leaf_hubs(key)
+            free = len(key) - sum(map(len, groups))
+            assert visits == 3**free * math.prod(math.comb(len(g) + 2, 2) for g in groups)
+
+    def test_malformed_groups_trip_the_gate(self, monkeypatch):
+        # the star's center joins the first leaf's group as its second member
+        # while the leaf behind keeps that place: the weights no longer sum
+        real = verify._leaf_groups
+        monkeypatch.setattr(verify, "_leaf_groups", lambda key: [None, (0, 2), *real(key)[2:]])
+        codes = _grid((0, 1, 2))[1]
+        with pytest.raises(RuntimeError, match="at order 4: .* walked labelings, predicted 81"):
+            verify._class_walk((0, 0, 1, 1), codes, True, orbits=True)
+        with pytest.raises(RuntimeError, match="at order 5: .* walked labelings, predicted 243"):
+            verify_main_theorem(5)
+
+    def test_a_well_formed_wrong_group_passes_the_gate_but_not_the_tallies(self, monkeypatch):
+        # the star's center as one more member, in its place: each group's
+        # multinomials still sum to |codes|^m, so only the tallies tell
+        key, codes = (0, 0, 1, 1), _grid((0, 1, 2))[1]
+        wrong = [None, (0, 2), (1, 3), (2, 4)]
+        monkeypatch.setattr(verify, "_leaf_groups", lambda key: wrong)
+        assert verify._class_walk(key, codes, True, orbits=True)[0] == 81
+        assert _tally(key, codes, True, wrong)[0] != _tally(key, codes, True, None)[0]
 
 
 def _class_tasks(theorem, n, values):
