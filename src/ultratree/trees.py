@@ -284,35 +284,46 @@ def _longest_path(adj, names, far) -> list[int]:
 
 def _canonical_tree(adj) -> tuple[tuple[int, ...], list[int]]:
     """(key, position of each vertex) in the canonical form: the preorder
-    from the first root of least AHU string, children by ascending string.
-    The key, each position's parent position (the root its own), spells the
-    form, so isomorphic trees and no others share it."""
+    from a center, children by ascending AHU string (a bicentral tree's
+    second half last). The key, each position's parent position (the root
+    its own), spells the form, so isomorphic trees and no others share it."""
     return _canonical(adj)[:2]
 
 
 def _canonical(adj) -> tuple[tuple[int, ...], list[int], int]:
-    """_canonical_tree's (key, positions) and |Aut T|. The roots of least
-    AHU string form one orbit, so |Aut T| is their number times the
-    automorphisms fixing the first: the product, over its vertices, of m!
-    for each m children of one string."""
-    n, best, ties = len(adj), None, 0
-    for root in range(n):
-        parent, order = _bfs_parents(n, adj, root)
-        text, kids = [""] * n, [[] for _ in range(n)]
-        for v in reversed(order):  # children before parents
-            kids[v].sort(key=text.__getitem__)
-            text[v] = "(" + "".join(map(text.__getitem__, kids[v])) + ")"
-            if v != root:
-                kids[parent[v]].append(v)
-        if best is None or text[root] < best[0]:
-            best, ties = (text[root], root, parent, kids, text), 1
-        elif text[root] == best[0]:
-            ties += 1
-    _, root, parent, kids, text = best
-    aut = ties
-    for group in kids:
-        for _, same in itertools.groupby(map(text.__getitem__, group)):
-            aut *= math.factorial(len(list(same)))
+    """_canonical_tree's (key, positions) and |Aut T|, from one AHU pass at
+    the center, the middle of _far's path, which every automorphism fixes.
+    A bicentral tree is cut at its central edge into two halves, the one of
+    lesser string first: the key lists it as positions [0, h) and the other,
+    hung last from vertex 0, as [h, n). Children of one string keep their
+    search order. |Aut T| is the product, over the vertices, of m! for each
+    m children of one string, times 2 when the halves are equal."""
+    n = len(adj)
+    far_parent, far_order, d = _far(adj)
+    root = far_order[-1]
+    for _ in range(d // 2):
+        root = far_parent[root]
+    parent, order = _bfs_parents(n, adj, root)
+    text, kids = [""] * n, [[] for _ in range(n)]
+    for v in order[1:]:
+        kids[parent[v]].append(v)
+    other = far_parent[root] if d % 2 else None  # the second center
+    if other is not None:
+        kids[root].remove(other)
+    aut = 1
+    for v in reversed(order):  # children before parents
+        group = kids[v]
+        if len(group) > 1:
+            group.sort(key=text.__getitem__)
+            for _, same in itertools.groupby(map(text.__getitem__, group)):
+                aut *= math.factorial(len(list(same)))
+        text[v] = "(" + "".join(map(text.__getitem__, group)) + ")"
+    if other is not None:
+        if text[other] < text[root]:
+            root, other = other, root
+        aut *= 2 if text[other] == text[root] else 1
+        kids[root].append(other)
+        parent[root], parent[other] = root, root
     at, key, stack = [0] * n, [], [root]
     while stack:
         v = stack.pop()
@@ -326,7 +337,8 @@ def _free_trees(n_max: int) -> list[dict[tuple[int, ...], int]]:
     """The free trees of orders 1..n_max, one dict per order from each class
     key to |Aut T|: every tree of order n is a tree of order n - 1 with a
     leaf added, so hanging one from each vertex of each key one order down
-    and keeping the canonical forms finds every class."""
+    and keeping the canonical forms finds every class. Each candidate costs
+    _canonical's three searches and one AHU pass."""
     found = [{(0,): 1}]
     for n in range(2, n_max + 1):
         grown = {}

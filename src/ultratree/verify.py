@@ -78,29 +78,35 @@ O(k):
   triple through z isosceles. Failure is kept by extensions.
 * Witness: old candidate x0 stays one iff d(z, x0) = m and no other column
   minimum drops (x0's row must hold them all); z becomes one iff no column
-  minimum lies below its row. A dropped candidate never returns.
+  minimum lies below its row. A dropped candidate never returns. The drops
+  are found once, in O(k): with none, every candidate x with d(z, x) = m
+  stays; with one, in x0's column, at most x0; with more, none.
 * Rows are built only while they can matter: under a valid prefix for the
   axioms, a non-degenerate one for the witness. Each labeling is counted
   with its own verdict at a leaf; a mismatch rebuilds the full matrix.
 
-A class sweep walks one labeling per orbit (_leaf_groups). The degree-1
-vertices that share a neighbour form a group (for n >= 3 the key's root 0
-is a leaf of vertex 1 and joins its group), and swapping two of them is an
-automorphism, which keeps every verdict. Each member after a group's first
-takes only codes >= the code of the member before it, and the prefix
-carries the orbit's multinomial size: the j-th member, ending a run of r
-equal codes, multiplies it by j and divides by r, exactly at every step. A
-walk leaf counts its weight, and the weights of a class walk must sum to
+A class sweep walks one labeling per orbit of Aut T (_sibling_blocks).
+Its key roots the tree at the center, which every automorphism fixes, so
+Aut T is generated by swaps of blocks of key positions: runs of
+consecutive sibling subtrees laid out alike (sibling leaves are blocks of
+size 1), and the two halves of a bicentral tree when they are alike. Each
+swap keeps every verdict. A vertex of a later block takes only codes >= the
+code of its mirror, the vertex in its place in the block before, while its
+block still ties that block along the prefix; so each run's blocks rise
+lexicographically, one labeling per orbit. The prefix carries the orbit's
+size: the last vertex of the j-th block of a run, ending a run of r equal
+blocks, multiplies it by j and divides by r, exactly at every step. A walk
+leaf counts its weight, and the weights of a class walk must sum to
 |codes|^n, or _gate raises. A failing representative stands for its orbit,
 and its order is swept again by rank, whose walk (_shape_walk) visits every
 labeling, so reports list every failing labeling.
 
-The walk runs on a class key (trees._canonical_tree), in which vertex
-k > 0 hangs from key[k] < k. A sweep by rank walks each class once too (6
-for the 1,296 trees of order 6) and keeps its leaf count and failing
-labelings by key position: a tree's breadth-first shape, each position's
-parent position, is canonicalized once per shape, and each tree reads its
-class's failures through its vertices' key positions.
+The walk runs on a class key (trees._canonical_tree), a preorder from the
+center in which vertex k > 0 hangs from key[k] < k. A sweep by rank walks
+each class once too (6 for the 1,296 trees of order 6) and keeps its leaf
+count and failing labelings by key position: a tree's breadth-first shape,
+each position's parent position, is canonicalized once per shape, and each
+tree reads its class's failures through its vertices' key positions.
 """
 
 from __future__ import annotations
@@ -146,9 +152,10 @@ from .trees import (
 DEFAULT_MAX_ORDER = 6
 DEFAULT_VALUES = (Fraction(0), Fraction(1), Fraction(2))
 DEFAULT_CASE_BUDGET = 2_000_000
-# below this order a sweep runs in process: a pool costs more than it saves
-# (nondeg gains from order 8; main and classify lose through order 10)
-_POOL_MIN_ORDER = 8
+# a sweep whose top order predicts fewer cases runs in process: a pool costs
+# more than it saves (on three values nondeg gains from order 8, main and
+# classify from order 9)
+_POOL_MIN_CASES = 50_000_000
 
 THEOREM_NONDEG = "nondeg"
 THEOREM_MAIN = "main"
@@ -232,45 +239,58 @@ def _free_tree_count(n: int) -> int:
 # ---------------------------------------------------------------------------
 # the labeling walk
 
-def _leaf_groups(parents) -> list:
-    """The interchangeable leaves of the tree in which vertex k > 0 hangs from
-    ``parents[k]``: the degree-1 vertices that share a neighbour form a
-    group, in index order. Entry k is (q, j) for the j-th member of a group
-    (j >= 2), q the member before it, and None for every other vertex."""
-    n = len(parents)
-    degree, neighbour = [0] * n, [0] * n
+def _sibling_blocks(key) -> list[tuple[int, int, int]]:
+    """The blocks of positions that automorphisms of the class key's tree
+    swap, from the key alone (a preorder in which vertex k > 0 hangs from
+    ``key[k]``, as trees._canonical_tree spells it): (s, size, j) for the
+    j-th (j >= 2) of a run of consecutive sibling subtrees laid out alike,
+    the subtree at s spanning [s, s + size) and the one before it
+    [s - size, s); and (h, h, 2) when the root's last child h heads a half
+    laid out like the rest, [0, h). Sibling leaves are blocks of size 1.
+    Swapping a block with the one before it, position by position, is an
+    automorphism, and on a canonical key these swaps generate Aut T."""
+    n = len(key)
+    size = [1] * n
+    for k in range(n - 1, 0, -1):
+        size[key[k]] += size[k]
+
+    def shape(s):  # the subtree at s, each position's parent as an offset from s
+        return [p - s for p in key[s + 1:s + size[s]]]
+
+    blocks, last, j = [], [0] * n, [1] * n  # last: each vertex's last child so far
     for k in range(1, n):
-        p = parents[k]
-        degree[k] += 1
-        degree[p] += 1
-        neighbour[k], neighbour[p] = p, k
-    after, last = [None] * n, {}  # hub -> (its last leaf so far, their number)
-    for v in range(n):
-        if degree[v] == 1:
-            q, j = last.get(neighbour[v], (None, 0))
-            if q is not None:
-                after[v] = (q, j + 1)
-            last[neighbour[v]] = (v, j + 1)
-    return after
+        q, last[key[k]] = last[key[k]], k
+        if q and size[q] == size[k] and shape(q) == shape(k):
+            j[k] = j[q] + 1
+            blocks.append((k, size[k], j[k]))
+    h = last[0]
+    if 2 * h == n and shape(h) == list(key[1:h]):
+        blocks.append((h, h, 2))
+    return blocks
 
 
-def _labelings(parents, codes, witness: bool, leaf, groups=None) -> None:
+def _labelings(parents, codes, witness: bool, leaf, blocks=()) -> None:
     """Call leaf(lab, nondeg, verdict, weight) once for every labeling over
     ``codes`` (ascending) of the tree in which vertex k > 0 hangs from
     ``parents[k]`` < k, a class key of trees._canonical_tree; ``lab`` lists
     codes by vertex and is reused between calls. The verdict is whether the
     path-max matrix is an ultrametric, or with ``witness`` whether the
     matrix of a non-degenerate labeling has a witness (False on degenerate
-    ones). With ``groups`` (_leaf_groups of ``parents``) the walk visits one
-    labeling per orbit of interchangeable leaves, ``weight`` the orbit's
-    size; without, every labeling, each of weight 1. See the module
-    docstring."""
+    ones). With ``blocks`` (_sibling_blocks of ``parents``) the walk visits
+    one labeling per orbit of Aut T, ``weight`` the orbit's size; without,
+    every labeling, each of weight 1. See the module docstring."""
     n = len(parents)
     lab = [0] * n
     d = [[0] * n for _ in range(n)]  # zero diagonal
-    after = groups or [None] * n
     at = {c: i for i, c in enumerate(codes)}
-    runs = [1] * n  # each group member's run of equal codes, itself included
+    # each vertex's later blocks: (its mirror, the block's start, the start
+    # of the block before, j at the block's last vertex, else 0)
+    later = [[] for _ in range(n)]
+    for s, size, j in blocks:
+        for k in range(s, s + size):
+            later[k].append((k - size, s, s - size, j if k == s + size - 1 else 0))
+    tied = [True] * n  # by block start: each vertex so far equals its mirror
+    runs = [1] * n  # by block start: the run of equal blocks it ends
 
     def extend(k, nondeg, valid, cand, colmin, weight):
         p = parents[k]
@@ -278,18 +298,22 @@ def _labelings(parents, codes, witness: bool, leaf, groups=None) -> None:
         dp = d[p][:k]
         dp[p] = above
         low = min(dp)
-        member = after[k]
-        if member is None:
-            tail, size = codes, weight
-        else:  # codes >= the group's member before; the orbit grows j / run-fold
-            q, j = member
-            below, run = lab[q], runs[q]
-            tail = codes[at[below]:]
+        member = later[k]
+        tail, size = codes, weight
+        if member:  # codes >= the mirror in each block still tying the one before
+            before = [k == s or tied[s] for _, s, _, _ in member]
+            floor = [lab[x] for (x, _, _, _), tie in zip(member, before) if tie]
+            if floor:
+                tail = codes[at[max(floor)]:]
         for c in tail:
             lab[k] = c
-            if member is not None:
-                equal = runs[k] = run + 1 if c == below else 1
-                size = weight * j // equal
+            if member:  # at a block's end the orbit grows j / run-fold
+                size = weight
+                for (x, s, q, j), tie in zip(member, before):
+                    tie = tied[s] = tie and c == lab[x]
+                    if j:
+                        run = runs[s] = runs[q] + 1 if tie else 1
+                        size = size * j // run
             nd = nondeg and (c > 0 or above > 0)
             ok, keep, cm = False, None, None
             if nd if witness else valid:
@@ -297,8 +321,12 @@ def _labelings(parents, codes, witness: bool, leaf, groups=None) -> None:
                 m = c if c > low else low
                 if witness:
                     cm = [v if v < w else w for v, w in zip(r, colmin)]
-                    keep = [x for x in cand if r[x] == m
-                            and cm[:x] == colmin[:x] and cm[x + 1:] == colmin[x + 1:]]
+                    if cm == colmin:  # no column minimum drops
+                        keep = [x for x in cand if r[x] == m]
+                    else:  # a candidate survives only the drop of its own column
+                        drops = [x for x, v, w in zip(range(k), r, colmin) if v < w]
+                        x0 = drops[0]
+                        keep = [x0] if len(drops) == 1 and r[x0] == m and x0 in cand else []
                     if r == cm:
                         keep.append(k)
                     cm.append(m)
@@ -343,9 +371,9 @@ def _shape_walk(memo: dict, classes: dict, n: int, adj, codes, witness: bool):
 
 def _class_walk(key, codes, witness: bool, orbits: bool = False):
     """(cases, failing labelings) of _labelings on the class key ``key``:
-    with ``orbits`` one labeling per orbit of interchangeable leaves, counted
-    its orbit's size times, a failing one standing for its orbit. The cases
-    must come to |codes|^n."""
+    with ``orbits`` one labeling per orbit of Aut T, counted its orbit's
+    size times, a failing one standing for its orbit. The cases must come to
+    |codes|^n."""
     cases, bad = 0, []
 
     def leaf(lab, nondeg, verdict, weight):
@@ -354,7 +382,7 @@ def _class_walk(key, codes, witness: bool, orbits: bool = False):
         if (nondeg and not verdict) if witness else verdict != nondeg:
             bad.append(tuple(lab))
 
-    _labelings(key, codes, witness, leaf, _leaf_groups(key) if orbits else None)
+    _labelings(key, codes, witness, leaf, _sibling_blocks(key) if orbits else ())
     _gate(len(key), "walked labelings", cases, len(codes) ** len(key))
     return cases, bad
 
@@ -714,14 +742,12 @@ def _execute(theorem, n_max, values, budget, jobs, subchecks=None) -> Verificati
             )
     started = time.perf_counter()
     # chunks past the processor count only add tasks
-    chunks = min(jobs, os.cpu_count() or 1) if n_max >= _POOL_MIN_ORDER else 1
+    chunks = min(jobs, os.cpu_count() or 1) if predicted[-1] >= _POOL_MIN_CASES else 1
     tasks = []
     for n, found in reversed(list(enumerate(_free_trees(n_max), 1))):  # largest order first
         classes = [(key, math.factorial(n) // aut) for key, aut in found.items()]
         _gate(n, "free trees", len(classes), _free_tree_count(n))
         _gate(n, "labeled trees", sum(weight for _, weight in classes), _tree_count(n))
-        # every chunks-th class: the stars and double stars, whose walks are
-        # most of the work, are generated last, one after another
         for i in range(min(chunks, len(classes))):
             tasks.append({"theorem": theorem, "n": n, "trees": classes[i::chunks], "values": vals})
     workers = min(chunks, len(tasks))

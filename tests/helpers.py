@@ -13,6 +13,7 @@ test, so agreement is evidence rather than tautology.
 
 from __future__ import annotations
 
+import functools
 import json
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -353,6 +354,42 @@ def high_degree_count(tree):
 #   trees(n) = n^(n-2) labeled trees (Cayley), stars have n choices of
 #   center for n >= 3, double stars pick the center pair and a proper
 #   bipartition of the remaining leaves.
+@functools.lru_cache(maxsize=None)
+def automorphisms(key):
+    """Every automorphism of the tree in which vertex k > 0 hangs from
+    ``key[k]``, each as the tuple of images of 0..n-1: networkx's VF2++
+    isomorphisms of the tree onto itself (networkx serves only as a test
+    oracle)."""
+    import networkx as nx
+
+    n = len(key)
+    graph = nx.Graph()
+    graph.add_nodes_from(range(n))
+    graph.add_edges_from(zip(key[1:], range(1, n)))
+    return [tuple(g[v] for v in range(n)) for g in nx.vf2pp_all_isomorphisms(graph, graph)]
+
+
+def orbit(lab, auts):
+    """The labelings an automorphism in ``auts`` maps ``lab`` onto."""
+    return {tuple(lab[g[v]] for v in range(len(lab))) for g in auts}
+
+
+def orbit_count(auts, k):
+    """Orbits of Aut T on the k^n labelings over k codes, by Burnside's
+    lemma: the mean, over the automorphisms, of k to their cycle count."""
+    total = 0
+    for g in auts:
+        seen, cycles = set(), 0
+        for v in range(len(g)):
+            if v not in seen:
+                cycles += 1
+                while v not in seen:
+                    seen.add(v)
+                    v = g[v]
+        total += k**cycles
+    return total // len(auts)
+
+
 def cayley(n):
     return 1 if n <= 2 else n ** (n - 2)
 

@@ -31,28 +31,35 @@ from ultratree import (
     verify_theorem_nondegeneracy,
 )
 from ultratree import verify
+from ultratree.trees import _canonical_tree, _index_adjacency
 
 FIXTURE = Path(__file__).with_name("forced_failures.json")
 
 
 def _flip(monkeypatch, forced):
     """Flip the walk's verdict on the labeling ``forced`` (cut to the order)
-    of the path's class key, the path rooted at one end, which every
-    labeled path of order n shares. A forced flip must hit an orbit
-    representative, a labeling whose codes rise along each group of leaves
-    sharing a neighbour, because the class pass walks only those: on the
-    order-3 path, a star, ``forced`` puts on its two ends codes that rise."""
+    of the path read from one end, in the positions of the path's class key,
+    which every labeled path of order n shares. An orbit walk visits one of
+    ``forced`` and its mirror image, which stands for both, so the flip goes
+    to whichever it visits; the full walk of the sweep by rank flips
+    ``forced`` alone."""
     walk = verify._labelings
 
-    def flipped(parents, codes, witness, leaf, groups=None):
-        path = list(parents) == [0, *range(len(parents) - 1)]
+    def flipped(parents, codes, witness, leaf, blocks=()):
+        n = len(parents)
+        key, at = _canonical_tree(_index_adjacency(n, zip(range(n - 1), range(1, n))))
+        mine, mirror = [0] * n, [0] * n
+        for i in range(n):
+            mine[at[i]] = mirror[at[n - 1 - i]] = forced[i]
+        targets = {tuple(mine), tuple(mirror)} if blocks else {tuple(mine)}
+        path = tuple(parents) == key
 
         def spy(lab, nondeg, verdict, weight):
-            if path and tuple(lab) == forced[:len(parents)]:
+            if path and tuple(lab) in targets:
                 verdict = not verdict
             leaf(lab, nondeg, verdict, weight)
 
-        walk(parents, codes, witness, spy, groups)
+        walk(parents, codes, witness, spy, blocks)
 
     monkeypatch.setattr(verify, "_labelings", flipped)
 
@@ -97,8 +104,8 @@ def test_forced_report_matches_the_recording(monkeypatch, name):
     assert not any(replay_certificate(cert) for cert in report.failures)
 
 
-STAR_5 = (0, 0, 1, 1, 1)  # the order-5 star's class key: vertex 1 is the center
-STAR_LEAVES = (0, 2, 3, 4)
+STAR_5 = (0, 0, 0, 0, 0)  # the order-5 star's class key: vertex 0 is the center
+STAR_LEAVES = (1, 2, 3, 4)
 
 
 def _flip_orbit(monkeypatch, rep):
@@ -106,16 +113,16 @@ def _flip_orbit(monkeypatch, rep):
     in the orbit of ``rep`` (same center code, same leaf codes in any order);
     returns each flipped labeling with whether its walk went by orbits."""
     walk, flipped = verify._labelings, []
-    orbit = (rep[1], sorted(rep[v] for v in STAR_LEAVES))
+    orbit = (rep[0], sorted(rep[v] for v in STAR_LEAVES))
 
-    def spy_walk(parents, codes, witness, leaf, groups=None):
+    def spy_walk(parents, codes, witness, leaf, blocks=()):
         def spy(lab, nondeg, verdict, weight):
-            if tuple(parents) == STAR_5 and (lab[1], sorted(lab[v] for v in STAR_LEAVES)) == orbit:
+            if tuple(parents) == STAR_5 and (lab[0], sorted(lab[v] for v in STAR_LEAVES)) == orbit:
                 verdict = not verdict
-                flipped.append((tuple(lab), groups is not None))
+                flipped.append((tuple(lab), bool(blocks)))
             leaf(lab, nondeg, verdict, weight)
 
-        walk(parents, codes, witness, spy, groups)
+        walk(parents, codes, witness, spy, blocks)
 
     monkeypatch.setattr(verify, "_labelings", spy_walk)
     return flipped
@@ -127,13 +134,13 @@ def test_flip_of_a_star_orbit_reports_as_under_the_full_walk(monkeypatch, sweep)
     class pass; that is enough to send order 5 to the sweep by rank, whose
     full walk flips every labeling of the orbit. The report equals the one
     where the class pass too walks every labeling."""
-    rep = (0, 1, 0, 1, 1)  # the leaves' codes rise: a representative, orbit size 4!/(2! 2!)
+    rep = (1, 0, 0, 1, 1)  # the leaves' codes rise: a representative, orbit size 4!/(2! 2!)
     flipped = _flip_orbit(monkeypatch, rep)
     orbit_report = report_to_dict(sweep(5, (0, 1)))
     assert [lab for lab, grouped in flipped if grouped] == [rep]
     assert len([lab for lab, grouped in flipped if not grouped]) == 6  # the rank pass
 
-    monkeypatch.setattr(verify, "_leaf_groups", lambda key: None)  # every walk full
+    monkeypatch.setattr(verify, "_sibling_blocks", lambda key: ())  # every walk full
     flipped.clear()
     full_report = report_to_dict(sweep(5, (0, 1)))
     assert not any(grouped for _, grouped in flipped) and len(flipped) == 6 + 6

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     adjacency,
+    automorphisms,
     brute_counterexample,
     brute_longest_path,
     brute_prufer_edges,
@@ -40,6 +41,7 @@ from ultratree import (
     unique_path,
     validate_tree,
 )
+from ultratree import trees
 from ultratree.trees import (
     _canonical_tree,
     _far,
@@ -396,3 +398,43 @@ class TestFreeTrees:
                 for rank in range(cayley(n))
             )
             assert labeled == {key: math.factorial(n) // aut for key, aut in keys.items()}
+
+    def test_each_candidate_costs_three_searches(self, monkeypatch):
+        # _far's two searches and one from the center, at every order
+        searches, search = [], trees._bfs_parents
+
+        def counting(n, adj, src):
+            searches.append(src)
+            return search(n, adj, src)
+
+        monkeypatch.setattr(trees, "_bfs_parents", counting)
+        found = _free_trees(8)
+        candidates = sum(n * len(keys) for n, keys in enumerate(found[:-1], 1))  # a leaf on each vertex
+        assert len(searches) == 3 * candidates
+
+
+class TestCenterRootedKeys:
+    """Each class key is rooted at a center, against networkx's centers and
+    automorphism counts."""
+
+    def test_root_is_a_center_and_the_second_half_comes_last(self):
+        nx = pytest.importorskip("networkx")
+        for n, keys in enumerate(_free_trees(10), 1):
+            for key in keys:
+                graph = nx.Graph()
+                graph.add_nodes_from(range(n))
+                graph.add_edges_from(zip(key[1:], range(1, n)))
+                centers = sorted(nx.center(graph))
+                assert centers[0] == 0
+                if len(centers) == 2:
+                    # the second center is the root's last child, and its
+                    # half, everything past it, hangs from it
+                    h = centers[1]
+                    assert h == max(k for k in range(1, n) if key[k] == 0)
+                    assert all(key[k] >= h for k in range(h + 1, n))
+
+    def test_automorphisms_against_networkx_through_order_nine(self):
+        pytest.importorskip("networkx")
+        for n, keys in enumerate(_free_trees(9), 1):
+            for key, aut in keys.items():
+                assert aut == len(automorphisms(key))

@@ -11,6 +11,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    automorphisms,
     brute_counterexample,
     brute_longest_path,
     brute_witness,
@@ -21,6 +22,8 @@ from helpers import (
     high_degree_count,
     index_adjacency,
     labeled,
+    orbit,
+    orbit_count,
     pair_paths,
     path_tree,
     qualifying_count,
@@ -227,7 +230,7 @@ class TestParameterErrors:
 
 class TestParallelExecution:
     def test_jobs_do_not_change_the_report(self, monkeypatch):
-        monkeypatch.setattr(verify, "_POOL_MIN_ORDER", 1)  # a real pool at order 4
+        monkeypatch.setattr(verify, "_POOL_MIN_CASES", 0)  # a real pool at order 4
         lone = verify_main_theorem(4, (0, 1, 2), jobs=1)
         pooled = verify_main_theorem(4, (0, 1, 2), jobs=2)
         assert pooled.cases_checked == lone.cases_checked
@@ -267,7 +270,7 @@ class TestParallelExecution:
     )
     def test_pool_size_is_clamped(self, monkeypatch, jobs, cpus, workers):
         asked = self._recording_pool(monkeypatch, cpus)
-        monkeypatch.setattr(verify, "_POOL_MIN_ORDER", 1)  # the clamp, not the size rule
+        monkeypatch.setattr(verify, "_POOL_MIN_CASES", 0)  # the clamp, not the size rule
         report = verify_structure_lemmas(4, jobs=jobs)
         assert [a[0] for a in asked] == ([] if workers is None else [workers])
         assert report.cases_checked == expected_cases("lemmas", 4, 0)
@@ -277,7 +280,7 @@ class TestParallelExecution:
 
     def test_chunks_per_order_are_clamped_to_the_processors(self, monkeypatch):
         asked = self._recording_pool(monkeypatch, 2)
-        monkeypatch.setattr(verify, "_POOL_MIN_ORDER", 1)
+        monkeypatch.setattr(verify, "_POOL_MIN_CASES", 0)
         report = verify_structure_lemmas(6, jobs=10**6)
         assert report.cases_checked == expected_cases("lemmas", 6, 0)
         [(workers, _, orders)] = asked
@@ -286,7 +289,7 @@ class TestParallelExecution:
 
     def test_chunks_divide_each_orders_classes(self, monkeypatch):
         self._recording_pool(monkeypatch, 2)
-        monkeypatch.setattr(verify, "_POOL_MIN_ORDER", 1)
+        monkeypatch.setattr(verify, "_POOL_MIN_CASES", 0)
         seen, sweep = [], verify._sweep
         monkeypatch.setattr(verify, "_sweep", lambda task: seen.append(task) or sweep(task))
         verify_main_theorem(6, (0, 1), jobs=2)
@@ -297,11 +300,13 @@ class TestParallelExecution:
             assert sorted(key for chunk in chunks for key, _ in chunk) == sorted(keys)
 
     def test_small_sweeps_run_in_process(self, monkeypatch):
+        # the top order's predicted cases on three values: 11,964,928 at
+        # order 8 of main, 99,020,628 at order 9
         asked = self._recording_pool(monkeypatch, 2)
-        small = verify_structure_lemmas(verify._POOL_MIN_ORDER - 1, jobs=2)
+        small = verify_main_theorem(8, jobs=2, budget=10**8)
         assert asked == []
-        assert small.cases_checked == expected_cases("lemmas", verify._POOL_MIN_ORDER - 1, 0)
-        verify_structure_lemmas(verify._POOL_MIN_ORDER, jobs=2)
+        assert small.cases_checked == expected_cases("main", 8, 3)
+        verify_main_theorem(9, jobs=2, budget=10**9)
         assert [a[0] for a in asked] == [2]
 
 
@@ -440,21 +445,21 @@ class TestLabelingWalk:
 
     def test_forced_mismatch_names_the_full_scan_offender(self, monkeypatch):
         """Flip the verdict on labeling (0, 0, 1) by position of the order-3
-        path's class key, the path rooted at one end, which all three
-        labeled trees of order 3 share. A forced flip must hit an orbit
-        representative, because the class pass walks only those: the path's
-        two ends are leaves of its middle vertex, and (0, 0, 1) gives them
-        rising codes."""
-        forced, path_key = (0, 0, 1), (0, 0, 1)
+        path's class key, the path rooted at its middle vertex, which all
+        three labeled trees of order 3 share. A forced flip must hit an
+        orbit representative, because the class pass walks only those: the
+        path's two ends are sibling leaves, and (0, 0, 1) gives them rising
+        codes."""
+        forced, path_key = (0, 0, 1), (0, 0, 0)
         walk = verify._labelings
 
-        def flipped(parents, codes, witness, leaf, groups=None):
+        def flipped(parents, codes, witness, leaf, blocks=()):
             def spy(lab, nondeg, verdict, weight):
                 if tuple(parents) == path_key and tuple(lab) == forced:
                     verdict = not verdict
                 leaf(lab, nondeg, verdict, weight)
 
-            walk(parents, codes, witness, spy, groups)
+            walk(parents, codes, witness, spy, blocks)
 
         monkeypatch.setattr(verify, "_labelings", flipped)
         report = verify_theorem_nondegeneracy(3, (0, 1))
@@ -497,9 +502,9 @@ def _counted_walks(mp):
     walked = []
     walk = verify._labelings
 
-    def counting(parents, codes, witness, leaf, groups=None):
+    def counting(parents, codes, witness, leaf, blocks=()):
         walked.append(len(parents))
-        walk(parents, codes, witness, leaf, groups)
+        walk(parents, codes, witness, leaf, blocks)
 
     mp.setattr(verify, "_labelings", counting)
     return walked
@@ -563,114 +568,119 @@ class TestShapeMemo:
             assert len(walked) == 1 + 1 + 1 + 2 + 3 == 8
 
 
-def _leaf_hubs(key):
-    """Each degree-1 vertex of the class key's tree, by its one neighbour,
-    from the key's edges alone: the groups of interchangeable leaves."""
-    adj = _index_adjacency(len(key), zip(key[1:], range(1, len(key))))
-    hubs = collections.defaultdict(list)
-    for v, nbrs in enumerate(adj):
-        if len(nbrs) == 1:
-            hubs[nbrs[0]].append(v)
-    return list(hubs.values())
-
-
-def _representative(lab, groups):
-    """The labeling of ``lab``'s orbit whose codes rise along each group."""
-    rep = list(lab)
-    for members in groups:
-        for v, c in zip(members, sorted(lab[v] for v in members)):
-            rep[v] = c
-    return tuple(rep)
-
-
-def _tally(key, codes, witness, groups):
-    """(weight by (nondeg, verdict), failing labelings) of one walk of ``key``."""
-    tally, bad = collections.Counter(), set()
+def _tally(key, codes, witness, blocks):
+    """(weight by (nondeg, verdict), failing labelings, visits) of one walk of ``key``."""
+    tally, bad, visits = collections.Counter(), set(), 0
 
     def leaf(lab, nondeg, verdict, weight):
+        nonlocal visits
+        visits += 1
         tally[nondeg, verdict] += weight
         if (nondeg and not verdict) if witness else verdict != nondeg:
             bad.add(tuple(lab))
 
-    _labelings(key, codes, witness, leaf, groups)
-    return tally, bad
+    _labelings(key, codes, witness, leaf, blocks)
+    return tally, bad, visits
 
 
 def _stars_and_double_stars(n_max):
-    """The class key of every star and double star of orders 1..n_max."""
+    """(class key, leaves on each center) of every star and double star of
+    orders 1..n_max; the edge of order 2 counts as two centers without leaves."""
     for n in range(1, n_max + 1):
-        shapes = [[(0, v) for v in range(1, n)]]  # the star
+        shapes = [([(0, v) for v in range(1, n)], (0, 0) if n == 2 else (n - 1,))]  # the star
         for b in range(1, (n - 2) // 2 + 1):  # b leaves on the second center
             leaves = [(0, v) for v in range(2, n - b)] + [(1, v) for v in range(n - b, n)]
-            shapes.append([(0, 1), *leaves])
-        for edges in shapes:
-            yield trees._canonical_tree(_index_adjacency(n, edges))[0]
+            shapes.append(([(0, 1), *leaves], (n - 2 - b, b)))
+        for edges, leaves in shapes:
+            yield trees._canonical_tree(_index_adjacency(n, edges))[0], leaves
 
 
 class TestOrbitWalk:
-    """Class sweeps walk one labeling per orbit of interchangeable leaves,
-    counted with the orbit's multinomial size, against the full walk."""
+    """Class sweeps walk one labeling per orbit of Aut T, counted with the
+    orbit's size, against networkx's automorphisms and the full walk."""
 
-    def test_groups_are_the_leaves_sharing_a_neighbour(self):
+    def test_blocks_swap_into_automorphisms_that_generate_aut_t(self):
+        pytest.importorskip("networkx")
         for n, found in enumerate(trees._free_trees(8), 1):
-            for key in found:
-                want = [None] * n
-                for members in _leaf_hubs(key):
-                    for j in range(1, len(members)):
-                        want[members[j]] = (members[j - 1], j + 1)
-                assert verify._leaf_groups(key) == want
+            for key, aut in found.items():
+                auts = set(automorphisms(key))
+                blocks = verify._sibling_blocks(key)
+                for s, size, j in blocks:  # the block and the one before it, swapped
+                    swap = list(range(n))
+                    for k in range(s, s + size):
+                        swap[k], swap[k - size] = k - size, k
+                    assert tuple(swap) in auts
+                # a run of m blocks swaps in m! ways, the halves in 2
+                assert math.prod(j for _, _, j in blocks) == len(auts) == aut
+                # leaves that share a parent are blocks of size 1
+                single = {s for s, size, _ in blocks if size == 1}
+                for v in range(n):
+                    leaves = [k for k in range(1, n) if key[k] == v and k not in key[k + 1:]]
+                    assert set(leaves[1:]) <= single
 
     @pytest.mark.parametrize("values", [(0, 1, 2), (1, 3), (0, "1/2", 7, 9)])
     def test_weighted_tallies_match_the_full_walk_through_order_eight(self, values):
+        pytest.importorskip("networkx")
         codes = _grid(values)[1]
         for found in trees._free_trees(8):
             for key in found:
-                groups = _leaf_hubs(key)
+                auts = automorphisms(key)
+                blocks = verify._sibling_blocks(key)
                 for witness in (False, True):
-                    full, full_bad = _tally(key, codes, witness, None)
-                    orbits, reps = _tally(key, codes, witness, verify._leaf_groups(key))
+                    full, full_bad, _ = _tally(key, codes, witness, ())
+                    orbits, reps, visits = _tally(key, codes, witness, blocks)
+                    assert visits == orbit_count(auts, len(codes))
                     assert orbits == full
                     assert sum(full.values()) == len(codes) ** len(key)
-                    # a failing representative for each failing orbit, and no other
-                    assert reps == {_representative(lab, groups) for lab in full_bad}
+                    # each failing orbit has one failing representative, and no other
+                    assert reps <= full_bad
+                    while full_bad:
+                        failing = orbit(full_bad.pop(), auts)
+                        assert len(failing & reps) == 1
+                        full_bad -= failing
 
     def test_weights_sum_to_the_grid_on_stars_and_double_stars_through_order_fourteen(self):
         codes = _grid((0, 1, 2))[1]
         keys = list(_stars_and_double_stars(14))
         assert len(set(keys)) == len(keys) == 14 + sum((n - 2) // 2 for n in range(4, 15))
-        for key in keys:
+        for key, leaves in keys:
             total, visits = 0, 0
 
             def leaf(lab, nondeg, verdict, weight):
                 nonlocal total, visits
                 total, visits = total + weight, visits + 1
 
-            _labelings(key, codes, False, leaf, verify._leaf_groups(key))
+            _labelings(key, codes, False, leaf, verify._sibling_blocks(key))
             assert total == 3 ** len(key)
-            # one visit per multiset of codes on each group, times the rest's codes
-            groups = _leaf_hubs(key)
-            free = len(key) - sum(map(len, groups))
-            assert visits == 3**free * math.prod(math.comb(len(g) + 2, 2) for g in groups)
+            # a center's code times a multiset of codes on its leaves, for each
+            # center; equal halves of a double star (H-shaped) swap, so their
+            # labelings pair up unordered
+            halves = [3 * math.comb(m + 2, 2) for m in leaves]
+            if len(leaves) == 2 and leaves[0] == leaves[1]:
+                assert visits == halves[0] * (halves[0] + 1) // 2
+            else:
+                assert visits == math.prod(halves)
 
     def test_malformed_groups_trip_the_gate(self, monkeypatch):
-        # the star's center joins the first leaf's group as its second member
-        # while the leaf behind keeps that place: the weights no longer sum
-        real = verify._leaf_groups
-        monkeypatch.setattr(verify, "_leaf_groups", lambda key: [None, (0, 2), *real(key)[2:]])
+        # every block listed twice counts its orbit's growth twice over: the
+        # weights no longer sum
+        real = verify._sibling_blocks
+        monkeypatch.setattr(verify, "_sibling_blocks", lambda key: real(key) * 2)
         codes = _grid((0, 1, 2))[1]
         with pytest.raises(RuntimeError, match="at order 4: .* walked labelings, predicted 81"):
-            verify._class_walk((0, 0, 1, 1), codes, True, orbits=True)
+            verify._class_walk((0, 0, 0, 0), codes, True, orbits=True)
         with pytest.raises(RuntimeError, match="at order 5: .* walked labelings, predicted 243"):
             verify_main_theorem(5)
 
     def test_a_well_formed_wrong_group_passes_the_gate_but_not_the_tallies(self, monkeypatch):
-        # the star's center as one more member, in its place: each group's
-        # multinomials still sum to |codes|^m, so only the tallies tell
-        key, codes = (0, 0, 1, 1), _grid((0, 1, 2))[1]
-        wrong = [None, (0, 2), (1, 3), (2, 4)]
-        monkeypatch.setattr(verify, "_leaf_groups", lambda key: wrong)
+        # the star's center as the first of its leaves' run, each leaf in its
+        # place after it: the multinomials still sum to |codes|^n, so only
+        # the tallies tell
+        key, codes = (0, 0, 0, 0), _grid((0, 1, 2))[1]
+        wrong = [(1, 1, 2), (2, 1, 3), (3, 1, 4)]
+        monkeypatch.setattr(verify, "_sibling_blocks", lambda key: wrong)
         assert verify._class_walk(key, codes, True, orbits=True)[0] == 81
-        assert _tally(key, codes, True, wrong)[0] != _tally(key, codes, True, None)[0]
+        assert _tally(key, codes, True, wrong)[0] != _tally(key, codes, True, ())[0]
 
 
 def _class_tasks(theorem, n, values):
