@@ -51,6 +51,15 @@ class LabeledTree:
             raise ValueError(f"missing labels for {missing}")
         object.__setattr__(self, "labels", MappingProxyType(coerced))
 
+    @classmethod
+    def _trusted(cls, tree: Tree, labels: dict[str, Fraction]) -> "LabeledTree":
+        """The labeled tree with ``labels``, a non-negative Fraction for each
+        vertex of ``tree`` and nothing else, taken as they are."""
+        lt = object.__new__(cls)
+        object.__setattr__(lt, "tree", tree)
+        object.__setattr__(lt, "labels", MappingProxyType(labels))
+        return lt
+
     def label(self, v: str) -> Fraction:
         if v not in self.labels:
             raise UnknownVertex(f"vertex {v!r} is not in the tree", (v,))
@@ -81,9 +90,8 @@ def raw_distance_matrix(lt: LabeledTree) -> tuple[tuple[str, ...], tuple[tuple[F
 def _coded_distances(lt: LabeledTree):
     """The path-maximum matrix run on rank codes of the labels: the values
     it holds (a label below all its neighbours shows nowhere) and its codes."""
-    values, code = _value_codes(lt.labels.values())
-    lab = [code[lt.labels[v]] for v in lt.tree.vertices]
-    return _compact(values, _path_max(lt.tree._indexed, lab))
+    values, codes = _value_codes(list(map(lt.labels.__getitem__, lt.tree.vertices)))
+    return _compact(values, _path_max(lt.tree._indexed, codes))
 
 
 def _path_max(adj, labels) -> list[list]:
@@ -175,7 +183,7 @@ def counterexample_labeling(tree: Tree) -> LabeledTree:
     if len(path) < 5:
         raise NoLongPath(f"longest path has {len(path) - 1} edges, need at least 4")
     codes = _counterexample_codes(path[2], len(verts))
-    return LabeledTree(tree, {v: _COUNTEREXAMPLE_VALUES[c] for v, c in zip(verts, codes)})
+    return LabeledTree._trusted(tree, dict(zip(verts, map(_COUNTEREXAMPLE_VALUES.__getitem__, codes))))
 
 
 def enumerate_labelings(

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .errors import ParseError
 
-_RATIONAL_RE = re.compile(r"\d+(?:/\d+)?")
+_RATIONAL_RE = re.compile(r"(\d+)(?:/(\d+))?")
 
 
 def coerce_rational(value) -> Fraction:
@@ -25,7 +25,7 @@ def coerce_rational(value) -> Fraction:
 
 def coerce_nonnegative(value) -> Fraction:
     q = coerce_rational(value)
-    if q < 0:
+    if q.numerator < 0:
         raise ValueError(f"expected a non-negative rational, got {q}")
     return q
 
@@ -43,12 +43,13 @@ def parse_rational(raw) -> Fraction:
         if raw < 0:
             raise ParseError(f"negative value {raw}")
         return Fraction(raw)
-    if not isinstance(raw, str) or not _RATIONAL_RE.fullmatch(raw.strip()):
+    match = _RATIONAL_RE.fullmatch(raw.strip()) if isinstance(raw, str) else None
+    if match is None:
         raise ParseError(f"expected 'p' or 'p/q' with non-negative integers, got {raw!r}")
-    try:
-        return Fraction(raw.strip())
-    except ZeroDivisionError:
-        raise ParseError(f"zero denominator in {raw!r}") from None
+    num, den = map(int, match.groups("1"))
+    if not den:
+        raise ParseError(f"zero denominator in {raw!r}")
+    return Fraction(num, den)
 
 
 def format_rational(q: Fraction) -> str:

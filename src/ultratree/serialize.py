@@ -10,10 +10,12 @@ All numeric content travels as exact decimal-integer or p/q strings
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .errors import ParseError
 from .labelings import LabeledTree
 from .rationals import format_rational, parse_rational
-from .spaces import FiniteUltrametricSpace, validate_ultrametric
+from .spaces import FiniteUltrametricSpace, _names, _rank, _validated
 from .trees import Tree, validate_tree
 
 
@@ -82,10 +84,9 @@ def space_from_dict(obj) -> FiniteUltrametricSpace:
         raise ParseError("duplicate point names")
     if not isinstance(dist, list) or len(dist) != len(points):
         raise ParseError('"dist" must be a square matrix of rational strings')
-    rows, seen = [], {}  # each distinct str or int parsed once
-    for row in dist:
+    for r, row in enumerate(dist):
         if not isinstance(row, list) or len(row) != len(points):
+            for x in chain.from_iterable(dist[:r]):  # a bad entry in an earlier row comes first
+                parse_rational(x)
             raise ParseError('"dist" must be a square matrix of rational strings')
-        rows.append([(seen[x] if x in seen else seen.setdefault(x, parse_rational(x)))
-                     if type(x) in (str, int) else parse_rational(x) for x in row])  # True is not 1
-    return validate_ultrametric(points, rows)
+    return _validated(_names(points), *_rank(dist, parse_rational))  # each distinct token parsed once

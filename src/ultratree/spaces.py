@@ -35,11 +35,12 @@ class FiniteUltrametricSpace:
     Every space is born rank-coded: ``_ranked`` holds (values, codes) with
     values[codes[i][j]] == dist[i][j] and values[0] == 0, the values sorted
     and each held by some entry or zero. The constructor coerces each
-    distinct entry object to a Fraction once and codes the matrix; the
-    package's own spaces (validate_ultrametric, build_ultrametric, restrict)
-    are made from codes by _coded. It rejects a matrix that is not N x N for
-    N points with ValueError, but does not check the axioms;
-    validate_ultrametric is the checked entry point for untrusted data.
+    distinct entry to a Fraction once (_rank) and codes the matrix; the
+    package's own spaces (validate_ultrametric, space_from_dict,
+    build_ultrametric, restrict) are made from codes by _coded. It rejects a
+    matrix that is not N x N for N points with ValueError, but does not
+    check the axioms; validate_ultrametric is the checked entry point for
+    untrusted data.
     """
 
     points: tuple[str, ...]
@@ -49,7 +50,7 @@ class FiniteUltrametricSpace:
         object.__setattr__(self, "points", tuple(self.points))
         rows = tuple(map(tuple, self.dist))
         _check_shape(self.points, rows)
-        self._set_codes(*_rank(rows))
+        self._set_codes(*_rank(rows, coerce_nonnegative))
 
     def _set_codes(self, values, codes) -> None:
         object.__setattr__(self, "dist", _decode(values, codes))
@@ -90,18 +91,31 @@ def validate_ultrametric(points: Sequence[str], dist: Sequence[Sequence]) -> Fin
     SymmetryViolation, PositivityViolation, or StrongTriangleViolation
     naming the points.
     """
+    pts = _names(points)
+    _check_shape(pts, dist)
+    try:
+        values, codes = _rank(tuple(map(tuple, dist)), coerce_nonnegative)
+    except ValueError as exc:
+        a, b = (pts[k] for k in exc.at)
+        raise PositivityViolation(f"negative distance at ({a!r}, {b!r})", (a, b)) from None
+    return _validated(pts, values, codes)
+
+
+def _names(points) -> tuple:
+    """The points as a tuple; ValueError when there are none or one repeats."""
     pts = tuple(points)
     if not pts:
         raise ValueError("a space needs at least one point")
     if len(set(pts)) != len(pts):
         raise ValueError("point names must be unique")
-    _check_shape(pts, dist)
-    try:
-        values, codes = _rank(tuple(map(tuple, dist)))
-    except ValueError as exc:
-        a, b = (pts[k] for k in exc.at)
-        raise PositivityViolation(f"negative distance at ({a!r}, {b!r})", (a, b)) from None
+    return pts
 
+
+def _validated(pts, values, codes) -> FiniteUltrametricSpace:
+    """The axiom stage of every checked space: the space over ``pts`` and
+    the rank codes of its matrix, or the first violation (_first_offender)
+    raised as SymmetryViolation, PositivityViolation or
+    StrongTriangleViolation naming its points."""
     offence = _first_offender(codes)
     if offence is None:
         return FiniteUltrametricSpace._coded(pts, values, codes)
@@ -148,30 +162,57 @@ def _first_offender(codes):
     return None
 
 
-def _rank(rows):
-    """(values, codes) of a matrix of tuples, which keep entries alive so ids
-    stay unique. Each distinct object is coerced once in row-major order, so
-    the first bad entry raises first; a ValueError names its cell in ``at``."""
-    ids = [list(map(id, row)) for row in rows]
-    fracs = {}
-    for key, x in dict(zip(chain.from_iterable(ids), chain.from_iterable(rows))).items():
+_TOKENS = frozenset((str, int))
+
+
+def _rank(rows, convert):
+    """(values, codes) of a square matrix whose rows keep its entries alive,
+    so ids stay unique. Each distinct entry (_entry_keys) is converted to a
+    Fraction by ``convert`` once, in row-major order of first appearance, so
+    the first bad entry raises first; a ValueError names its cell in
+    ``at``. Each cell then costs one lookup of its key."""
+    n = len(rows)
+    cells = list(chain.from_iterable(rows))
+    keys, entries = _entry_keys(cells)
+    distinct = dict.fromkeys(keys)
+    fracs = []
+    for key in distinct:
         try:
-            fracs[key] = coerce_nonnegative(x)
+            fracs.append(convert(entries.get(key, key)))
         except ValueError as exc:
-            exc.at = next((i, j) for i, row in enumerate(rows) for j, y in enumerate(row) if y is x)
+            exc.at = divmod(keys.index(key), n)
             raise
-    values, code = _value_codes(fracs.values())
-    by_id = {key: code[q] for key, q in fracs.items()}
-    return values, [list(map(by_id.__getitem__, row)) for row in ids]
+    values, codes = _value_codes(fracs)
+    flat = list(map(dict(zip(distinct, codes)).__getitem__, keys))
+    return values, [flat[i:i + n] for i in range(0, len(flat), n)]
+
+
+def _entry_keys(cells) -> tuple[list, dict]:
+    """(keys, entries): a key for each entry, and the entry of each key that
+    is not its own entry. An exact str or int is its own key, so equal ones
+    share it; any other object is keyed by its id, in a 1-tuple that equals
+    no entry, so True is not 1 nor 1.0 either, and an unhashable entry still
+    gets a key."""
+    if set(map(type, cells)) <= _TOKENS:
+        return cells, {}
+    keys = [x if type(x) in _TOKENS else (id(x),) for x in cells]
+    return keys, dict(zip(keys, cells))
 
 
 def _value_codes(fracs):
-    """The rank coding of some Fractions: (values, code) with ``values`` the
-    sorted distinct ones plus zero, so zero has code 0, and code[v] the
-    index of v in values. Comparisons and maxima of values are those of
-    their codes, which is all the path-max metric and the checks read."""
-    values = sorted({Fraction(0), *fracs})
-    return values, {v: c for c, v in enumerate(values)}
+    """The rank coding of a sequence of Fractions: (values, codes) with
+    ``values`` the sorted distinct ones plus zero, so zero has code 0, and
+    codes[i] the index of fracs[i] in values. Distinct values are told
+    apart by (numerator, denominator), which a Fraction keeps in lowest
+    terms, so no Fraction is hashed and only the distinct ones are sorted.
+    Comparisons and maxima of values are those of their codes, which is all
+    the path-max metric and the checks read."""
+    keys = [(q.numerator, q.denominator) for q in fracs]
+    distinct = dict(zip(keys, fracs))
+    distinct.setdefault((0, 1), Fraction(0))
+    order = sorted(distinct, key=distinct.__getitem__)
+    code = dict(zip(order, range(len(order))))
+    return [distinct[k] for k in order], list(map(code.__getitem__, keys))
 
 
 def _compact(values, codes):
@@ -254,19 +295,20 @@ def realize_as_star(space: FiniteUltrametricSpace):
     becomes a leaf labeled with its distance to the center. Point order is
     preserved, so building the ultrametric of the result reproduces the
     input matrix entry for entry. Raises NotUS when no witness exists. The
-    one-point space realizes as the one-vertex tree with label 0.
+    one-point space realizes as the one-vertex tree with label 0. The star
+    is a tree and its labels are the space's Fractions by construction, so
+    it is built unchecked.
     """
     from .labelings import LabeledTree
-    from .trees import validate_tree
+    from .trees import Tree
 
     center = us_witness(space)
     if center is None:
         raise NotUS("the space has no witness point, so no star generates it")
-    edges = [(center, p) for p in space.points if p != center]
-    tree = validate_tree(space.points, edges)
+    tree = Tree(space.points, [(center, p) for p in space.points if p != center])
     labels = dict(zip(space.points, space.dist[space._index[center]]))
     labels[center] = Fraction(0)
-    return LabeledTree(tree, labels)
+    return LabeledTree._trusted(tree, labels)
 
 
 @dataclass(frozen=True, eq=False, repr=False)

@@ -78,9 +78,11 @@ O(k):
   triple through z isosceles. Failure is kept by extensions.
 * Witness: old candidate x0 stays one iff d(z, x0) = m and no other column
   minimum drops (x0's row must hold them all); z becomes one iff no column
-  minimum lies below its row. A dropped candidate never returns. The drops
-  are found once, in O(k): with none, every candidate x with d(z, x) = m
-  stays; with one, in x0's column, at most x0; with more, none.
+  minimum lies below its row. A dropped candidate never returns. Only p's
+  column minimum can drop: every other column x holds d(p, x) <= d(z, x).
+  When it drops, a candidate x0 != p leaves anyway: d(z, x0) >= d(p, x0),
+  the old minimum x0's row holds, which lies above d(z, p) >= m. So a
+  candidate x0 stays iff d(z, x0) = m.
 * Rows are built only while they can matter: under a valid prefix for the
   axioms, a non-degenerate one for the witness. Each labeling is counted
   with its own verdict at a leaf; a mismatch rebuilds the full matrix.
@@ -320,13 +322,10 @@ def _labelings(parents, codes, witness: bool, leaf, blocks=()) -> None:
                 r = [c if c > w else w for w in dp]
                 m = c if c > low else low
                 if witness:
-                    cm = [v if v < w else w for v, w in zip(r, colmin)]
-                    if cm == colmin:  # no column minimum drops
-                        keep = [x for x in cand if r[x] == m]
-                    else:  # a candidate survives only the drop of its own column
-                        drops = [x for x, v, w in zip(range(k), r, colmin) if v < w]
-                        x0 = drops[0]
-                        keep = [x0] if len(drops) == 1 and r[x0] == m and x0 in cand else []
+                    cm = colmin.copy()
+                    if r[p] < cm[p]:  # the one column minimum that can drop
+                        cm[p] = r[p]
+                    keep = [x for x in cand if r[x] == m]
                     if r == cm:
                         keep.append(k)
                     cm.append(m)
@@ -659,8 +658,7 @@ def _sweep(task: dict) -> tuple[int, list[Certificate]]:
     once per labeled tree, a class's weight times."""
     n, vals, span = task["n"], task["values"] or (), task["trees"]
     claims = _reported(task["theorem"])
-    values, code = _value_codes(vals)
-    codes = [code[v] for v in vals]
+    values, codes = _value_codes(vals)
     memo: dict = {}
     if isinstance(span, range):
         units = ((_Facts(n, rank, values, codes, memo), 1) for rank in span)
@@ -902,5 +900,5 @@ def replay_certificate(cert: Certificate) -> bool:
     if cert.labeling is None:
         raise ValueError(f"claim {cert.claim_violated!r} needs a labeling to replay")
     labels = LabeledTree(cert.tree, dict(cert.labeling)).labels
-    code = _value_codes(labels.values())[1]  # the codes a sweep over these values gives
-    return claim.judge(facts, [code[labels[v]] for v in cert.tree.vertices]) is not None
+    codes = _value_codes(list(map(labels.__getitem__, cert.tree.vertices)))[1]  # as a sweep codes them
+    return claim.judge(facts, codes) is not None

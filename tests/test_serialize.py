@@ -2,7 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -11,6 +11,7 @@ from helpers import (
     load_fixture,
     path_tree,
     random_labeled_trees,
+    random_spaces,
     random_trees,
 )
 from ultratree import (
@@ -30,6 +31,7 @@ from ultratree import (
     tree_to_dict,
     us_witness,
     validate_tree,
+    validate_ultrametric,
 )
 
 
@@ -208,3 +210,88 @@ class TestFixtures:
         lt = labeled_tree_from_dict(load_fixture("double-star.json"))
         space = build_ultrametric(lt)
         assert us_witness(space) is not None
+
+
+def _parsed_one_by_one(obj):
+    """The reference read of a square space: every entry parsed on its own,
+    in row-major order, then the checked constructor."""
+    rows = [[parse_rational(x) for x in row] for row in obj["dist"]]
+    return validate_ultrametric(obj["points"], rows)
+
+
+def _outcome(read, obj):
+    try:
+        space = read(obj)
+    except Exception as err:
+        return type(err), str(err), err.args
+    return space.points, space.dist, space._ranked
+
+
+def _spellings(q):
+    """Wire forms of one non-negative value: its text, a scaled p/q and,
+    for an integer, the JSON number."""
+    forms = [str(q), f"{3 * q.numerator}/{3 * q.denominator}"]
+    if q.denominator == 1:
+        forms.append(q.numerator)
+    return forms
+
+
+# one change to a valid matrix: none, or a bad entry, or a broken axiom
+DAMAGE = ("none", "true", "float", "zero-denominator", "negative", "asymmetric", "triangle")
+
+
+@st.composite
+def wire_spaces(draw):
+    """A random space as a JSON-shaped dict, each entry in a random wire
+    form of its value, with one random change (DAMAGE) in one or both of
+    a pair of mirrored cells."""
+    space = draw(random_spaces(min_order=1, max_order=10))
+    rows = [[draw(st.sampled_from(_spellings(q))) for q in row] for row in space.dist]
+    n = space.size
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    top = max(max(row) for row in space.dist) + 1
+    bad = {
+        "none": rows[i][j],
+        "true": True,
+        "float": float(space.dist[i][j]),
+        "zero-denominator": "1/0",
+        "negative": -draw(st.integers(1, 3)),
+        "asymmetric": draw(st.sampled_from(_spellings(space.dist[i][j] + 1))),
+        "triangle": draw(st.sampled_from(_spellings(top))),
+    }[draw(st.sampled_from(DAMAGE))]
+    rows[i][j] = bad
+    if draw(st.booleans()):
+        rows[j][i] = bad
+    return {"points": list(space.points), "dist": rows}
+
+
+class TestCodingOracle:
+    """space_from_dict codes each distinct token once; it must read every
+    document exactly as parsing each entry on its own and validating does."""
+
+    def test_fixtures(self):
+        docs = [load_fixture("fig1-space.json")]
+        for name in ("fig1-path.json", "star.json", "double-star.json"):
+            docs.append(space_to_dict(build_ultrametric(labeled_tree_from_dict(load_fixture(name)))))
+        for obj in docs:
+            got = _outcome(space_from_dict, obj)
+            assert got == _outcome(_parsed_one_by_one, obj)
+            assert isinstance(got[0], tuple)
+
+    def test_mixed_tokens(self):
+        for dist in (
+            [["0", 2, "4/2"], [2, "0", "2"], ["4/2", "2", 0]],
+            [[0, 1, 1], [1, 0, True], [1, True, 0]],
+            [[0, "1", 1], ["1", 0, 1.0], [1, 1.0, 0]],
+            [["0", "1/0", "1"], ["1/0", "0", "1"], ["1", "1", "0"]],
+            [[0, -1, 2], [-1, 0, 2], [2, 2, 0]],
+            [["0", "2", "3"], ["2", "0", "2"], ["3", "2", "0"]],
+            [["0", "2", "2"], ["3", "0", "2"], ["2", "2", "0"]],
+        ):
+            obj = {"points": ["a", "b", "c"], "dist": dist}
+            assert _outcome(space_from_dict, obj) == _outcome(_parsed_one_by_one, obj)
+
+    @settings(max_examples=300)
+    @given(wire_spaces())
+    def test_random_documents(self, obj):
+        assert _outcome(space_from_dict, obj) == _outcome(_parsed_one_by_one, obj)

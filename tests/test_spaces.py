@@ -49,7 +49,9 @@ from ultratree import (
     validate_tree,
     validate_ultrametric,
 )
-from ultratree.spaces import _first_offender
+from ultratree import spaces
+from ultratree.spaces import _first_offender, _rank
+from ultratree.trees import _free_trees, _index_tree, longest_path_length
 
 
 def fig1_space():
@@ -624,3 +626,86 @@ class TestRankedBoundary:
         space = build_ultrametric(labeled(star_tree(4), (5, 1, 2, 0)))
         assert space.__dict__["_ranked"] == ([0, 5], [[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]])
         assert build_ultrametric(labeled(path_tree(1), (7,)))._ranked == ([0], [[0]])
+
+
+def _fresh(text):
+    """A new str object equal to ``text``."""
+    return "".join(list(text))
+
+
+class TestRankByValue:
+    """Exact str and int entries are coerced once per distinct value, not
+    once per object; other entries once per object."""
+
+    def _counting(self, monkeypatch):
+        calls = []
+        real = spaces.coerce_nonnegative
+        monkeypatch.setattr(spaces, "coerce_nonnegative", lambda x: calls.append(x) or real(x))
+        return calls
+
+    def test_one_coercion_per_distinct_value(self, monkeypatch):
+        calls = self._counting(monkeypatch)
+        n = 60
+        rows = [[0 if i == j else _fresh("10") for j in range(n)] for i in range(n)]
+        assert len({id(x) for row in rows for x in row}) == n * (n - 1) + 1
+        space = validate_ultrametric([f"p{i}" for i in range(n)], rows)
+        assert sorted(calls, key=str) == [0, "10"]
+        assert space._ranked[0] == [0, 10] and _is_seeded(space)
+        calls.clear()
+        FiniteUltrametricSpace(space.points, [[str(x) for x in row] for row in space.dist])
+        assert sorted(calls) == ["0", "10"]
+
+    def test_objects_of_other_types_coerce_once_each(self, monkeypatch):
+        calls = self._counting(monkeypatch)
+        rows = [[0, Fraction(2), "2"], [Fraction(2), 0, 2], ["2", 2, 0]]
+        validate_ultrametric("abc", rows)
+        assert len(calls) == 5  # 0, "2", 2 and each Fraction object
+
+    def test_first_bad_entry_raises_and_names_its_cell(self):
+        # equal negatives share a key; the error names the first cell holding it
+        rows = [[0, "10", "10"], [_fresh("10"), 0, _fresh("-3")], [_fresh("10"), _fresh("-3"), 0]]
+        with pytest.raises(ValueError) as info:
+            _rank(rows, spaces.coerce_nonnegative)
+        assert info.value.at == (1, 2)
+        rows[2][0] = 2.0  # a float after the first negative: the negative still comes first
+        with pytest.raises(PositivityViolation) as info:
+            validate_ultrametric("abc", rows)
+        assert info.value.offenders == ("b", "c")
+        rows[0][1] = 2.0  # a float before it: TypeError, not a named cell
+        with pytest.raises(TypeError):
+            validate_ultrametric("abc", rows)
+
+    def test_true_and_floats_are_not_their_int(self):
+        for bad in (True, 1.0, Fraction(1)):
+            rows = [[0, 1, 1], [1, 0, bad], [1, bad, 0]]
+            got = _any_outcome(validate_ultrametric, "abc", rows)
+            assert got == _any_outcome(brute_validate, "abc", rows)
+
+
+class TestTrustedStar:
+    """realize_as_star builds its star unchecked; it equals the checked one."""
+
+    def test_round_trip_grid_through_order_six(self):
+        checked = 0
+        for n, classes in enumerate(_free_trees(6), start=1):
+            names = tuple(f"v{i + 1}" for i in range(n))
+            for key in classes:
+                tree = _index_tree(names, [(key[k], k) for k in range(1, n)])
+                if longest_path_length(tree) > 3:
+                    continue
+                for values in itertools.product((0, 1, 2), repeat=n):
+                    lt = labeled(tree, values)
+                    if not is_nondegenerate(lt):
+                        continue
+                    space = build_ultrametric(lt)
+                    star = realize_as_star(space)
+                    center = us_witness(space)
+                    edges = [(center, p) for p in space.points if p != center]
+                    assert star.tree == validate_tree(space.points, edges)
+                    row = space.dist[space.points.index(center)]
+                    assert dict(star.labels) == dict(zip(space.points, row))
+                    assert all(type(q) is Fraction for q in star.labels.values())
+                    assert star == LabeledTree(star.tree, dict(star.labels))
+                    assert build_ultrametric(star) == space
+                    checked += 1
+        assert checked > 1000

@@ -84,9 +84,8 @@ from ultratree.verify import (
 
 def _grid(values):
     """A value grid as a sweep codes it: (each code's value, the grid's codes)."""
-    vals = sorted({Fraction(v) for v in values})
-    by_code, code = _value_codes(vals)
-    return by_code, tuple(code[v] for v in vals)
+    by_code, codes = _value_codes(sorted({Fraction(v) for v in values}))
+    return by_code, tuple(codes)
 
 
 class TestCaseCounting:
@@ -329,8 +328,12 @@ class TestCodedCore:
         assert _grid((0, 1, 2)) == ([0, 1, 2], (0, 1, 2))
         assert _grid((3, 1)) == ([0, 1, 3], (1, 2))
         assert _grid((7, "1/2", 0, 7)) == ([0, Fraction(1, 2), 7], (0, 1, 2))
-        values, code = _value_codes([Fraction(5), Fraction(0), Fraction(5), Fraction(2)])
-        assert values == [0, 2, 5] and code == {0: 0, 2: 1, 5: 2}
+        values, codes = _value_codes([Fraction(5), Fraction(0), Fraction(5), Fraction(2)])
+        assert values == [0, 2, 5] and codes == [2, 0, 2, 1]
+        assert _value_codes([]) == ([0], [])
+        # equal values of different objects share a code; 4/2 is 2 in lowest terms
+        values, codes = _value_codes([Fraction(4, 2), Fraction(1, 3), Fraction("2"), Fraction(2, 6)])
+        assert values == [0, Fraction(1, 3), 2] and codes == [2, 1, 2, 1]
 
     def _agreement_on(self, n, values):
         vals, codes = _grid(values)
