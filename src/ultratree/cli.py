@@ -19,7 +19,7 @@ import sys
 from . import verify
 from .errors import NoLongPath, NotUS, UltratreeError
 from .labelings import build_ultrametric, counterexample_labeling
-from .rationals import format_rational, parse_rational
+from .rationals import parse_rational
 from .serialize import (
     labeled_tree_from_dict,
     labeled_tree_to_dict,
@@ -47,12 +47,12 @@ def _load(path):
 
 def _distance(args):
     lt = labeled_tree_from_dict(_load(args.file))
-    space = build_ultrametric(lt)
+    payload = space_to_dict(build_ultrametric(lt))  # each distinct value formatted once
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow([""] + list(space.points))
-    for name, row in zip(space.points, space.dist):
-        writer.writerow([name] + [format_rational(x) for x in row])
-    return space_to_dict(space), 0
+    writer.writerow(["", *payload["points"]])
+    for name, row in zip(payload["points"], payload["dist"]):
+        writer.writerow([name, *row])
+    return payload, 0
 
 
 def _check_us(args):

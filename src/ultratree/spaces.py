@@ -28,7 +28,20 @@ from .errors import (
 from .rationals import coerce_nonnegative, format_rational
 
 
-@dataclass(frozen=True)
+class _Decoded:
+    """The ``dist`` field of a space: its Fraction rows, decoded from the
+    rank codes on first read and then kept in the instance, where they
+    shadow this descriptor. It has no class default, so ``dist`` stays a
+    required field."""
+
+    def __get__(self, space, owner=None):
+        if space is None:
+            raise AttributeError("dist")
+        dist = space.__dict__["dist"] = _decode(*space._ranked)
+        return dist
+
+
+@dataclass(frozen=True, eq=False)
 class FiniteUltrametricSpace:
     """Ordered points with an exact symmetric distance matrix.
 
@@ -37,24 +50,24 @@ class FiniteUltrametricSpace:
     and each held by some entry or zero. The constructor coerces each
     distinct entry to a Fraction once (_rank) and codes the matrix; the
     package's own spaces (validate_ultrametric, space_from_dict,
-    build_ultrametric, restrict) are made from codes by _coded. It rejects a
-    matrix that is not N x N for N points with ValueError, but does not
-    check the axioms; validate_ultrametric is the checked entry point for
-    untrusted data.
+    build_ultrametric, restrict) are made from codes by _coded. The checks
+    and answers read the codes only: ``dist`` is decoded on first read, and
+    equality and hashing go through (points, values, codes), which the
+    coding makes equal exactly when (points, dist) are. The constructor
+    rejects a matrix that is not N x N for N points with ValueError, but
+    does not check the axioms; validate_ultrametric is the checked entry
+    point for untrusted data.
     """
 
     points: tuple[str, ...]
-    dist: tuple[tuple[Fraction, ...], ...]
+    dist: tuple[tuple[Fraction, ...], ...] = _Decoded()
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
-        rows = tuple(map(tuple, self.dist))
+        # the caller's rows go: a read of dist decodes the codes instead
+        rows = tuple(map(tuple, self.__dict__.pop("dist")))
         _check_shape(self.points, rows)
-        self._set_codes(*_rank(rows, coerce_nonnegative))
-
-    def _set_codes(self, values, codes) -> None:
-        object.__setattr__(self, "dist", _decode(values, codes))
-        object.__setattr__(self, "_ranked", (values, codes))
+        object.__setattr__(self, "_ranked", _rank(rows, coerce_nonnegative))
 
     @property
     def size(self) -> int:
@@ -65,16 +78,26 @@ class FiniteUltrametricSpace:
         """A space over a tuple of points and their rank codes, unchecked."""
         space = object.__new__(cls)
         object.__setattr__(space, "points", points)
-        space._set_codes(values, codes)
+        object.__setattr__(space, "_ranked", (values, codes))
         return space
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.points == other.points and self._ranked == other._ranked
+
+    def __hash__(self):
+        values, codes = self._ranked
+        return hash((self.points, tuple(values), tuple(map(tuple, codes))))
 
     @cached_property
     def _index(self) -> dict[str, int]:
         return {p: i for i, p in enumerate(self.points)}
 
     def distance(self, x: str, y: str) -> Fraction:
+        values, codes = self._ranked
         try:
-            return self.dist[self._index[x]][self._index[y]]
+            return values[codes[self._index[x]][self._index[y]]]
         except KeyError as exc:
             raise UnknownPoint(f"point {exc.args[0]!r} is not in the space") from None
 
@@ -83,13 +106,13 @@ def validate_ultrametric(points: Sequence[str], dist: Sequence[Sequence]) -> Fin
     """Check the three ultrametric axioms in O(n^2) and return the space.
 
     Symmetry and positivity (zero exactly on the diagonal, nothing negative)
-    entry by entry; the strong triangle inequality by the join rule: each
-    point k, at distance m from a, the first of its nearest earlier points,
-    has d(k, x) = max(m, d(a, x)) for every x before it (see _joins). A scan
-    over triples runs only to name a failure's first offender (see
-    _first_offender). Raises ValueError for a matrix that is not N x N,
-    SymmetryViolation, PositivityViolation, or StrongTriangleViolation
-    naming the points.
+    by whole-row screens, entry by entry only on a matrix they reject; the
+    strong triangle inequality by the join rule: each point k, at distance m
+    from a, the first of its nearest earlier points, has d(k, x) =
+    max(m, d(a, x)) for every x before it (see _joins). A scan over triples
+    runs only to name a failure's first offender (see _first_offender).
+    Raises ValueError for a matrix that is not N x N, SymmetryViolation,
+    PositivityViolation, or StrongTriangleViolation naming the points.
     """
     pts = _names(points)
     _check_shape(pts, dist)
@@ -136,22 +159,27 @@ def _check_shape(points, dist) -> None:
 
 
 def _first_offender(codes):
-    """The first axiom a square matrix of rank codes breaks, as (axiom,
-    point indices), or None. Row by row, the diagonal entry and then each
-    pair i < j for symmetry and positivity; then, unless every point joins
+    """The first axiom a square list-of-lists matrix of rank codes breaks,
+    as (axiom, point indices), or None. An accept-only screen runs first, in
+    whole-row operations: each row's one zero on the diagonal, and the
+    matrix equal to its transpose. Only a matrix it rejects is scanned row
+    by row, the diagonal entry and then each pair i < j for symmetry and
+    positivity, to name the first offender. Then, unless every point joins
     the points before it by the join rule (_links, _joins), the first
     strong-triangle triple (i, j, k) with i < j, which on a symmetric matrix
     is also the first over ordered pairs: an offender (j, i, k) with j > i
     makes (i, j, k) one."""
     n = len(codes)
-    for i, row in enumerate(codes):
-        if row[i]:
-            return "positivity", (i, i)
-        for j in range(i + 1, n):
-            if row[j] != codes[j][i]:
-                return "symmetry", (i, j)
-            if not row[j]:
-                return "positivity", (i, j)
+    screened = all(not row[i] and row.count(0) == 1 for i, row in enumerate(codes))
+    if not (screened and codes == list(map(list, zip(*codes)))):
+        for i, row in enumerate(codes):
+            if row[i]:
+                return "positivity", (i, i)
+            for j in range(i + 1, n):
+                if row[j] != codes[j][i]:
+                    return "symmetry", (i, j)
+                if not row[j]:
+                    return "positivity", (i, j)
     if all(_joins(codes[k][:k], m, codes[a][:k]) for m, a, k in _links(codes)):
         return None
     for i, row in enumerate(codes):
@@ -170,33 +198,31 @@ def _rank(rows, convert):
     so ids stay unique. Each distinct entry (_entry_keys) is converted to a
     Fraction by ``convert`` once, in row-major order of first appearance, so
     the first bad entry raises first; a ValueError names its cell in
-    ``at``. Each cell then costs one lookup of its key."""
-    n = len(rows)
-    cells = list(chain.from_iterable(rows))
-    keys, entries = _entry_keys(cells)
-    distinct = dict.fromkeys(keys)
+    ``at``. Each row is then coded by one lookup of its keys."""
+    keys, entries = _entry_keys(rows)
+    distinct = dict.fromkeys(chain.from_iterable(keys))
     fracs = []
     for key in distinct:
         try:
             fracs.append(convert(entries.get(key, key)))
         except ValueError as exc:
-            exc.at = divmod(keys.index(key), n)
+            exc.at = next((i, row.index(key)) for i, row in enumerate(keys) if key in row)
             raise
     values, codes = _value_codes(fracs)
-    flat = list(map(dict(zip(distinct, codes)).__getitem__, keys))
-    return values, [flat[i:i + n] for i in range(0, len(flat), n)]
+    code = dict(zip(distinct, codes)).__getitem__
+    return values, [list(map(code, row)) for row in keys]
 
 
-def _entry_keys(cells) -> tuple[list, dict]:
-    """(keys, entries): a key for each entry, and the entry of each key that
-    is not its own entry. An exact str or int is its own key, so equal ones
-    share it; any other object is keyed by its id, in a 1-tuple that equals
-    no entry, so True is not 1 nor 1.0 either, and an unhashable entry still
-    gets a key."""
-    if set(map(type, cells)) <= _TOKENS:
-        return cells, {}
-    keys = [x if type(x) in _TOKENS else (id(x),) for x in cells]
-    return keys, dict(zip(keys, cells))
+def _entry_keys(rows) -> tuple[list, dict]:
+    """(keys, entries): the rows with each entry replaced by its key, and
+    the entry of each key that is not its own entry. An exact str or int is
+    its own key, so equal ones share it; any other object is keyed by its
+    id, in a 1-tuple that equals no entry, so True is not 1 nor 1.0 either,
+    and an unhashable entry still gets a key."""
+    if set(map(type, chain.from_iterable(rows))) <= _TOKENS:
+        return rows, {}
+    keys = [[x if type(x) in _TOKENS else (id(x),) for x in row] for row in rows]
+    return keys, dict(zip(chain.from_iterable(keys), chain.from_iterable(rows)))
 
 
 def _value_codes(fracs):
@@ -204,13 +230,15 @@ def _value_codes(fracs):
     ``values`` the sorted distinct ones plus zero, so zero has code 0, and
     codes[i] the index of fracs[i] in values. Distinct values are told
     apart by (numerator, denominator), which a Fraction keeps in lowest
-    terms, so no Fraction is hashed and only the distinct ones are sorted.
+    terms, so no Fraction is hashed and only the distinct ones are sorted:
+    integers as their (numerator, 1) pairs, others as Fractions.
     Comparisons and maxima of values are those of their codes, which is all
     the path-max metric and the checks read."""
     keys = [(q.numerator, q.denominator) for q in fracs]
     distinct = dict(zip(keys, fracs))
     distinct.setdefault((0, 1), Fraction(0))
-    order = sorted(distinct, key=distinct.__getitem__)
+    integers = all(den == 1 for _, den in distinct)
+    order = sorted(distinct) if integers else sorted(distinct, key=distinct.__getitem__)
     code = dict(zip(order, range(len(order))))
     return [distinct[k] for k in order], list(map(code.__getitem__, keys))
 
@@ -259,14 +287,19 @@ def us_witness(space: FiniteUltrametricSpace) -> str | None:
 
     A witness x0 satisfies d(x0, x) <= d(y, x) for all points x != x0 and
     y != x: off the diagonal, its row holds each column's minimum. O(n^2).
+    The matrix must be symmetric, as it is in every space but one built
+    unchecked from an asymmetric matrix.
     """
     i = _witness_index(space._ranked[1])
     return None if i is None else space.points[i]
 
 
 def _witness_index(d) -> int | None:
-    """The first witness row of a square list-of-lists matrix (0 for one point), or None."""
-    colmin = [min(col[:x] + col[x + 1:], default=0) for x, col in enumerate(zip(*d))]
+    """The first witness row of a symmetric square list-of-lists matrix (0
+    for one point), or None. Each column's minimum off the diagonal is read
+    from its row, which the symmetry makes the same; callers pass a space's
+    codes (see us_witness) or a _path_max matrix, which is symmetric."""
+    colmin = [min(row[:x] + row[x + 1:], default=0) for x, row in enumerate(d)]
     for i, row in enumerate(d):
         if row[:i] == colmin[:i] and row[i + 1:] == colmin[i + 1:]:
             return i
@@ -297,16 +330,18 @@ def realize_as_star(space: FiniteUltrametricSpace):
     input matrix entry for entry. Raises NotUS when no witness exists. The
     one-point space realizes as the one-vertex tree with label 0. The star
     is a tree and its labels are the space's Fractions by construction, so
-    it is built unchecked.
+    it is built unchecked; only the center's row is decoded.
     """
     from .labelings import LabeledTree
     from .trees import Tree
 
-    center = us_witness(space)
-    if center is None:
+    values, codes = space._ranked
+    i = _witness_index(codes)
+    if i is None:
         raise NotUS("the space has no witness point, so no star generates it")
+    center = space.points[i]
     tree = Tree(space.points, [(center, p) for p in space.points if p != center])
-    labels = dict(zip(space.points, space.dist[space._index[center]]))
+    labels = dict(zip(space.points, map(values.__getitem__, codes[i])))
     labels[center] = Fraction(0)
     return LabeledTree._trusted(tree, labels)
 

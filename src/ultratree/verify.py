@@ -271,6 +271,36 @@ def _sibling_blocks(key) -> list[tuple[int, int, int]]:
     return blocks
 
 
+def _orbit_count(key, q: int) -> int:
+    """The orbits of the swaps _sibling_blocks spells on the labelings over
+    q codes of the tree of ``key``, which the orbit walk's leaves count.
+    Bottom up, a vertex has q times, for each run of r children laid out
+    alike with N orbits each, C(N + r - 1, r) multisets of theirs; alike
+    halves of N orbits each have C(N + 1, 2)."""
+    n = len(key)
+    j, half = [1] * n, 0  # each vertex's place in its run; the second half's root
+    for s, size, at in _sibling_blocks(key):
+        if s == size:
+            half = s
+        else:
+            j[s] = at
+    num, den = [q] * n, [1] * n  # a vertex's orbits are num // den once its children are in
+    for k in range(n - 1, 0, -1):
+        if k != half:
+            num[key[k]] *= num[k] // den[k] + j[k] - 1
+            den[key[k]] *= j[k]
+    if half:
+        return comb(num[half] // den[half] + 1, 2)
+    return num[0] // den[0]
+
+
+def _walk_size(key, q: int) -> int:
+    """About how many labelings the orbit walk visits on ``key`` over q
+    codes, prefixes included: the orbit counts of the key's prefixes
+    summed, a block a prefix cuts short counted as free."""
+    return sum(_orbit_count(key[:k], q) for k in range(1, len(key) + 1))
+
+
 def _labelings(parents, codes, witness: bool, leaf, blocks=()) -> None:
     """Call leaf(lab, nondeg, verdict, weight) once for every labeling over
     ``codes`` (ascending) of the tree in which vertex k > 0 hangs from
@@ -708,6 +738,33 @@ def _by_order(tasks, parts) -> dict[int, tuple[int, list[Certificate]]]:
     return by_order
 
 
+# a class's facts and per-tree checks cost about as much as this many walk
+# visits (_walk_size), measured at orders 10 to 12
+_CLASS_VISITS = 50
+
+
+def _deal(theorem: str, classes, chunks: int, value_count: int) -> list[list]:
+    """The classes of one order in ``chunks`` parts of about equal cost,
+    each class, costliest first, to the cheapest part so far. A class costs
+    _CLASS_VISITS, plus its _walk_size when the theorem walks its labelings:
+    a few stars and double stars can outweigh every other class."""
+    if chunks == 1:
+        return [classes]
+    walks = [checked.holds for claim, checked, _ in _reported(theorem) if claim.per_labeling]
+
+    def cost(key):
+        walked = any(holds(_ClassFacts(key, (), ())) for holds in walks)
+        return _CLASS_VISITS + (_walk_size(key, value_count) if walked else 0)
+
+    costs = [cost(key) for key, _ in classes]
+    parts, loads = [[] for _ in range(chunks)], [0] * chunks
+    for i in sorted(range(len(classes)), key=costs.__getitem__, reverse=True):
+        cheapest = loads.index(min(loads))
+        parts[cheapest].append(classes[i])
+        loads[cheapest] += costs[i]
+    return parts
+
+
 def _orders(tasks, chunks: int, run) -> dict[int, tuple[int, list[Certificate]]]:
     """_by_order of the class tasks, ``run`` mapping _sweep over a task
     list; an order with a certificate is swept again in ``chunks`` rank ranges."""
@@ -746,8 +803,8 @@ def _execute(theorem, n_max, values, budget, jobs, subchecks=None) -> Verificati
         classes = [(key, math.factorial(n) // aut) for key, aut in found.items()]
         _gate(n, "free trees", len(classes), _free_tree_count(n))
         _gate(n, "labeled trees", sum(weight for _, weight in classes), _tree_count(n))
-        for i in range(min(chunks, len(classes))):
-            tasks.append({"theorem": theorem, "n": n, "trees": classes[i::chunks], "values": vals})
+        for part in _deal(theorem, classes, min(chunks, len(classes)), len(vals or ())):
+            tasks.append({"theorem": theorem, "n": n, "trees": part, "values": vals})
     workers = min(chunks, len(tasks))
     if workers > 1:
         from multiprocessing import Pool

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import sys
 from collections.abc import Sequence
 from fractions import Fraction
@@ -10,14 +12,18 @@ from hypothesis import strategies as st
 from helpers import (
     FIG1_MATRIX,
     FIG1_POINTS,
+    FIXTURES,
     LABEL_POOL,
     all_labelings,
     brute_form,
     brute_isometric,
     brute_validate,
     brute_witness,
+    coded_matrix,
     independent_ranking,
+    index_adjacency,
     labeled,
+    pair_paths,
     path_tree,
     random_labeled_trees,
     random_spaces,
@@ -40,6 +46,8 @@ from ultratree import (
     check_isometric,
     enumerate_trees,
     is_nondegenerate,
+    labeled_tree_from_dict,
+    labeled_tree_to_dict,
     raw_distance_matrix,
     realize_as_star,
     restrict,
@@ -50,7 +58,9 @@ from ultratree import (
     validate_ultrametric,
 )
 from ultratree import spaces
-from ultratree.spaces import _first_offender, _rank
+from ultratree.cli import run
+from ultratree.labelings import _path_max
+from ultratree.spaces import _first_offender, _rank, _witness_index
 from ultratree.trees import _free_trees, _index_tree, longest_path_length
 
 
@@ -709,3 +719,146 @@ class TestTrustedStar:
                     assert build_ultrametric(star) == space
                     checked += 1
         assert checked > 1000
+
+
+def _brute_decode(space):
+    """A space's matrix read cell by cell from its rank codes."""
+    values, codes = space._ranked
+    return tuple(tuple(values[codes[i][j]] for j in range(space.size)) for i in range(space.size))
+
+
+def _fractions(rows):
+    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+
+
+def _no_decode(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("decoded a Fraction matrix")
+
+    monkeypatch.setattr(spaces, "_decode", refuse)
+
+
+class TestLazyDist:
+    """Spaces hold only their codes until ``dist`` is read; what reads it,
+    compares or hashes a space sees what an eagerly decoded space showed."""
+
+    @staticmethod
+    def _made(lt, keep):
+        """(space, its matrix by an oracle) from every maker of a space."""
+        n = lt.tree.order
+        labels = [lt.labels[v] for v in lt.tree.vertices]
+        rows = coded_matrix(n, pair_paths(n, index_adjacency(lt.tree)), labels)
+        points = lt.tree.vertices
+        text = [[str(x) for x in row] for row in rows]
+        made = [
+            (build_ultrametric(lt), rows),
+            (validate_ultrametric(points, rows), rows),
+            (space_from_dict({"points": list(points), "dist": text}), rows),
+            (FiniteUltrametricSpace(points, text), rows),
+        ]
+        idx = [i for i, p in enumerate(points) if p in keep]
+        block = [[rows[i][j] for j in idx] for i in idx]
+        made.append((restrict(made[0][0], keep), block))
+        return made
+
+    @settings(max_examples=80)
+    @given(random_labeled_trees(max_order=12), st.data())
+    def test_every_maker_decodes_its_matrix_on_first_read(self, lt, data):
+        assume(is_nondegenerate(lt))
+        keep = data.draw(st.sets(st.sampled_from(lt.tree.vertices), min_size=1))
+        for space, rows in self._made(lt, keep):
+            assert "dist" not in space.__dict__
+            assert space.dist == _brute_decode(space) == _fractions(rows)
+            assert all(type(q) is Fraction for row in space.dist for q in row)
+            assert space.__dict__["dist"] is space.dist  # kept once read
+
+    @settings(max_examples=80)
+    @given(random_spaces(max_order=10), random_spaces(max_order=10), st.data())
+    def test_equality_and_hash_agree_with_the_decoded_matrices(self, a, b, data):
+        perm = data.draw(st.permutations(range(a.size)))
+        twins = [
+            FiniteUltrametricSpace(a.points, [[str(x) for x in row] for row in a.dist]),
+            validate_ultrametric(a.points, a.dist),
+            space_from_dict(space_to_dict(a)),
+            restrict(a, a.points),
+            FiniteUltrametricSpace(
+                [a.points[i] for i in perm], [[a.dist[i][j] for j in perm] for i in perm]
+            ),
+            FiniteUltrametricSpace(a.points, [[2 * x for x in row] for row in a.dist]),
+            b,
+        ]
+        for other in twins:
+            same = (a.points, a.dist) == (other.points, other.dist)
+            assert (a == other) is same and (other == a) is same and (a != other) is not same
+            if same:
+                assert hash(a) == hash(other)
+        assert a != (a.points, a.dist)
+
+    @settings(max_examples=40)
+    @given(random_spaces(max_order=12))
+    def test_copies_and_pickles_are_equal(self, space):
+        for read in (False, True):
+            if read:
+                space.dist
+            for twin in (copy.deepcopy(space), pickle.loads(pickle.dumps(space))):
+                assert twin == space and hash(twin) == hash(space)
+                assert twin.dist == space.dist and twin._ranked == space._ranked
+
+    def test_constructor_drops_the_callers_rows(self):
+        space = FiniteUltrametricSpace(["a"], [["0"]])
+        assert space.dist == ((Fraction(0),),)
+        assert type(space.dist[0][0]) is Fraction
+        assert space.distance("a", "a") == 0
+        with pytest.raises(TypeError):
+            FiniteUltrametricSpace(["a"])  # dist stays a required field
+
+    @settings(max_examples=40, deadline=None)
+    @given(random_spaces(max_order=40), random_labeled_trees(max_order=12))
+    def test_request_paths_never_decode(self, space, lt):
+        assume(is_nondegenerate(lt))
+        doc, tree_doc = space_to_dict(space), labeled_tree_to_dict(lt)
+        want = space_to_dict(FiniteUltrametricSpace(*raw_distance_matrix(lt)))
+        far = space.dist[0][-1]
+        with pytest.MonkeyPatch.context() as mp:
+            _no_decode(mp)
+            loaded = space_from_dict(doc)
+            if us_witness(loaded) is not None:
+                labeled_tree_to_dict(realize_as_star(loaded))
+            assert check_isometric(loaded, space_from_dict(doc))
+            assert space_to_dict(build_ultrametric(labeled_tree_from_dict(tree_doc))) == want
+            assert loaded.distance(space.points[0], space.points[-1]) == far
+            assert loaded == space and hash(loaded) == hash(space)
+
+    def test_cli_paths_never_decode(self, monkeypatch, capsys, tmp_path):
+        _no_decode(monkeypatch)
+        fig1_space = str(FIXTURES / "fig1-space.json")
+        for name in ("double-star", "star", "fig1-path"):
+            out = tmp_path / f"{name}.json"
+            assert run(["distance", str(FIXTURES / f"{name}.json"), "--json", str(out)]) == 0
+            witnessed = run(["check-us", str(out)])
+            assert witnessed in (0, 2)
+            assert run(["realize", str(out)]) == witnessed
+            assert run(["isometric", str(out), fig1_space]) == (0 if name == "fig1-path" else 2)
+        capsys.readouterr()
+
+
+class TestWitnessIndex:
+    """_witness_index reads column minima from rows, so it takes a symmetric
+    matrix: every path-max matrix is one, degenerate labelings included."""
+
+    def test_matches_the_brute_witness_on_every_small_labeling(self):
+        checked = 0
+        for n, classes in enumerate(_free_trees(6), start=1):
+            names = tuple(f"v{i + 1}" for i in range(n))
+            for key in classes:
+                tree = _index_tree(names, [(key[k], k) for k in range(1, n)])
+                adj = index_adjacency(tree)
+                pairs = pair_paths(n, adj)
+                for lab in itertools.product(range(3), repeat=n):
+                    d = _path_max(adj, lab)
+                    assert d == coded_matrix(n, pairs, lab)
+                    got = _witness_index(d)
+                    brute = brute_witness(FiniteUltrametricSpace(names, d))
+                    assert (None if got is None else names[got]) == brute
+                    checked += 1
+        assert checked == sum(3**n * len(c) for n, c in enumerate(_free_trees(6), start=1)) == 5304

@@ -298,6 +298,30 @@ class TestParallelExecution:
             assert len(chunks) == min(2, len(keys))  # each class walked by one worker
             assert sorted(key for chunk in chunks for key, _ in chunk) == sorted(keys)
 
+    @pytest.mark.parametrize("theorem", ["main", "classify", "nondeg", "lemmas"])
+    def test_chunks_are_dealt_by_walk_cost(self, theorem):
+        walks = [t.holds for c, t, _ in verify._reported(theorem) if c.per_labeling]
+
+        def cost(key):
+            walked = any(holds(verify._ClassFacts(key, (), ())) for holds in walks)
+            return verify._CLASS_VISITS + (verify._walk_size(key, 3) if walked else 0)
+
+        for n in (6, 10, 12):
+            found = trees._free_trees(n)[n - 1]
+            classes = [(key, math.factorial(n) // aut) for key, aut in found.items()]
+            assert verify._deal(theorem, classes, 1, 3) == [classes]
+            # main and classify walk only the star and the double stars
+            heavy = {key for key, _ in classes if cost(key) > verify._CLASS_VISITS}
+            assert len(heavy) == (len(classes) if theorem == "nondeg" else 0 if theorem == "lemmas" else n // 2)
+            for chunks in (2, 3):
+                parts = verify._deal(theorem, classes, chunks, 3)
+                assert len(parts) == chunks
+                assert sorted(c for part in parts for c in part) == sorted(classes)
+                # greedy to the cheapest part: parts differ by at most one class's cost
+                loads = [sum(cost(key) for key, _ in part) for part in parts]
+                assert max(loads) - min(loads) <= max(cost(key) for key, _ in classes)
+                assert all(heavy & dict(part).keys() for part in parts) or len(heavy) < chunks
+
     def test_small_sweeps_run_in_process(self, monkeypatch):
         # the top order's predicted cases on three values: 11,964,928 at
         # order 8 of main, 99,020,628 at order 9
@@ -334,6 +358,16 @@ class TestCodedCore:
         # equal values of different objects share a code; 4/2 is 2 in lowest terms
         values, codes = _value_codes([Fraction(4, 2), Fraction(1, 3), Fraction("2"), Fraction(2, 6)])
         assert values == [0, Fraction(1, 3), 2] and codes == [2, 1, 2, 1]
+
+    @given(
+        st.lists(st.fractions(min_value=0, max_value=50, max_denominator=4))
+        | st.lists(st.integers(0, 99).map(Fraction))  # integers sort as pairs
+    )
+    def test_value_codes_rank_the_sorted_distinct_values(self, fracs):
+        values, codes = _value_codes(fracs)
+        assert values == sorted({Fraction(0), *fracs})
+        assert all(type(q) is Fraction for q in values)
+        assert [values[c] for c in codes] == fracs
 
     def _agreement_on(self, n, values):
         vals, codes = _grid(values)
@@ -641,6 +675,18 @@ class TestOrbitWalk:
                         failing = orbit(full_bad.pop(), auts)
                         assert len(failing & reps) == 1
                         full_bad -= failing
+
+    def test_orbit_count_is_burnsides_and_the_walks(self):
+        pytest.importorskip("networkx")
+        for found in trees._free_trees(8):
+            for key in found:
+                auts = automorphisms(key)
+                for q in (1, 2, 3, 4):
+                    assert verify._orbit_count(key, q) == orbit_count(auts, q)
+                codes = _grid((0, 1, 2))[1]
+                assert verify._orbit_count(key, 3) == _tally(key, codes, True, verify._sibling_blocks(key))[2]
+                # every prefix a walk visits is counted, the last ones being its leaves
+                assert verify._walk_size(key, 3) >= verify._orbit_count(key, 3)
 
     def test_weights_sum_to_the_grid_on_stars_and_double_stars_through_order_fourteen(self):
         codes = _grid((0, 1, 2))[1]
