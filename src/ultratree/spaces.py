@@ -9,11 +9,11 @@ path-maximum metric reproduces the space exactly.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, groupby
+from itertools import chain, count, groupby
 from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence
 
@@ -47,7 +47,9 @@ class FiniteUltrametricSpace:
 
     Every space is born rank-coded: ``_ranked`` holds (values, codes) with
     values[codes[i][j]] == dist[i][j] and values[0] == 0, the values sorted
-    and each held by some entry or zero. The constructor coerces each
+    and each held by some entry or zero. The code rows are ``bytes`` when
+    there are at most 256 values, the width of a byte, and lists otherwise,
+    so equal spaces share one row type. The constructor coerces each
     distinct entry to a Fraction once (_rank) and codes the matrix; the
     package's own spaces (validate_ultrametric, space_from_dict,
     build_ultrametric, restrict) are made from codes by _coded. The checks
@@ -76,6 +78,8 @@ class FiniteUltrametricSpace:
     @classmethod
     def _coded(cls, points, values, codes) -> "FiniteUltrametricSpace":
         """A space over a tuple of points and their rank codes, unchecked."""
+        if len(values) <= 256:
+            codes = list(map(bytes, codes))
         space = object.__new__(cls)
         object.__setattr__(space, "points", points)
         object.__setattr__(space, "_ranked", (values, codes))
@@ -159,19 +163,20 @@ def _check_shape(points, dist) -> None:
 
 
 def _first_offender(codes):
-    """The first axiom a square list-of-lists matrix of rank codes breaks,
-    as (axiom, point indices), or None. An accept-only screen runs first, in
-    whole-row operations: each row's one zero on the diagonal, and the
-    matrix equal to its transpose. Only a matrix it rejects is scanned row
-    by row, the diagonal entry and then each pair i < j for symmetry and
-    positivity, to name the first offender. Then, unless every point joins
-    the points before it by the join rule (_links, _joins), the first
-    strong-triangle triple (i, j, k) with i < j, which on a symmetric matrix
-    is also the first over ordered pairs: an offender (j, i, k) with j > i
-    makes (i, j, k) one."""
+    """The first axiom a square matrix of rank codes (all byte or all list
+    rows) breaks, as (axiom, point indices), or None. An accept-only screen
+    runs first, in whole-row operations: each row's one zero on the
+    diagonal, and the matrix equal to its transpose. Only a matrix it
+    rejects is scanned row by row, the diagonal entry and then each pair
+    i < j for symmetry and positivity, to name the first offender. Then,
+    unless every point joins the points before it by the join rule (_links;
+    _joins, or _byte_joins on byte rows), the first strong-triangle triple
+    (i, j, k) with i < j, which on a symmetric matrix is also the first over
+    ordered pairs: an offender (j, i, k) with j > i makes (i, j, k) one."""
     n = len(codes)
+    row_type = type(codes[0])
     screened = all(not row[i] and row.count(0) == 1 for i, row in enumerate(codes))
-    if not (screened and codes == list(map(list, zip(*codes)))):
+    if not (screened and codes == list(map(row_type, zip(*codes)))):
         for i, row in enumerate(codes):
             if row[i]:
                 return "positivity", (i, i)
@@ -180,7 +185,8 @@ def _first_offender(codes):
                     return "symmetry", (i, j)
                 if not row[j]:
                     return "positivity", (i, j)
-    if all(_joins(codes[k][:k], m, codes[a][:k]) for m, a, k in _links(codes)):
+    joins = _byte_joins if row_type is bytes else _joins
+    if all(joins(codes[k][:k], m, codes[a][:k]) for m, a, k in _links(codes)):
         return None
     for i, row in enumerate(codes):
         for j in range(i + 1, n):
@@ -191,26 +197,43 @@ def _first_offender(codes):
 
 
 _TOKENS = frozenset((str, int))
+_CEILINGS = [bytes([m]) * m + bytes(range(m, 256)) for m in range(256)]  # see _byte_joins
 
 
 def _rank(rows, convert):
     """(values, codes) of a square matrix whose rows keep its entries alive,
-    so ids stay unique. Each distinct entry (_entry_keys) is converted to a
-    Fraction by ``convert`` once, in row-major order of first appearance, so
-    the first bad entry raises first; a ValueError names its cell in
-    ``at``. Each row is then coded by one lookup of its keys."""
-    keys, entries = _entry_keys(rows)
-    distinct = dict.fromkeys(chain.from_iterable(keys))
+    so ids stay unique; rows are bytes up to 256 values. Each distinct entry
+    is converted to a Fraction by ``convert`` once, in row-major order of
+    first appearance, so the first bad entry raises first; a ValueError
+    names its cell in ``at``. One hashing pass numbers the entries; if all
+    are exact str, as JSON's are, each row of numbers is coded by one
+    translate (a non-str entry equal to an earlier str, which no JSON value
+    is, is coded as that str), else by _entry_keys and a lookup per cell."""
+    ids = defaultdict(count().__next__)
+    try:
+        keys = [bytes(map(ids.__getitem__, row)) for row in rows]
+        tokens = all(type(key) is str for key in ids)
+    except (TypeError, ValueError):  # an unhashable entry, a 257th distinct one
+        tokens = False
+    distinct, entries = ids, {}
+    if not tokens:
+        keys, entries = _entry_keys(rows)
+        distinct = dict.fromkeys(chain.from_iterable(keys))
     fracs = []
     for key in distinct:
         try:
             fracs.append(convert(entries.get(key, key)))
         except ValueError as exc:
-            exc.at = next((i, row.index(key)) for i, row in enumerate(keys) if key in row)
+            cell = ids[key] if tokens else key
+            exc.at = next((i, row.index(cell)) for i, row in enumerate(keys) if cell in row)
             raise
     values, codes = _value_codes(fracs)
-    code = dict(zip(distinct, codes)).__getitem__
-    return values, [list(map(code, row)) for row in keys]
+    row_type = bytes if len(values) <= 256 else list
+    if tokens and row_type is bytes:
+        table = bytes(codes).ljust(256, b"\0")
+        return values, [row.translate(table) for row in keys]
+    code = (codes if tokens else dict(zip(distinct, codes))).__getitem__
+    return values, [row_type(map(code, row)) for row in keys]
 
 
 def _entry_keys(rows) -> tuple[list, dict]:
@@ -218,7 +241,7 @@ def _entry_keys(rows) -> tuple[list, dict]:
     the entry of each key that is not its own entry. An exact str or int is
     its own key, so equal ones share it; any other object is keyed by its
     id, in a 1-tuple that equals no entry, so True is not 1 nor 1.0 either,
-    and an unhashable entry still gets a key."""
+    and an unhashable entry still gets a key (_rank's general path)."""
     if set(map(type, chain.from_iterable(rows))) <= _TOKENS:
         return rows, {}
     keys = [[x if type(x) in _TOKENS else (id(x),) for x in row] for row in rows]
@@ -278,8 +301,15 @@ def _joins(r, m, near) -> bool:
     ultrametric, at distance m from the first of its nearest ones (codes
     ``near``), keeps it one exactly when m > 0 and r = max(m, near) entry by
     entry. The isosceles property forces that row, and the row keeps every
-    triple through the new point isosceles."""
+    triple through the new point isosceles. On list rows, as in verify's
+    walk; _byte_joins is the same rule on byte rows."""
     return m > 0 and r == [m if m > w else w for w in near]
+
+
+
+def _byte_joins(r, m, near) -> bool:
+    """_joins on byte rows: _CEILINGS[m] lifts each code below m to m."""
+    return m > 0 and r == near.translate(_CEILINGS[m])
 
 
 def us_witness(space: FiniteUltrametricSpace) -> str | None:
@@ -295,11 +325,12 @@ def us_witness(space: FiniteUltrametricSpace) -> str | None:
 
 
 def _witness_index(d) -> int | None:
-    """The first witness row of a symmetric square list-of-lists matrix (0
+    """The first witness row of a symmetric square matrix of code rows (0
     for one point), or None. Each column's minimum off the diagonal is read
     from its row, which the symmetry makes the same; callers pass a space's
     codes (see us_witness) or a _path_max matrix, which is symmetric."""
-    colmin = [min(row[:x] + row[x + 1:], default=0) for x, row in enumerate(d)]
+    # of the rows' own type, bytes or list, to compare equal to their slices
+    colmin = type(d[0])(min(row[:x] + row[x + 1:], default=0) for x, row in enumerate(d))
     for i, row in enumerate(d):
         if row[:i] == colmin[:i] and row[i + 1:] == colmin[i + 1:]:
             return i

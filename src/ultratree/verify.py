@@ -73,7 +73,8 @@ d(p, p) as p's label; with m its minimum, first reached at a, the rest costs
 O(k):
 
 * Axioms: a valid prefix stays valid iff m > 0 and d(z, x) = max(m, d(a, x))
-  for all x, the join rule spaces._joins that validation applies too: the
+  for all x, the join rule spaces._joins on the walk's list rows, which
+  validation applies too (as spaces._byte_joins on a space's byte rows): the
   isosceles property at (z, a, x) forces this row, and it keeps every
   triple through z isosceles. Failure is kept by extensions.
 * Witness: old candidate x0 stays one iff d(z, x0) = m and no other column

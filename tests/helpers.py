@@ -231,7 +231,8 @@ def independent_ranking(space):
     """(values, codes) of a space's matrix: the sorted set of its entries
     plus 0, and each entry's position in that list."""
     values = sorted({Fraction(0), *(x for row in space.dist for x in row)})
-    return values, [[values.index(x) for x in row] for row in space.dist]
+    position = {x: i for i, x in enumerate(values)}
+    return values, [[position[x] for x in row] for row in space.dist]
 
 
 def edge_index_set(tree):

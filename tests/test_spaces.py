@@ -4,9 +4,10 @@ import pickle
 import sys
 from collections.abc import Sequence
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -37,6 +38,7 @@ from ultratree import (
     EmptySubset,
     FiniteUltrametricSpace,
     NotUS,
+    ParseError,
     PositivityViolation,
     StrongTriangleViolation,
     SymmetryViolation,
@@ -60,7 +62,8 @@ from ultratree import (
 from ultratree import spaces
 from ultratree.cli import run
 from ultratree.labelings import _path_max
-from ultratree.spaces import _first_offender, _rank, _witness_index
+from ultratree.rationals import coerce_nonnegative, parse_rational
+from ultratree.spaces import _byte_joins, _first_offender, _joins, _rank, _witness_index
 from ultratree.trees import _free_trees, _index_tree, longest_path_length
 
 
@@ -225,9 +228,9 @@ class TestRestrict:
         space = build_ultrametric(labeled(path_tree(5), (1, 4, 2, 5, 3)))
         assert space._ranked[0] == [0, 4, 5]
         sub = restrict(space, ("v1", "v2", "v3"))
-        assert sub._ranked == ([0, 4], [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+        assert _listed(sub) == ([0, 4], [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
         sub = restrict(space, ("v5", "v1"))
-        assert sub._ranked == ([0, 5], [[0, 1], [1, 0]]) == independent_ranking(sub)
+        assert _listed(sub) == ([0, 5], [[0, 1], [1, 0]]) == independent_ranking(sub)
         assert sub.dist == ((0, 5), (5, 0))
 
 
@@ -505,6 +508,7 @@ class TestJoinRule:
             triples = itertools.product(range(n), repeat=3)
             valid = not any(d[i][j] > max(d[i][k], d[k][j]) for i, j, k in triples)
             offence = _first_offender(d)
+            assert _first_offender(list(map(bytes, d))) == offence
             if valid:
                 assert offence is None
                 space = FiniteUltrametricSpace(tuple(f"p{i}" for i in range(n)), d)
@@ -582,8 +586,17 @@ class FreshRows(Sequence):
         return [int(str(x)) for x in self.rows[i]]
 
 
+def _listed(space):
+    """A space's (values, codes) with each code row as a list of ints."""
+    values, codes = space.__dict__["_ranked"]
+    return values, [list(row) for row in codes]
+
+
 def _is_seeded(space):
-    return space.__dict__.get("_ranked") == independent_ranking(space)
+    """The space carries the oracle's ranking, in byte rows up to 256 values."""
+    values, codes = space.__dict__["_ranked"]
+    row_type = bytes if len(values) <= 256 else list
+    return all(type(row) is row_type for row in codes) and _listed(space) == independent_ranking(space)
 
 
 class TestRankedBoundary:
@@ -634,8 +647,8 @@ class TestRankedBoundary:
     def test_labels_that_never_show_are_not_ranked(self):
         # a star's leaves below their center's label appear in no distance
         space = build_ultrametric(labeled(star_tree(4), (5, 1, 2, 0)))
-        assert space.__dict__["_ranked"] == ([0, 5], [[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]])
-        assert build_ultrametric(labeled(path_tree(1), (7,)))._ranked == ([0], [[0]])
+        assert _listed(space) == ([0, 5], [[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]])
+        assert _listed(build_ultrametric(labeled(path_tree(1), (7,)))) == ([0], [[0]])
 
 
 def _fresh(text):
@@ -690,6 +703,128 @@ class TestRankByValue:
             rows = [[0, 1, 1], [1, 0, bad], [1, bad, 0]]
             got = _any_outcome(validate_ultrametric, "abc", rows)
             assert got == _any_outcome(brute_validate, "abc", rows)
+
+
+class TestByteJoins:
+    """The join rule by translate on byte rows against the list rule, and
+    _first_offender on byte and list rows of one matrix."""
+
+    @example(near=[255, 0, 7], m=0, data=None)
+    @example(near=[255, 254, 0], m=255, data=None)
+    @example(near=[], m=255, data=None)
+    @given(st.lists(st.integers(0, 255), max_size=40), st.integers(0, 255), st.data())
+    def test_translate_join_agrees_with_the_list_rule(self, near, m, data):
+        joined = [max(m, w) for w in near]
+        rows = [joined, near, [255] * len(near)]
+        if data is not None:
+            rows.append(data.draw(st.lists(st.integers(0, 255), min_size=len(near), max_size=len(near))))
+            if near:
+                k = data.draw(st.integers(0, len(near) - 1))
+                rows.append(joined[:k] + [data.draw(st.integers(0, 255))] + joined[k + 1:])
+        for r in rows:
+            assert _byte_joins(bytes(r), m, bytes(near)) == _joins(r, m, near)
+        assert _byte_joins(bytes(joined), m, bytes(near)) is (m > 0)
+
+    @settings(max_examples=150)
+    @given(mixed_entry_matrices())
+    def test_first_offender_reads_byte_and_list_rows_alike(self, case):
+        points, rows = case
+        try:
+            codes = _rank(rows, coerce_nonnegative)[1]
+        except (TypeError, ValueError):
+            return
+        lists = [list(row) for row in codes]
+        assert _first_offender(list(map(bytes, lists))) == _first_offender(lists)
+
+
+def _max_rows(n):
+    """d(i, j) = max(i, j) off the diagonal: the space of a star whose
+    center is labeled 0 and whose leaves are labeled 1 to n - 1, n values."""
+    return [[0 if i == j else max(i, j) for j in range(n)] for i in range(n)]
+
+
+def _from_json(points, rows):
+    """space_from_dict of the document holding each entry as a string."""
+    return space_from_dict({"points": list(points), "dist": [[str(x) for x in row] for row in rows]})
+
+
+def _first_parse_error(rows):
+    """The message parse_rational gives the first bad entry in row-major order."""
+    for x in itertools.chain.from_iterable(rows):
+        try:
+            parse_rational(x)
+        except UltratreeError as err:
+            return str(err)
+    return None
+
+
+class TestByteWidthBoundary:
+    """Spaces of 256 values keep byte rows and spaces of 257 list rows; every
+    call answers on either as the oracles do. The cubic brute_validate runs
+    on matrices whose first offence comes early; the valid matrix is checked
+    against the space of the labeled star that generates it."""
+
+    @pytest.mark.parametrize("n", (256, 257))
+    def test_every_call_at_the_width_of_a_byte(self, n):
+        star = labeled(star_tree(n), range(n))
+        points, rows = star.tree.vertices, _max_rows(n)
+        text = [[str(x) for x in row] for row in rows]
+        built = build_ultrametric(star)
+        loaded = _from_json(points, rows)
+        for space in (loaded, validate_ultrametric(points, rows), FiniteUltrametricSpace(points, text)):
+            assert space == built and hash(space) == hash(built)
+            assert len(space._ranked[0]) == n and _is_seeded(space)
+        assert space_to_dict(loaded)["dist"] == text
+        assert us_witness(loaded) == brute_witness(loaded) == "v1"
+        assert build_ultrametric(realize_as_star(loaded)) == loaded
+        form = canonical_form(loaded)
+        assert form == brute_form(SimpleNamespace(dist=rows, size=n))  # on ints, to be quick
+        perm = list(range(n))[::-1]
+        flipped = _permuted(loaded, perm)
+        assert _is_seeded(flipped) and check_isometric(loaded, flipped)
+        other = build_ultrametric(labeled(star_tree(n), [*range(n - 1), n]))
+        assert not check_isometric(loaded, other) and form != canonical_form(other)
+        codes = loaded._ranked[1]
+        assert _first_offender(codes) is None
+        assert _witness_index(codes) == _witness_index([list(row) for row in codes]) == 0
+        # offences found early: strong triangle, symmetry and positivity
+        for cells, x in ((((0, 2), (2, 0)), 1), (((0, n - 1),), n - 2), (((n - 1, n - 2), (n - 2, n - 1)), 0)):
+            bad = [row[:] for row in rows]
+            for i, j in cells:
+                bad[i][j] = x
+            got = _any_outcome(validate_ultrametric, points, bad)
+            assert isinstance(got, tuple) and got == _any_outcome(brute_validate, points, bad)
+            assert _any_outcome(_from_json, points, bad) == got
+
+    def test_restricting_below_the_width_makes_byte_rows(self):
+        n = 257
+        points = [f"p{i}" for i in range(n)]
+        space = validate_ultrametric(points, _max_rows(n))
+        assert all(type(row) is list for row in space._ranked[1])
+        for keep in (points[:256], points[1:], points[::2], points[:1]):
+            sub = restrict(space, keep)
+            fresh = validate_ultrametric(keep, [[space.distance(a, b) for b in keep] for a in keep])
+            assert _is_seeded(sub) and all(type(row) is bytes for row in sub._ranked[1])
+            assert sub == fresh and hash(sub) == hash(fresh)
+        assert restrict(space, points) == space
+
+    @pytest.mark.parametrize("n", (255, 256, 257))
+    def test_the_first_bad_token_raises_past_the_width(self, n):
+        # row 0 holds every token of the matrix, so each bad one comes later
+        points = [f"p{i}" for i in range(n)]
+        text = [[str(x) for x in row] for row in _max_rows(n)]
+        for bad in ({(5, 3): "bad(5, 3)", (7, 2): True}, {(3, 1): None, (5, 3): "1/0"}, {(9, 4): "-3"}):
+            dist = [row[:] for row in text]
+            for (i, j), x in bad.items():
+                dist[i][j] = x
+            with pytest.raises(ParseError) as info:
+                space_from_dict({"points": points, "dist": dist})
+            assert str(info.value) == _first_parse_error(dist)
+        dist = [row[:] for row in text]
+        dist[9][4] = "-3"
+        got = _any_outcome(validate_ultrametric, points, dist)
+        assert got == _any_outcome(brute_validate, points, dist)
+        assert got[0] is PositivityViolation and got[2] == ("p9", "p4")
 
 
 class TestTrustedStar:
