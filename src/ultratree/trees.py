@@ -10,6 +10,7 @@ sorted, as sorted pairs, so structural equality is well defined.
 from __future__ import annotations
 
 import enum
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -198,6 +199,22 @@ def _rank_edges(n: int, rank: int) -> list[tuple[int, int]]:
     return _prufer_edges(seq, n)
 
 
+def _prufer_rank(n: int, edges) -> int:
+    """The rank _rank_edges decodes into the tree on 0..n-1 with index
+    ``edges``: its Prufer sequence, the neighbour of the least leaf cut off
+    n - 2 times, read in base n. The leaves wait in a heap: O(n log n)."""
+    adj = [set(nbrs) for nbrs in _index_adjacency(n, edges)]
+    leaves, rank = [v for v in range(n) if len(adj[v]) == 1], 0  # ascending: a heap
+    for _ in range(n - 2):
+        leaf = heapq.heappop(leaves)
+        (v,) = adj[leaf]
+        adj[v].remove(leaf)
+        rank = rank * n + v
+        if len(adj[v]) == 1:
+            heapq.heappush(leaves, v)
+    return rank
+
+
 def _prufer_edges(seq, n: int) -> list[tuple[int, int]]:
     """Decode a length n-2 sequence over 0..n-1 into sorted edge pairs, in O(n)."""
     deg = [1] * n
@@ -282,22 +299,17 @@ def _longest_path(adj, names, far) -> list[int]:
     return path
 
 
-def _canonical_tree(adj) -> tuple[tuple[int, ...], list[int]]:
-    """(key, position of each vertex) in the canonical form: the preorder
-    from a center, children by ascending AHU string (a bicentral tree's
-    second half last). The key, each position's parent position (the root
-    its own), spells the form, so isomorphic trees and no others share it."""
-    return _canonical(adj)[:2]
-
-
 def _canonical(adj) -> tuple[tuple[int, ...], list[int], int]:
-    """_canonical_tree's (key, positions) and |Aut T|, from one AHU pass at
-    the center, the middle of _far's path, which every automorphism fixes.
-    A bicentral tree is cut at its central edge into two halves, the one of
-    lesser string first: the key lists it as positions [0, h) and the other,
-    hung last from vertex 0, as [h, n). Children of one string keep their
-    search order. |Aut T| is the product, over the vertices, of m! for each
-    m children of one string, times 2 when the halves are equal."""
+    """(key, position of each vertex, |Aut T|) of the canonical form, from
+    one AHU pass at the center, the middle of _far's path, which every
+    automorphism fixes: the preorder from the center, children by ascending
+    AHU string. The key, each position's parent position (the root its own),
+    spells the form, so isomorphic trees and no others share it. A bicentral
+    tree is cut at its central edge into two halves, the one of lesser
+    string first: the key lists it as positions [0, h) and the other, hung
+    last from vertex 0, as [h, n). Children of one string keep their search
+    order. |Aut T| is the product, over the vertices, of m! for each m
+    children of one string, times 2 when the halves are equal."""
     n = len(adj)
     far_parent, far_order, d = _far(adj)
     root = far_order[-1]

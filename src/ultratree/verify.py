@@ -26,12 +26,12 @@ finite value set. Each reports the claims the claim table lists for it:
   and counterexample-inapplicable-for-short-tree; elsewhere the two
   counterexample claims of ``main``.
 
-A sweep runs on one facts record per tree (_Facts): order, rank, index
-edges and adjacency, and, each computed when a claim first reads it, the
-search record of trees._far (the diameter, and two of the three searches
-of the counterexample path), the high-degree vertices, the public Tree,
-that path and the labeling walk. The claim table (_CLAIMS) maps
-each claim id to the theorems that report it, with for each the trees it is
+A sweep runs on one facts record per class or labeled tree (_Facts): order,
+rank, index edges and adjacency, and, each computed when a claim first reads
+it, the search record of trees._far (the diameter, and two of the three
+searches of the counterexample path), the high-degree vertices, the public
+Tree, that path and the labeling walk. The claim table (_CLAIMS) maps each
+claim id to the theorems that report it, with for each the trees it is
 checked on and whether its checks count as cases; to whether it is checked
 once per tree or once per labeling; to its check on the record; and, for a
 claim on one labeling, to its judge on the full path-max matrix. One loop
@@ -44,9 +44,10 @@ order once per free tree (trees._free_trees), on a record of its class key
 (_ClassFacts), and counts each case n!/|Aut T| times, once per labeled
 tree of the class. Only the counterexample reads vertex names, to pick a
 longest path; a class record judges it with the 3 on every vertex third on
-some longest path, onto which each labeled copy's pick maps. An order
-where any class fails is swept again by Prufer rank, so its report is that
-of a sweep by rank; a passing order never decodes a rank.
+some longest path, onto which each labeled copy's pick maps, so a class
+fails if any copy does. Only a failing class is checked again, on each of
+its n!/|Aut T| labeled copies (_copies), so a report lists every failing
+labeled tree, its rank the tree's Prufer rank.
 
 Each run returns a VerificationReport whose cases_checked equals the
 analytically predicted grid size. Each order is gated on its own: its
@@ -100,16 +101,10 @@ lexicographically, one labeling per orbit. The prefix carries the orbit's
 size: the last vertex of the j-th block of a run, ending a run of r equal
 blocks, multiplies it by j and divides by r, exactly at every step. A walk
 leaf counts its weight, and the weights of a class walk must sum to
-|codes|^n, or _gate raises. A failing representative stands for its orbit,
-and its order is swept again by rank, whose walk (_shape_walk) visits every
-labeling, so reports list every failing labeling.
-
-The walk runs on a class key (trees._canonical_tree), a preorder from the
-center in which vertex k > 0 hangs from key[k] < k. A sweep by rank walks
-each class once too (6 for the 1,296 trees of order 6) and keeps its leaf
-count and failing labelings by key position: a tree's breadth-first shape,
-each position's parent position, is canonicalized once per shape, and each
-tree reads its class's failures through its vertices' key positions.
+|codes|^n, or _gate raises. A failing representative stands for its orbit:
+a failing class is walked again over every labeling, which each copy reads
+through its names. The walk runs on a class key (trees._canonical), a
+preorder from the center in which vertex k > 0 hangs from key[k] < k.
 """
 
 from __future__ import annotations
@@ -137,8 +132,6 @@ from .spaces import _first_offender, _joins, _value_codes, _witness_index
 from .serialize import tree_to_dict, tree_from_dict
 from .trees import (
     Tree,
-    _bfs_parents,
-    _canonical_tree,
     _ends,
     _far,
     _free_trees,
@@ -146,7 +139,7 @@ from .trees import (
     _index_tree,
     _kind_of,
     _longest_path,
-    _rank_edges,
+    _prufer_rank,
     _tree_count,
     _vertex_names,
     classify,
@@ -245,7 +238,7 @@ def _free_tree_count(n: int) -> int:
 def _sibling_blocks(key) -> list[tuple[int, int, int]]:
     """The blocks of positions that automorphisms of the class key's tree
     swap, from the key alone (a preorder in which vertex k > 0 hangs from
-    ``key[k]``, as trees._canonical_tree spells it): (s, size, j) for the
+    ``key[k]``, as trees._canonical spells it): (s, size, j) for the
     j-th (j >= 2) of a run of consecutive sibling subtrees laid out alike,
     the subtree at s spanning [s, s + size) and the one before it
     [s - size, s); and (h, h, 2) when the root's last child h heads a half
@@ -305,7 +298,7 @@ def _walk_size(key, q: int) -> int:
 def _labelings(parents, codes, witness: bool, leaf, blocks=()) -> None:
     """Call leaf(lab, nondeg, verdict, weight) once for every labeling over
     ``codes`` (ascending) of the tree in which vertex k > 0 hangs from
-    ``parents[k]`` < k, a class key of trees._canonical_tree; ``lab`` lists
+    ``parents[k]`` < k, a class key of trees._canonical; ``lab`` lists
     codes by vertex and is reused between calls. The verdict is whether the
     path-max matrix is an ultrametric, or with ``witness`` whether the
     matrix of a non-degenerate labeling has a witness (False on degenerate
@@ -380,23 +373,27 @@ def _labelings(parents, codes, witness: bool, leaf, blocks=()) -> None:
             extend(1, True, True, [0], [float("inf")], 1)  # one point: no other in its column
 
 
-def _shape_walk(memo: dict, classes: dict, n: int, adj, codes, witness: bool):
-    """(cases, failing labelings by vertex) of _labelings on one tree, every
-    labeling walked. The walk runs once per isomorphism class, on its key,
-    and ``classes`` keeps its count and failing labelings by key position;
-    ``memo`` keeps, per shape (each breadth-first position's parent
-    position), the class key and each position's key position."""
-    parent, order = _bfs_parents(n, adj, 0)
-    at = {v: k for k, v in enumerate(order)}
-    key = tuple(at[parent[v]] for v in order)
-    if key not in memo:
-        # the shape's own tree, position k hanging from key[k]
-        memo[key] = _canonical_tree(_index_adjacency(n, zip(key[1:], range(1, n))))
-    form, pos = memo[key]
-    if form not in classes:
-        classes[form] = _class_walk(form, codes, witness)
-    cases, bad = classes[form]
-    return cases, [[lab[pos[at[v]]] for v in range(n)] for lab in bad]
+def _copies(key) -> Iterator[tuple[int, ...]]:
+    """Each labeled tree of the class key ``key`` once, as names: names[k] is
+    the vertex at key position k. A tree's namings differ by automorphisms,
+    which block swaps generate, so names go to positions depth first with
+    names[s] > names[s - size] at each block (s, size, j) of _sibling_blocks:
+    one naming per tree, n!/|Aut T| in all."""
+    n = len(key)
+    before = {s: s - size for s, size, _ in _sibling_blocks(key)}
+    names, free = [0] * n, [True] * n
+
+    def place(k):
+        if k == n:
+            yield tuple(names)
+            return
+        for v in range(names[before[k]] + 1 if k in before else 0, n):
+            if free[v]:
+                free[v], names[k] = False, v
+                yield from place(k + 1)
+                free[v] = True
+
+    return place(0)
 
 
 def _class_walk(key, codes, witness: bool, orbits: bool = False):
@@ -436,26 +433,26 @@ class _fact:
 
 
 class _Facts:
-    """One tree of a sweep by Prufer rank, in index form (vertex i is
-    v(i+1)), with the labeling walk memo of its sweep and the codes of its
-    value grid, ``values[code]`` being a code's value. The facts past the
-    adjacency are computed when a claim first reads them, so a sweep pays
-    only for what its theorem's claims use."""
+    """One labeled tree in index form (vertex i is v(i+1)) and the codes of
+    its value grid, ``values[code]`` a code's value; in a sweep, the copy of
+    the class ``key`` whose key position k is vertex at[k]. Facts past the
+    adjacency, the rank (the tree's Prufer rank) among them, are computed
+    when a claim or a certificate first reads them."""
 
-    def __init__(self, n: int, rank: int, values=(), codes=(), memo=None):
-        self.n, self.rank = n, rank
-        self.values, self.codes, self.memo = values, codes, {} if memo is None else memo
-        self.edges = _rank_edges(n, rank)
-        self.adj = _index_adjacency(n, self.edges)
+    def __init__(self, n: int, edges, values=(), codes=()):
+        self.n, self.edges, self.values, self.codes = n, edges, values, codes
+        self.adj = _index_adjacency(n, edges)
 
     @classmethod
     def of(cls, tree: Tree) -> _Facts:
         """The facts of a public tree, for a replay: no rank, no sweep."""
-        facts = cls.__new__(cls)
-        facts.n, facts.rank, facts.adj = tree.order, None, tree._indexed
-        facts.edges = [(tree._index[a], tree._index[b]) for a, b in tree.edges]
-        facts.names, facts.tree = tree.vertices, tree
+        facts = cls(tree.order, [(tree._index[a], tree._index[b]) for a, b in tree.edges])
+        facts.rank, facts.names, facts.tree = None, tree.vertices, tree
         return facts
+
+    @_fact
+    def rank(self) -> int:
+        return _prufer_rank(self.n, self.edges)
 
     @_fact
     def names(self) -> tuple[str, ...]:
@@ -486,9 +483,13 @@ class _Facts:
         return self.path[2:3]
 
     def walk(self, witness: bool):
-        """_shape_walk over the sweep's codes, a shape and a class memo per mode."""
-        shapes, classes = self.memo.setdefault(witness, ({}, {}))
-        return _shape_walk(shapes, classes, self.n, self.adj, self.codes, witness)
+        """The class's full walk, taken once per mode for all its copies in
+        ``walks``, each failing labeling read through ``at``."""
+        if witness not in self.walks:
+            self.walks[witness] = _class_walk(self.key, self.codes, witness)
+        cases, bad = self.walks[witness]
+        pos = sorted(range(self.n), key=self.at.__getitem__)  # each vertex's key position
+        return cases, [[lab[k] for k in pos] for lab in bad]
 
     def fail(self, claim: str, evidence: dict, lab=None, values=None) -> Certificate:
         """The certificate of a failure on this tree: on the labeling ``lab``
@@ -508,10 +509,8 @@ class _ClassFacts(_Facts):
     so it fails if the check fails on any labeled copy of the class."""
 
     def __init__(self, key, values, codes):
-        self.n, self.rank, self.key = len(key), None, key
-        self.values, self.codes = values, codes
-        self.edges = list(zip(key[1:], range(1, self.n)))
-        self.adj = _index_adjacency(self.n, self.edges)
+        super().__init__(len(key), list(zip(key[1:], range(1, len(key)))), values, codes)
+        self.key, self.rank = key, None
 
     @_fact
     def thirds(self):
@@ -520,6 +519,15 @@ class _ClassFacts(_Facts):
     def walk(self, witness: bool):
         """_class_walk over orbits: a class fails iff a representative does."""
         return _class_walk(self.key, self.codes, witness, orbits=True)
+
+    def copies(self, weight: int) -> Iterator[_Facts]:
+        """The facts of each labeled copy of the class, gated on its weight."""
+        count, walks = 0, {}
+        for count, at in enumerate(_copies(self.key), 1):
+            copy = _Facts(self.n, [(at[a], at[b]) for a, b in self.edges], self.values, self.codes)
+            copy.key, copy.at, copy.walks = self.key, at, walks
+            yield copy
+        _gate(self.n, "labeled copies", count, weight)
 
 
 # ---------------------------------------------------------------------------
@@ -682,38 +690,30 @@ def predicted_cases(theorem: str, n_max: int, value_count: int) -> int:
     return sum(itertools.islice(_cases_by_order(theorem, value_count), n_max))
 
 
-def _sweep(task: dict) -> tuple[int, list[Certificate]]:
-    """(cases, certificates) of the trees of one task of one order, a range
-    of Prufer ranks or a list of (class key, weight): each tree's facts go
-    through the checks the table lists for the theorem, and each case counts
-    once per labeled tree, a class's weight times."""
-    n, vals, span = task["n"], task["values"] or (), task["trees"]
+def _sweep(task: dict) -> tuple[int, list[Certificate], list]:
+    """(cases, certificates, failing classes) of one task of one order, a
+    list of (class key, weight): each class's facts go through the checks the
+    table lists for the theorem, each case counting once per labeled tree,
+    its weight times. With ``copies`` each labeled copy goes through instead."""
     claims = _reported(task["theorem"])
-    values, codes = _value_codes(vals)
-    memo: dict = {}
-    if isinstance(span, range):
-        units = ((_Facts(n, rank, values, codes, memo), 1) for rank in span)
-    else:
-        units = ((_ClassFacts(key, values, codes), weight) for key, weight in span)
-    cases, fails = 0, []
-    for facts, weight in units:
-        for claim, trees, counted in claims:
-            if trees.holds(facts):
-                made, found = claim.check(facts) if claim.per_labeling else (1, claim.check(facts))
-                cases += weight * made if counted else 0
-                fails += found
-    return cases, fails
+    values, codes = _value_codes(task["values"] or ())
+    cases, fails, failing = 0, [], []
+    for key, weight in task["trees"]:
+        cls, before = _ClassFacts(key, values, codes), len(fails)
+        units = ((copy, 1) for copy in cls.copies(weight)) if task.get("copies") else ((cls, weight),)
+        for facts, each in units:
+            for claim, trees, counted in claims:
+                if trees.holds(facts):
+                    made, bad = claim.check(facts) if claim.per_labeling else (1, claim.check(facts))
+                    cases += each * made if counted else 0
+                    fails += bad
+        if len(fails) > before:
+            failing.append((key, weight))
+    return cases, fails, failing
 
 
 # ---------------------------------------------------------------------------
 # orchestration
-
-def _split_range(total: int, parts: int) -> list[tuple[int, int]]:
-    if parts <= 1 or total <= 1:
-        return [(0, total)]
-    size = -(-total // parts)
-    return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
-
 
 def _report_key(cert: Certificate):
     """Failures in report order: by tree, then, for a claim checked on every
@@ -728,15 +728,6 @@ def _gate(n: int, what: str, got: int, want: int) -> None:
         raise RuntimeError(
             f"harness accounting bug at order {n}: {got} {what}, predicted {want}"
         )
-
-
-def _by_order(tasks, parts) -> dict[int, tuple[int, list[Certificate]]]:
-    """(cases, certificates) by order of the tasks, from their _sweep results ``parts``."""
-    by_order: dict = {}
-    for task, (cases, found) in zip(tasks, parts):
-        total, fails = by_order.get(task["n"], (0, []))
-        by_order[task["n"]] = total + cases, fails + found
-    return by_order
 
 
 # a class's facts and per-tree checks cost about as much as this many walk
@@ -766,17 +757,13 @@ def _deal(theorem: str, classes, chunks: int, value_count: int) -> list[list]:
     return parts
 
 
-def _orders(tasks, chunks: int, run) -> dict[int, tuple[int, list[Certificate]]]:
-    """_by_order of the class tasks, ``run`` mapping _sweep over a task
-    list; an order with a certificate is swept again in ``chunks`` rank ranges."""
-    by_order = _by_order(tasks, run(tasks))
-    failing = {task["n"]: task for task in tasks if by_order[task["n"]][1]}
-    redo = [
-        {**task, "trees": range(lo, hi)}
-        for n, task in failing.items()
-        for lo, hi in _split_range(_tree_count(n), chunks)
-    ]
-    return {**by_order, **_by_order(redo, run(redo))} if redo else by_order
+def _orders(tasks, run) -> tuple[list, list[Certificate]]:
+    """The _sweep results of the class tasks, ``run`` mapping _sweep over a
+    task list, and the certificates of one more task per failing class,
+    which checks each of its labeled copies."""
+    parts = run(tasks)
+    copies = [{**task, "trees": [cls], "copies": True} for task, part in zip(tasks, parts) for cls in part[2]]
+    return parts, [cert for _, found, _ in (run(copies) if copies else ()) for cert in found]
 
 
 def _execute(theorem, n_max, values, budget, jobs, subchecks=None) -> VerificationReport:
@@ -811,12 +798,12 @@ def _execute(theorem, n_max, values, budget, jobs, subchecks=None) -> Verificati
         from multiprocessing import Pool
 
         with Pool(workers) as pool:  # one task per hand-out, so chunks run side by side
-            by_order = _orders(tasks, chunks, lambda ts: pool.map(_sweep, ts, chunksize=1))
+            parts, failures = _orders(tasks, lambda ts: pool.map(_sweep, ts, chunksize=1))
     else:
-        by_order = _orders(tasks, chunks, lambda ts: list(map(_sweep, ts)))
+        parts, failures = _orders(tasks, lambda ts: list(map(_sweep, ts)))
     for n, want in enumerate(predicted, 1):
-        _gate(n, "cases", by_order[n][0], want)
-    failures = sorted((c for _, found in by_order.values() for c in found), key=_report_key)
+        _gate(n, "cases", sum(part[0] for task, part in zip(tasks, parts) if task["n"] == n), want)
+    failures.sort(key=_report_key)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     return VerificationReport(
         theorem=theorem,

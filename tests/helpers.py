@@ -8,7 +8,10 @@ check over every ordered triple, the recursive dendrogram split,
 path-maximum matrices that walk every pair's path, and the quadratic
 Prufer decode that rescans for the least leaf.
 The point is that none of it shares code with the implementations under
-test, so agreement is evidence rather than tautology.
+test, so agreement is evidence rather than tautology. The one exception is
+the reference sweep at the end, which runs verify's own claim checks one
+labeled tree at a time: it checks what a class sweep adds, the classes,
+their weights and their labeled copies.
 """
 
 from __future__ import annotations
@@ -33,6 +36,9 @@ from ultratree import (
     coerce_nonnegative,
     validate_tree,
 )
+from ultratree import verify
+from ultratree.spaces import _value_codes
+from ultratree.trees import _canonical, _index_adjacency, _rank_edges
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -473,3 +479,64 @@ def random_spaces(draw, min_order=1, max_order=40):
         tuple(space.points[i] for i in perm),
         tuple(tuple(space.dist[i][j] for j in perm) for i in perm),
     )
+
+
+# ---------------------------------------------------------------------------
+# the reference sweep: every labeled tree by Prufer rank
+
+
+def copy_names(n, edges):
+    """(class key, names) of the tree on 0..n-1 with index ``edges``, where
+    names[k] is the vertex at key position k: of the isomorphisms from the
+    key's tree, trees._canonical's composed with every automorphism
+    (networkx), the one whose names rise at the start of each block of
+    verify._sibling_blocks, as verify._copies names the copies."""
+    key, at, _ = _canonical(_index_adjacency(n, edges))
+    first = sorted(range(n), key=at.__getitem__)  # the vertex at each key position
+    found = []
+    for g in automorphisms(key):
+        names = [first[g[k]] for k in range(n)]
+        if all(names[s] > names[s - size] for s, size, _ in verify._sibling_blocks(key)):
+            found.append(names)
+    assert len(found) == 1
+    return key, found[0]
+
+
+class RankFacts(verify._Facts):
+    """verify's facts record of the labeled tree of Prufer rank ``rank``,
+    its edges in decode order. Its walk is its class key's full walk, taken
+    once per key and mode in ``walks``, read through copy_names."""
+
+    def __init__(self, n, rank, values=(), codes=(), walks=None):
+        super().__init__(n, _rank_edges(n, rank), values, codes)
+        self.rank, self.walks = rank, {} if walks is None else walks
+
+    def walk(self, witness):
+        key, names = copy_names(self.n, self.edges)
+        if (key, witness) not in self.walks:
+            self.walks[key, witness] = verify._class_walk(key, self.codes, witness)
+        cases, bad = self.walks[key, witness]
+        by_vertex = []
+        for lab in bad:
+            by_vertex.append([None] * self.n)
+            for k, v in enumerate(names):
+                by_vertex[-1][v] = lab[k]
+        return cases, by_vertex
+
+
+def reference_sweep(theorem, n, values=None):
+    """(cases, certificates) of the theorem's claim checks on each of the
+    n^(n-2) labeled trees of order n, one Prufer rank at a time, over the
+    sorted distinct Fractions ``values``: the sweep by rank that class sweeps
+    replaced, each case counted once."""
+    claims = verify._reported(theorem)
+    by_code, codes = _value_codes(values or ())
+    cases, fails, walks = 0, [], {}
+    for rank in range(cayley(n)):
+        facts = RankFacts(n, rank, by_code, codes, walks)
+        for claim, trees, counted in claims:
+            if trees.holds(facts):
+                made, found = claim.check(facts) if claim.per_labeling else (1, claim.check(facts))
+                cases += made if counted else 0
+                fails += found
+    return cases, fails

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     FIG1_MATRIX,
+    RankFacts,
     all_labelings,
     brute_counterexample,
     brute_witness,
@@ -205,7 +206,7 @@ class TestZeroEdge:
         several = 0  # labelings with more than one zero edge, where "first" matters
         for n in range(1, 6):
             for rank in range(n ** max(n - 2, 0)):
-                facts = _Facts(n, rank)
+                facts = RankFacts(n, rank)
                 tree = facts.tree
                 labelings = [dict(zip(tree.vertices, map(Fraction, lab)))
                              for lab in itertools.product((0, 1), repeat=n)]

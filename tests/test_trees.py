@@ -40,16 +40,18 @@ from ultratree import (
     longest_path_length,
     unique_path,
     validate_tree,
+    verify_main_theorem,
 )
-from ultratree import trees
+from ultratree import trees, verify
 from ultratree.trees import (
-    _canonical_tree,
+    _canonical,
     _far,
     _free_trees,
     _index_adjacency,
     _index_tree,
     _longest_path,
     _prufer_edges,
+    _prufer_rank,
     _rank_edges,
     _vertex_names,
 )
@@ -354,14 +356,14 @@ class TestCanonicalTree:
             forms = set()
             for key in _bfs_shapes(n):
                 edges = list(zip(key[1:], range(1, n)))
-                form, at = _canonical_tree(_index_adjacency(n, edges))
+                form, at, _ = _canonical(_index_adjacency(n, edges))
                 spelled = list(zip(form[1:], range(1, n)))
                 # a preorder of a rooted tree, onto which ``at`` maps every edge
                 assert form[0] == 0 and all(p < k for p, k in spelled)
                 assert sorted(at) == list(range(n))
                 mapped = {frozenset((at[a], at[b])) for a, b in edges}
                 assert mapped == set(map(frozenset, spelled))
-                assert _canonical_tree(_index_adjacency(n, spelled))[0] == form
+                assert _canonical(_index_adjacency(n, spelled))[0] == form
                 forms.add(form)
                 shapes += 1
             assert len(forms) == FREE_TREES[n - 1]
@@ -383,10 +385,10 @@ class TestFreeTrees:
         assert tuple(map(len, found)) == FREE_TREES + (47, 106)
         for n, keys in enumerate(found, 1):
             for key in keys:  # each a canonical key, spelling its own form
-                assert _canonical_tree(_index_adjacency(n, zip(key[1:], range(1, n))))[0] == key
+                assert _canonical(_index_adjacency(n, zip(key[1:], range(1, n))))[0] == key
             if n > 1:
                 theirs = {
-                    _canonical_tree(_index_adjacency(n, tree.edges()))[0]
+                    _canonical(_index_adjacency(n, tree.edges()))[0]
                     for tree in nx.nonisomorphic_trees(n)
                 }
                 assert theirs == set(keys)
@@ -394,7 +396,7 @@ class TestFreeTrees:
     def test_weights_count_the_labeled_trees(self):
         for n, keys in enumerate(_free_trees(7), 1):
             labeled = collections.Counter(
-                _canonical_tree(_index_adjacency(n, _rank_edges(n, rank)))[0]
+                _canonical(_index_adjacency(n, _rank_edges(n, rank)))[0]
                 for rank in range(cayley(n))
             )
             assert labeled == {key: math.factorial(n) // aut for key, aut in keys.items()}
@@ -438,3 +440,43 @@ class TestCenterRootedKeys:
         for n, keys in enumerate(_free_trees(9), 1):
             for key, aut in keys.items():
                 assert aut == len(automorphisms(key))
+
+
+class TestPruferRank:
+    """The rank encoder against the decode, and the labeled copies of each
+    class (verify._copies) against the ranks they must cover."""
+
+    def test_inverts_the_decode_through_order_seven(self):
+        for n in range(1, 8):
+            for rank in range(cayley(n)):
+                assert _prufer_rank(n, _rank_edges(n, rank)) == rank
+
+    @given(st.integers(8, 14).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n ** (n - 2) - 1))))
+    def test_inverts_the_decode_at_orders_eight_to_fourteen(self, case):
+        n, rank = case
+        edges = _rank_edges(n, rank)
+        assert _prufer_rank(n, edges) == rank
+        # the edges in any order, either way round
+        assert _prufer_rank(n, [(b, a) for a, b in reversed(edges)]) == rank
+
+    def test_copies_partition_the_ranks_through_order_seven(self):
+        for n, found in enumerate(_free_trees(7), 1):
+            ranks = []
+            for key, aut in found.items():
+                mine = []
+                for names in verify._copies(key):
+                    edges = [(names[key[k]], names[k]) for k in range(1, n)]
+                    mine.append(_prufer_rank(n, edges))
+                    assert set(map(frozenset, _rank_edges(n, mine[-1]))) == set(map(frozenset, edges))
+                assert len(mine) == math.factorial(n) // aut
+                ranks += mine
+            assert sorted(ranks) == list(range(cayley(n)))
+
+    def test_a_dropped_copy_fails_at_its_order(self, monkeypatch):
+        # every counterexample space witnessed: the order-5 path fails, and
+        # its expansion comes one copy short of 5!/2
+        real = verify._copies
+        monkeypatch.setattr(verify, "_copies", lambda key: itertools.islice(real(key), 1, None))
+        monkeypatch.setattr(verify, "_witness_index", lambda d: 0)
+        with pytest.raises(RuntimeError, match="at order 5: 59 labeled copies, predicted 60"):
+            verify_main_theorem(5, (0, 1))

@@ -11,12 +11,14 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    RankFacts,
     automorphisms,
     brute_counterexample,
     brute_longest_path,
     brute_witness,
     cayley,
     coded_matrix,
+    copy_names,
     double_star_count,
     expected_cases,
     high_degree_count,
@@ -28,6 +30,7 @@ from helpers import (
     path_tree,
     qualifying_count,
     random_trees,
+    reference_sweep,
     space_of,
     star_count,
     star_tree,
@@ -74,11 +77,8 @@ from ultratree.verify import (
     CLAIM_II_IFF_III,
     CLAIM_VALID_IFF_NONDEG,
     CLAIM_WITNESS,
-    _Facts,
     _check_counterexample,
     _labelings,
-    _shape_walk,
-    _split_range,
 )
 
 
@@ -292,7 +292,7 @@ class TestParallelExecution:
         seen, sweep = [], verify._sweep
         monkeypatch.setattr(verify, "_sweep", lambda task: seen.append(task) or sweep(task))
         verify_main_theorem(6, (0, 1), jobs=2)
-        assert not any(isinstance(task["trees"], range) for task in seen)
+        assert not any(task.get("copies") for task in seen)  # a passing run expands no class
         for n, keys in enumerate(trees._free_trees(6), 1):
             chunks = [task["trees"] for task in seen if task["n"] == n]
             assert len(chunks) == min(2, len(keys))  # each class walked by one worker
@@ -338,14 +338,6 @@ class TestCodedCore:
         seqs = list(itertools.product(range(5), repeat=3))
         for rank, seq in enumerate(seqs):
             assert _rank_edges(5, rank) == _prufer_edges(seq, 5)
-
-    def test_split_range_partitions(self):
-        for total, parts in ((0, 1), (1, 4), (10, 3), (125, 8), (7, 7), (5, 9)):
-            pieces = _split_range(total, parts)
-            covered = []
-            for lo, hi in pieces:
-                covered.extend(range(lo, hi))
-            assert covered == list(range(total))
 
     def test_code_assignment(self):
         # zero is code 0 whether or not the grid holds it; the rest in sorted order
@@ -519,7 +511,7 @@ class TestLabelingWalk:
 
 
 def _direct_walk(adj, codes, witness):
-    """(cases, failing labelings) as _shape_walk reports them, from a walk
+    """(cases, failing labelings) as a copy's walk reports them, from a walk
     on the tree itself."""
     cases, bad = 0, []
 
@@ -547,28 +539,30 @@ def _counted_walks(mp):
     return walked
 
 
-class TestShapeMemo:
-    """One walk per isomorphism class, its failures mapped to each tree's
-    vertices, against a walk on each tree. Long trees are
-    included: their labelings without a witness give the witness mode
+class TestCopyWalks:
+    """A failing class's full walk, taken once per mode and read through
+    each labeled copy's names, against a walk on the copy itself. Long trees
+    are included: their labelings without a witness give the witness mode
     failures to map."""
 
     @pytest.mark.parametrize("values", [(0, 1, 2), (1, 3), (0, "1/2", 7)])
     def test_every_tree_up_to_order_five(self, values, monkeypatch):
-        codes = _grid(values)[1]
+        by_code, codes = _grid(values)
         walked = _counted_walks(monkeypatch)
-        mapped = 0
-        for n in range(1, 6):
-            for witness in (False, True):
-                memo, classes = {}, {}
-                for rank in range(cayley(n)):
-                    adj = _index_adjacency(n, _rank_edges(n, rank))
-                    cases, bad = _shape_walk(memo, classes, n, adj, codes, witness)
-                    want_cases, want_bad = _direct_walk(adj, codes, witness)
-                    assert cases == want_cases == len(codes) ** n
-                    assert sorted(bad) == sorted(want_bad)
-                    mapped += len(bad)
-        # one walk per free tree (1, 1, 1, 2, 3 by order) and mode
+        copies = mapped = 0
+        for n, found in enumerate(trees._free_trees(5), 1):
+            for key, aut in found.items():
+                cls = verify._ClassFacts(key, by_code, codes)
+                for facts in cls.copies(math.factorial(n) // aut):
+                    copies += 1
+                    for witness in (False, True):
+                        cases, bad = facts.walk(witness)
+                        want_cases, want_bad = _direct_walk(facts.adj, codes, witness)
+                        assert cases == want_cases == len(codes) ** n
+                        assert sorted(bad) == sorted(want_bad)
+                        mapped += len(bad)
+        assert copies == sum(cayley(n) for n in range(1, 6))
+        # one full walk per free tree (1, 1, 1, 2, 3 by order) and mode
         assert len(walked) == 2 * 8
         assert mapped > 0
 
@@ -585,17 +579,22 @@ class TestShapeMemo:
             copy[new[v]] = [new[u] for u in adj[v]]
         codes = _grid((0, 1, 2))[1]
         witness = rnd.random() < 0.5
-        memo, classes = {}, {}
+        walks = {}  # the class's full walks, shared by its copies
         with pytest.MonkeyPatch.context() as mp:
             walked = _counted_walks(mp)
-            for each in (adj, adj, copy):  # the walk, the memo, an isomorphic copy
-                cases, bad = _shape_walk(memo, classes, n, each, codes, witness)
+            for each in (adj, copy):  # two copies of one class
+                edges = [(v, u) for v in range(n) for u in each[v] if v < u]
+                facts = verify._Facts(n, edges, (), codes)
+                facts.key, facts.at = copy_names(n, edges)  # as _copies names it
+                facts.walks = walks
+                assert set(map(frozenset, facts.edges)) == set(map(frozenset, edges))
+                cases, bad = facts.walk(witness)
                 want = _direct_walk(each, codes, witness)
                 assert cases == want[0] == 3**n
                 assert sorted(bad) == sorted(want[1])
         assert walked == [n]
 
-    def test_memo_lives_within_one_call(self, monkeypatch):
+    def test_one_walk_per_class_and_call(self, monkeypatch):
         walked = _counted_walks(monkeypatch)
         for _ in range(2):
             walked.clear()
@@ -629,7 +628,7 @@ def _stars_and_double_stars(n_max):
             leaves = [(0, v) for v in range(2, n - b)] + [(1, v) for v in range(n - b, n)]
             shapes.append(([(0, 1), *leaves], (n - 2 - b, b)))
         for edges, leaves in shapes:
-            yield trees._canonical_tree(_index_adjacency(n, edges))[0], leaves
+            yield trees._canonical(_index_adjacency(n, edges))[0], leaves
 
 
 class TestOrbitWalk:
@@ -742,25 +741,25 @@ def _class_tasks(theorem, n, values):
 
 class TestClassSweep:
     """Each order swept once per free tree, each case weighted by the
-    class's labeled trees, against the sweep by Prufer rank."""
+    class's labeled trees, against the reference sweep by Prufer rank."""
 
     @pytest.mark.parametrize("values", [(0, 1, 2), (1, 3)])
     @pytest.mark.parametrize("theorem", ["nondeg", "main", "lemmas", "classify"])
     def test_matches_the_rank_sweep_through_order_seven(self, theorem, values):
         vals = tuple(map(Fraction, values)) if theorem != "lemmas" else None
         for n in range(1, 8):
-            task = {"theorem": theorem, "n": n, "trees": range(cayley(n)), "values": vals}
-            ranks = verify._sweep(task)
             parts = [verify._sweep(task) for task in _class_tasks(theorem, n, vals)]
+            ranks = reference_sweep(theorem, n, vals)
             assert (sum(p[0] for p in parts), [c for p in parts for c in p[1]]) == ranks
+            assert not any(p[2] for p in parts)  # no failing class
 
     def test_thirds_are_the_third_vertices_of_every_longest_path(self):
         chosen = collections.defaultdict(set)  # each labeled tree's third, by key position
         for n in range(5, 8):
             for rank in range(cayley(n)):
-                facts = _Facts(n, rank)
+                facts = RankFacts(n, rank)
                 if facts.far[2] >= 4:
-                    key, at = trees._canonical_tree(facts.adj)
+                    key, at, _ = trees._canonical(facts.adj)
                     chosen[key].add(at[facts.path[2]])
         assert len(chosen) == 1 + 3 + 8  # long free trees of orders 5, 6 and 7
         for key, some in chosen.items():
@@ -771,22 +770,38 @@ class TestClassSweep:
             assert facts.thirds == {path[k] for path in longest for k in (2, -3)}
             assert some <= facts.thirds
 
-    def test_passing_run_decodes_no_rank(self, monkeypatch):
-        decoded, decode = [], verify._rank_edges
+    @staticmethod
+    def _named_copies(monkeypatch):
+        """Stands verify._copies in with one that records each (key, names)
+        it yields; returns the list."""
+        named, real = [], verify._copies
 
-        def spy(n, rank):
-            decoded.append((n, rank))
-            return decode(n, rank)
+        def spy(key):
+            for names in real(key):
+                named.append((key, names))
+                yield names
 
-        monkeypatch.setattr(verify, "_rank_edges", spy)
+        monkeypatch.setattr(verify, "_copies", spy)
+        return named
+
+    def test_passing_run_expands_no_copy(self, monkeypatch):
+        named = self._named_copies(monkeypatch)
         assert verify_main_theorem(6).status == "pass"
         assert verify_structure_lemmas(8).status == "pass"
-        assert decoded == []
-        # every counterexample space witnessed: only order 5 has long trees
+        assert verify_theorem_nondegeneracy(5, (0, 1)).status == "pass"
+        assert named == []
+
+    def test_forced_witness_expands_the_paths_copies(self, monkeypatch):
+        # every counterexample space witnessed: of orders 1-5 only the path
+        # of order 5 is long, and each of its 5!/2 copies fails
+        named = self._named_copies(monkeypatch)
         monkeypatch.setattr(verify, "_witness_index", lambda d: 0)
         report = verify_main_theorem(5, (0, 1))
-        assert sorted(decoded) == [(5, rank) for rank in range(cayley(5))]
+        assert len(set(named)) == len(named) == 60
+        assert {key for key, _ in named} == {trees._canonical(index_adjacency(path_tree(5)))[0]}
+        assert len({cert.evidence["tree_index"] for cert in report.failures}) == 60
         assert {cert.evidence["order"] for cert in report.failures} == {5}
+        assert all(brute_longest_path(cert.tree) == 4 for cert in report.failures)
 
     @staticmethod
     def _patch_order(monkeypatch, n, change):
@@ -838,7 +853,7 @@ class TestLongestPathSearches:
         for n in range(1, 7):
             for rank in range(cayley(n)):
                 calls.clear()
-                facts = _Facts(n, rank)
+                facts = RankFacts(n, rank)
                 if verify._LONG.holds(facts):  # reads the diameter
                     assert len(calls) == 2
                     assert len(facts.path) > 4
@@ -857,7 +872,7 @@ class TestCodedCounterexample:
                 edges = _rank_edges(n, rank)
                 tree = validate_tree(names, [(names[a], names[b]) for a, b in edges])
                 if brute_longest_path(tree) > 3:
-                    yield _Facts(n, rank), tree
+                    yield RankFacts(n, rank), tree
 
     def test_verdict_matches_the_fraction_space(self):
         checked = 0
@@ -888,9 +903,9 @@ class TestCertificates:
     def test_fail_builds_the_certificate(self):
         # codes map to the grid's values, with or without zero in the grid
         for grid, top in (((0, 1, 2), 2), ((1, 3), 3)):
-            facts = _Facts(5, 0, *_grid(grid))
+            facts = RankFacts(5, 0, *_grid(grid))
             cert = facts.fail(CLAIM_WITNESS, {"witness": None}, (1, 1, 2, 1, 1))
-            assert cert.tree == _Facts(5, 0).tree and cert.tree.order == 5
+            assert cert.tree == RankFacts(5, 0).tree and cert.tree.order == 5
             assert cert.labeling == {
                 "v1": 1, "v2": 1, "v3": top, "v4": 1, "v5": 1,
             }
