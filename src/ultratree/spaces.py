@@ -166,17 +166,20 @@ def _first_offender(codes):
     """The first axiom a square matrix of rank codes (all byte or all list
     rows) breaks, as (axiom, point indices), or None. An accept-only screen
     runs first, in whole-row operations: each row's one zero on the
-    diagonal, and the matrix equal to its transpose. Only a matrix it
-    rejects is scanned row by row, the diagonal entry and then each pair
-    i < j for symmetry and positivity, to name the first offender. Then,
-    unless every point joins the points before it by the join rule (_links;
-    _joins, or _byte_joins on byte rows), the first strong-triangle triple
-    (i, j, k) with i < j, which on a symmetric matrix is also the first over
-    ordered pairs: an offender (j, i, k) with j > i makes (i, j, k) one."""
+    diagonal, and the matrix equal to its transpose (byte columns are
+    stepped slices of the joined rows). Only a matrix it rejects is scanned
+    row by row, the diagonal entry and then each pair i < j for symmetry and
+    positivity, to name the first offender. Then, unless every point joins
+    the points before it by the join rule (_links; _joins, or _byte_joins on
+    byte rows), the first strong-triangle triple (i, j, k) with i < j, which
+    on a symmetric matrix is also the first over ordered pairs: an offender
+    (j, i, k) with j > i makes (i, j, k) one."""
     n = len(codes)
     row_type = type(codes[0])
     screened = all(not row[i] and row.count(0) == 1 for i, row in enumerate(codes))
-    if not (screened and codes == list(map(row_type, zip(*codes)))):
+    flat = b"".join(codes) if row_type is bytes else None
+    transpose = list(map(row_type, zip(*codes))) if flat is None else [flat[j::n] for j in range(n)]
+    if not (screened and codes == transpose):
         for i, row in enumerate(codes):
             if row[i]:
                 return "positivity", (i, i)
@@ -296,15 +299,20 @@ def _links(codes):
         yield m, row.index(m), k
 
 
+def _lift(row, m) -> list:
+    """max(m, row) entry by entry on a list row; row.translate(_CEILINGS[m]) on bytes."""
+    return [m if m > w else w for w in row]
+
+
 def _joins(r, m, near) -> bool:
     """The join rule: a point with codes ``r`` to the points of an
     ultrametric, at distance m from the first of its nearest ones (codes
     ``near``), keeps it one exactly when m > 0 and r = max(m, near) entry by
     entry. The isosceles property forces that row, and the row keeps every
-    triple through the new point isosceles. On list rows, as in verify's
-    walk; _byte_joins is the same rule on byte rows."""
-    return m > 0 and r == [m if m > w else w for w in near]
-
+    triple through the new point isosceles. On list rows, which spaces and
+    verify's walk keep past 256 codes; _byte_joins is the same rule on byte
+    rows (bytes or bytearray)."""
+    return m > 0 and r == _lift(near, m)
 
 
 def _byte_joins(r, m, near) -> bool:

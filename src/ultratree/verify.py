@@ -74,10 +74,10 @@ d(p, p) as p's label; with m its minimum, first reached at a, the rest costs
 O(k):
 
 * Axioms: a valid prefix stays valid iff m > 0 and d(z, x) = max(m, d(a, x))
-  for all x, the join rule spaces._joins on the walk's list rows, which
-  validation applies too (as spaces._byte_joins on a space's byte rows): the
-  isosceles property at (z, a, x) forces this row, and it keeps every
-  triple through z isosceles. Failure is kept by extensions.
+  for all x, the join rule of validation (spaces._byte_joins on the walk's
+  byte rows, spaces._joins on its list rows past code 255): the isosceles
+  property at (z, a, x) forces this row, and it keeps every triple through z
+  isosceles. Failure is kept by extensions.
 * Witness: old candidate x0 stays one iff d(z, x0) = m and no other column
   minimum drops (x0's row must hold them all); z becomes one iff no column
   minimum lies below its row. A dropped candidate never returns. Only p's
@@ -128,7 +128,7 @@ from .labelings import (
     _zero_edge,
 )
 from .rationals import format_rational, parse_rational
-from .spaces import _first_offender, _joins, _value_codes, _witness_index
+from .spaces import _CEILINGS, _byte_joins, _first_offender, _joins, _lift, _value_codes, _witness_index
 from .serialize import tree_to_dict, tree_from_dict
 from .trees import (
     Tree,
@@ -298,16 +298,22 @@ def _walk_size(key, q: int) -> int:
 def _labelings(parents, codes, witness: bool, leaf, blocks=()) -> None:
     """Call leaf(lab, nondeg, verdict, weight) once for every labeling over
     ``codes`` (ascending) of the tree in which vertex k > 0 hangs from
-    ``parents[k]`` < k, a class key of trees._canonical; ``lab`` lists
-    codes by vertex and is reused between calls. The verdict is whether the
-    path-max matrix is an ultrametric, or with ``witness`` whether the
-    matrix of a non-degenerate labeling has a witness (False on degenerate
-    ones). With ``blocks`` (_sibling_blocks of ``parents``) the walk visits
-    one labeling per orbit of Aut T, ``weight`` the orbit's size; without,
-    every labeling, each of weight 1. See the module docstring."""
-    n = len(parents)
+    ``parents[k]`` < k, in any such order (a class key of trees._canonical,
+    a breadth-first order); ``lab`` lists codes by vertex and is reused
+    between calls. The verdict is whether the path-max matrix is an
+    ultrametric, or with ``witness`` whether the matrix of a non-degenerate
+    labeling has a witness (False on degenerate ones). With ``blocks``
+    (_sibling_blocks of a class key) the walk visits one labeling per orbit
+    of Aut T, ``weight`` the orbit's size; without, every labeling, each of
+    weight 1. The matrix is one row-major n * n buffer, a bytearray while
+    every code is below 256, else a list. See the module docstring."""
+    n, top = len(parents), codes[-1]
     lab = [0] * n
-    d = [[0] * n for _ in range(n)]  # zero diagonal
+    if top < 256:  # lift(row, ceilings[c]) is max(c, row) entry by entry
+        row, lift, ceilings, joins = bytearray, bytearray.translate, _CEILINGS, _byte_joins
+    else:
+        row, lift, ceilings, joins = list, _lift, range(top + 1), _joins
+    d = row(bytes(n * n))  # zero diagonal
     at = {c: i for i, c in enumerate(codes)}
     # each vertex's later blocks: (its mirror, the block's start, the start
     # of the block before, j at the block's last vertex, else 0)
@@ -319,11 +325,12 @@ def _labelings(parents, codes, witness: bool, leaf, blocks=()) -> None:
     runs = [1] * n  # by block start: the run of equal blocks it ends
 
     def extend(k, nondeg, valid, cand, colmin, weight):
-        p = parents[k]
+        p, kn = parents[k], k * n
         above = lab[p]
-        dp = d[p][:k]
-        dp[p] = above
-        low = min(dp)
+        if nondeg if witness else valid:  # else the prefix is dead: no rows
+            dp = d[p * n:p * n + k]
+            dp[p] = above
+            low = min(dp)
         member = later[k]
         tail, size = codes, weight
         if member:  # codes >= the mirror in each block still tying the one before
@@ -343,7 +350,7 @@ def _labelings(parents, codes, witness: bool, leaf, blocks=()) -> None:
             nd = nondeg and (c > 0 or above > 0)
             ok, keep, cm = False, None, None
             if nd if witness else valid:
-                r = [c if c > w else w for w in dp]
+                r = lift(dp, ceilings[c])
                 m = c if c > low else low
                 if witness:
                     cm = colmin.copy()
@@ -355,11 +362,11 @@ def _labelings(parents, codes, witness: bool, leaf, blocks=()) -> None:
                     cm.append(m)
                     ok = bool(keep)
                 else:
-                    ok = _joins(r, m, d[r.index(m)][:k])
+                    a = r.index(m)
+                    ok = joins(r, m, d[a * n:a * n + k])
                 if k < n - 1:
-                    d[k][:k] = r
-                    for x in range(k):
-                        d[x][k] = r[x]
+                    d[kn:kn + k] = r
+                    d[k:kn + k:n] = r
             if k == n - 1:
                 leaf(lab, nd, ok, size)
             else:
@@ -370,7 +377,7 @@ def _labelings(parents, codes, witness: bool, leaf, blocks=()) -> None:
         if n == 1:
             leaf(lab, True, True, 1)
         else:
-            extend(1, True, True, [0], [float("inf")], 1)  # one point: no other in its column
+            extend(1, True, True, [0], row((top,)), 1)  # one point: top caps the empty column
 
 
 def _copies(key) -> Iterator[tuple[int, ...]]:

@@ -731,6 +731,56 @@ class TestOrbitWalk:
         assert _tally(key, codes, True, wrong)[0] != _tally(key, codes, True, ())[0]
 
 
+def _stream(key, codes, witness, blocks=()):
+    """Every leaf call of one walk of ``key``: (labeling, nondeg, verdict, weight)."""
+    calls = []
+    _labelings(key, codes, witness, lambda lab, *rest: calls.append((tuple(lab), *rest)), blocks)
+    return calls
+
+
+class TestRowTypes:
+    """The walk keeps byte rows while every code is below 256 and list rows
+    from code 256 on; both decide alike. The walk reads codes only by order,
+    so any grid of the same length and zero gives the same verdicts."""
+
+    @pytest.mark.parametrize("top", [255, 256, 257, 300])
+    def test_wide_codes_walk_as_small_ones_through_order_six(self, top, monkeypatch):
+        lifts = []
+        real = verify._lift
+        monkeypatch.setattr(verify, "_lift", lambda row, c: lifts.append(c) or real(row, c))
+        grids = [((0, 1, 2, 3), (0, 1, top - 1, top)), ((1, 2, 3), (1, top - 1, top))]
+        for small, wide in grids:
+            recode = dict(zip(small, wide))
+            for found in trees._free_trees(6):
+                for key in found:
+                    for witness, blocks in itertools.product((False, True), ((), verify._sibling_blocks(key))):
+                        want = [
+                            (tuple(map(recode.__getitem__, lab)), *rest)
+                            for lab, *rest in _stream(key, small, witness, blocks)
+                        ]
+                        assert _stream(key, wide, witness, blocks) == want
+        # list rows, lifted by spaces._lift, exactly past code 255
+        assert bool(lifts) == (top >= 256)
+
+    @pytest.mark.parametrize("count", [255, 256, 257, 300])
+    def test_sweeps_over_wide_grids_through_order_two(self, count):
+        report = verify_theorem_nondegeneracy(2, range(count))
+        assert report.status == "pass"
+        assert report.cases_checked == predicted_cases("nondeg", 2, count) == count + count**2
+        report = verify_main_theorem(2, range(1, count + 1))  # no zero: codes 1..count
+        assert report.status == "pass"
+        assert report.cases_checked == predicted_cases("main", 2, count)
+
+    def test_three_hundred_codes_tally_by_the_one_degenerate_labeling(self):
+        """The list walk's tallies over 300 codes on the order-2 key: only
+        both codes zero is degenerate, and every other labeling is valid and
+        has a witness."""
+        for witness in (False, True):
+            tally, bad, _ = _tally((0, 0), tuple(range(300)), witness, ())
+            assert not bad
+            assert tally == {(False, False): 1, (True, True): 300**2 - 1}
+
+
 def _class_tasks(theorem, n, values):
     """The class sweep's tasks of order n, one class each."""
     return [
