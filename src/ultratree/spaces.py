@@ -56,16 +56,16 @@ class FiniteUltrametricSpace:
     and answers read the codes only: ``dist`` is decoded on first read, and
     equality and hashing go through (points, values, codes), which the
     coding makes equal exactly when (points, dist) are. The constructor
-    rejects a matrix that is not N x N for N points with ValueError, but
-    does not check the axioms; validate_ultrametric is the checked entry
-    point for untrusted data.
+    rejects an empty or repeated point list and a matrix that is not N x N
+    with ValueError (_names, _check_shape), but does not check the axioms;
+    validate_ultrametric is the checked entry point for untrusted data.
     """
 
     points: tuple[str, ...]
     dist: tuple[tuple[Fraction, ...], ...] = _Decoded()
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
+        object.__setattr__(self, "points", _names(self.points))
         # the caller's rows go: a read of dist decodes the codes instead
         rows = tuple(map(tuple, self.__dict__.pop("dist")))
         _check_shape(self.points, rows)

@@ -35,7 +35,7 @@ claim id to the theorems that report it, with for each the trees it is
 checked on and whether its checks count as cases; to whether it is checked
 once per tree or once per labeling; to its check on the record; and, for a
 claim on one labeling, to its judge on the full path-max matrix. One loop
-(_sweep) runs the theorem's checks on each record, predicted_cases counts
+(_check) runs the theorem's checks on each record, predicted_cases counts
 from the same table, and replay_certificate runs the sweep's own check, the
 claim's judge or its tree test and check, on the certificate's data.
 
@@ -45,9 +45,10 @@ order once per free tree (trees._free_trees), on a record of its class key
 tree of the class. Only the counterexample reads vertex names, to pick a
 longest path; a class record judges it with the 3 on every vertex third on
 some longest path, onto which each labeled copy's pick maps, so a class
-fails if any copy does. Only a failing class is checked again, on each of
-its n!/|Aut T| labeled copies (_copies), so a report lists every failing
-labeled tree, its rank the tree's Prufer rank.
+fails if any copy does. A failing class is checked again in the task that
+finds it, on each of its n!/|Aut T| labeled copies (_copies), whose
+certificates replace the class's, so a report lists every failing labeled
+tree, its rank the tree's Prufer rank. The cases still come from the class.
 
 Each run returns a VerificationReport whose cases_checked equals the
 analytically predicted grid size. Each order is gated on its own: its
@@ -115,6 +116,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
@@ -424,21 +426,6 @@ def _class_walk(key, codes, witness: bool, orbits: bool = False):
 # ---------------------------------------------------------------------------
 # the facts of one tree
 
-class _fact:
-    """A fact computed on first read and then kept as a plain attribute:
-    functools.cached_property without the lock it takes on Python < 3.12."""
-
-    def __init__(self, compute):
-        self.compute = compute
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, facts, owner=None):
-        value = facts.__dict__[self.name] = self.compute(facts)
-        return value
-
-
 class _Facts:
     """One labeled tree in index form (vertex i is v(i+1)) and the codes of
     its value grid, ``values[code]`` a code's value; in a sweep, the copy of
@@ -457,34 +444,34 @@ class _Facts:
         facts.rank, facts.names, facts.tree = None, tree.vertices, tree
         return facts
 
-    @_fact
+    @cached_property
     def rank(self) -> int:
         return _prufer_rank(self.n, self.edges)
 
-    @_fact
+    @cached_property
     def names(self) -> tuple[str, ...]:
         return _vertex_names(self.n)
 
-    @_fact
+    @cached_property
     def far(self) -> tuple[list[int], list[int], int]:
         """trees._far, whose ``far[2]`` is the diameter; the path reuses it."""
         return _far(self.adj)
 
-    @_fact
+    @cached_property
     def highs(self) -> list[int]:
         """The vertices of degree two or more, ascending."""
         return [v for v, nbrs in enumerate(self.adj) if len(nbrs) >= 2]
 
-    @_fact
+    @cached_property
     def tree(self) -> Tree:
         return _index_tree(self.names, self.edges)
 
-    @_fact
+    @cached_property
     def path(self) -> list[int]:
         """The longest path counterexample_labeling labels."""
         return _longest_path(self.adj, self.names, self.far)
 
-    @_fact
+    @cached_property
     def thirds(self):
         """The vertices the counterexample check puts its 3 on: the path's third."""
         return self.path[2:3]
@@ -519,7 +506,7 @@ class _ClassFacts(_Facts):
         super().__init__(len(key), list(zip(key[1:], range(1, len(key)))), values, codes)
         self.key, self.rank = key, None
 
-    @_fact
+    @cached_property
     def thirds(self):
         return {parent[parent[end]] for end, parent in _ends(self.adj, self.far).items()}
 
@@ -528,7 +515,8 @@ class _ClassFacts(_Facts):
         return _class_walk(self.key, self.codes, witness, orbits=True)
 
     def copies(self, weight: int) -> Iterator[_Facts]:
-        """The facts of each labeled copy of the class, gated on its weight."""
+        """The facts of each labeled copy of the class, gated on its weight,
+        for _sweep to check where the class failed; they share its full walks."""
         count, walks = 0, {}
         for count, at in enumerate(_copies(self.key), 1):
             copy = _Facts(self.n, [(at[a], at[b]) for a, b in self.edges], self.values, self.codes)
@@ -694,29 +682,39 @@ def predicted_cases(theorem: str, n_max: int, value_count: int) -> int:
     """The exact number of checks a run will perform up to order n_max."""
     if n_max < 0:
         raise ValueError(f"n_max must be at least 0, got {n_max}")
+    if isinstance(value_count, bool) or not isinstance(value_count, int) or value_count < 0:
+        raise ValueError(f"value_count must be a non-negative int, got {value_count!r}")
     return sum(itertools.islice(_cases_by_order(theorem, value_count), n_max))
 
 
-def _sweep(task: dict) -> tuple[int, list[Certificate], list]:
-    """(cases, certificates, failing classes) of one task of one order, a
-    list of (class key, weight): each class's facts go through the checks the
-    table lists for the theorem, each case counting once per labeled tree,
-    its weight times. With ``copies`` each labeled copy goes through instead."""
+def _check(facts: _Facts, claims) -> tuple[int, list[Certificate]]:
+    """(cases, certificates) of the ``claims`` (_reported) on one record,
+    each case counted once."""
+    cases, fails = 0, []
+    for claim, trees, counted in claims:
+        if trees.holds(facts):
+            made, bad = claim.check(facts) if claim.per_labeling else (1, claim.check(facts))
+            cases += made if counted else 0
+            fails += bad
+    return cases, fails
+
+
+def _sweep(task: dict) -> tuple[int, list[Certificate]]:
+    """(cases, certificates) of one task of one order, a list of (class key,
+    weight): each class's facts go through the checks the table lists for
+    the theorem, each case counting once per labeled tree, its weight times.
+    A class that fails goes through them again in this task, as each of its
+    labeled copies, whose certificates replace the class's."""
     claims = _reported(task["theorem"])
     values, codes = _value_codes(task["values"] or ())
-    cases, fails, failing = 0, [], []
+    cases, fails = 0, []
     for key, weight in task["trees"]:
-        cls, before = _ClassFacts(key, values, codes), len(fails)
-        units = ((copy, 1) for copy in cls.copies(weight)) if task.get("copies") else ((cls, weight),)
-        for facts, each in units:
-            for claim, trees, counted in claims:
-                if trees.holds(facts):
-                    made, bad = claim.check(facts) if claim.per_labeling else (1, claim.check(facts))
-                    cases += each * made if counted else 0
-                    fails += bad
-        if len(fails) > before:
-            failing.append((key, weight))
-    return cases, fails, failing
+        cls = _ClassFacts(key, values, codes)
+        made, bad = _check(cls, claims)
+        cases += weight * made
+        if bad:
+            fails += [cert for copy in cls.copies(weight) for cert in _check(copy, claims)[1]]
+    return cases, fails
 
 
 # ---------------------------------------------------------------------------
@@ -764,15 +762,6 @@ def _deal(theorem: str, classes, chunks: int, value_count: int) -> list[list]:
     return parts
 
 
-def _orders(tasks, run) -> tuple[list, list[Certificate]]:
-    """The _sweep results of the class tasks, ``run`` mapping _sweep over a
-    task list, and the certificates of one more task per failing class,
-    which checks each of its labeled copies."""
-    parts = run(tasks)
-    copies = [{**task, "trees": [cls], "copies": True} for task, part in zip(tasks, parts) for cls in part[2]]
-    return parts, [cert for _, found, _ in (run(copies) if copies else ()) for cert in found]
-
-
 def _execute(theorem, n_max, values, budget, jobs, subchecks=None) -> VerificationReport:
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -805,12 +794,12 @@ def _execute(theorem, n_max, values, budget, jobs, subchecks=None) -> Verificati
         from multiprocessing import Pool
 
         with Pool(workers) as pool:  # one task per hand-out, so chunks run side by side
-            parts, failures = _orders(tasks, lambda ts: pool.map(_sweep, ts, chunksize=1))
+            parts = pool.map(_sweep, tasks, chunksize=1)
     else:
-        parts, failures = _orders(tasks, lambda ts: list(map(_sweep, ts)))
+        parts = list(map(_sweep, tasks))
     for n, want in enumerate(predicted, 1):
-        _gate(n, "cases", sum(part[0] for task, part in zip(tasks, parts) if task["n"] == n), want)
-    failures.sort(key=_report_key)
+        _gate(n, "cases", sum(cases for task, (cases, _) in zip(tasks, parts) if task["n"] == n), want)
+    failures = sorted((cert for _, found in parts for cert in found), key=_report_key)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     return VerificationReport(
         theorem=theorem,

@@ -117,6 +117,20 @@ class TestSpaceType:
             with pytest.raises(ValueError, match=shape):
                 build(points, dist)
 
+    @pytest.mark.parametrize(
+        "points, dist, message",
+        [
+            ((), (), "at least one point"),
+            (("a", "b", "a"), ((0, 1, 2), (1, 0, 2), (2, 2, 0)), "must be unique"),
+        ],
+        ids=["empty", "repeated"],
+    )
+    def test_points_are_checked_as_validation_checks_them(self, points, dist, message):
+        # the repeated-point matrix satisfies the axioms: only the names can fail it
+        for build in (FiniteUltrametricSpace, validate_ultrametric):
+            with pytest.raises(ValueError, match=message):
+                build(points, dist)
+
 
 class TestValidateUltrametric:
     def test_valid_example(self):

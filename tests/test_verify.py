@@ -120,6 +120,13 @@ class TestCaseCounting:
                 predicted_cases("main", n_max, 3)
         assert predicted_cases("main", 0, 3) == 0
 
+    def test_value_count_must_be_a_non_negative_int(self):
+        for value_count in (-1, -2, 2.5, 3.0, Fraction(3), True, "3", None):
+            with pytest.raises(ValueError, match="value_count must be a non-negative int"):
+                predicted_cases("nondeg", 3, value_count)
+        assert predicted_cases("nondeg", 3, 0) == 0  # no values: only the unlabeled checks
+        assert predicted_cases("lemmas", 3, 0) == expected_cases("lemmas", 3, 0)
+
 
 class TestNondegeneracyTheorem:
     def test_tiny_grid(self):
@@ -287,16 +294,33 @@ class TestParallelExecution:
         assert all(orders.count(n) <= 2 for n in range(1, 7))
 
     def test_chunks_divide_each_orders_classes(self, monkeypatch):
-        self._recording_pool(monkeypatch, 2)
+        # one verdict of the order-6 star flipped: the star class fails, and
+        # its 6 labeled copies are checked inside the task that holds it
+        asked = self._recording_pool(monkeypatch, 2)
         monkeypatch.setattr(verify, "_POOL_MIN_CASES", 0)
+        walk, star, forced = verify._labelings, (0,) * 6, (1,) + (0,) * 5
+
+        def flipped(parents, codes, witness, leaf, blocks=()):
+            def spy(lab, nondeg, verdict, weight):
+                leaf(lab, nondeg, verdict != (tuple(parents) == star and tuple(lab) == forced), weight)
+
+            walk(parents, codes, witness, spy, blocks)
+
+        monkeypatch.setattr(verify, "_labelings", flipped)
+        lone = verify_main_theorem(6, (0, 1), jobs=1)
+        assert asked == [] and len(lone.failures) == 6
         seen, sweep = [], verify._sweep
         monkeypatch.setattr(verify, "_sweep", lambda task: seen.append(task) or sweep(task))
-        verify_main_theorem(6, (0, 1), jobs=2)
-        assert not any(task.get("copies") for task in seen)  # a passing run expands no class
-        for n, keys in enumerate(trees._free_trees(6), 1):
+        pooled = verify_main_theorem(6, (0, 1), jobs=2)
+        assert asked == [(2, 1, [task["n"] for task in seen])]  # one map call over every task
+        assert pooled.failures == lone.failures
+        assert pooled.cases_checked == lone.cases_checked
+        for n, found in enumerate(trees._free_trees(6), 1):
+            classes = [(key, math.factorial(n) // aut) for key, aut in found.items()]
             chunks = [task["trees"] for task in seen if task["n"] == n]
-            assert len(chunks) == min(2, len(keys))  # each class walked by one worker
-            assert sorted(key for chunk in chunks for key, _ in chunk) == sorted(keys)
+            assert chunks == verify._deal("main", classes, min(2, len(classes)), 2)
+            assert len(chunks) == min(2, len(classes))  # each class walked by one worker
+            assert sorted(cls for chunk in chunks for cls in chunk) == sorted(classes)
 
     @pytest.mark.parametrize("theorem", ["main", "classify", "nondeg", "lemmas"])
     def test_chunks_are_dealt_by_walk_cost(self, theorem):
@@ -801,7 +825,7 @@ class TestClassSweep:
             parts = [verify._sweep(task) for task in _class_tasks(theorem, n, vals)]
             ranks = reference_sweep(theorem, n, vals)
             assert (sum(p[0] for p in parts), [c for p in parts for c in p[1]]) == ranks
-            assert not any(p[2] for p in parts)  # no failing class
+            assert not any(p[1] for p in parts)  # no failing class
 
     def test_thirds_are_the_third_vertices_of_every_longest_path(self):
         chosen = collections.defaultdict(set)  # each labeled tree's third, by key position
