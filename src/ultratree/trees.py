@@ -299,9 +299,10 @@ def _longest_path(adj, names, far) -> list[int]:
     return path
 
 
-def _canonical(adj) -> tuple[tuple[int, ...], list[int], int]:
+def _canonical(adj, root=None, other=None) -> tuple[tuple[int, ...], list[int], int]:
     """(key, position of each vertex, |Aut T|) of the canonical form, from
-    one AHU pass at the center, the middle of _far's path, which every
+    one AHU pass at the center, the middle of _far's path unless ``root``
+    and the second center ``other`` (or None) are given, which every
     automorphism fixes: the preorder from the center, children by ascending
     AHU string. The key, each position's parent position (the root its own),
     spells the form, so isomorphic trees and no others share it. A bicentral
@@ -311,15 +312,16 @@ def _canonical(adj) -> tuple[tuple[int, ...], list[int], int]:
     order. |Aut T| is the product, over the vertices, of m! for each m
     children of one string, times 2 when the halves are equal."""
     n = len(adj)
-    far_parent, far_order, d = _far(adj)
-    root = far_order[-1]
-    for _ in range(d // 2):
-        root = far_parent[root]
+    if root is None:
+        far_parent, far_order, d = _far(adj)
+        root = far_order[-1]
+        for _ in range(d // 2):
+            root = far_parent[root]
+        other = far_parent[root] if d % 2 else None
     parent, order = _bfs_parents(n, adj, root)
     text, kids = [""] * n, [[] for _ in range(n)]
     for v in order[1:]:
         kids[parent[v]].append(v)
-    other = far_parent[root] if d % 2 else None  # the second center
     if other is not None:
         kids[root].remove(other)
     aut = 1
@@ -347,19 +349,54 @@ def _canonical(adj) -> tuple[tuple[int, ...], list[int], int]:
 
 def _free_trees(n_max: int) -> list[dict[tuple[int, ...], int]]:
     """The free trees of orders 1..n_max, one dict per order from each class
-    key to |Aut T|: every tree of order n is a tree of order n - 1 with a
-    leaf added, so hanging one from each vertex of each key one order down
-    and keeping the canonical forms finds every class. Each candidate costs
-    _canonical's three searches and one AHU pass."""
+    key to |Aut T|: one _canonical call on each of _layouts's trees, at its
+    center 0 and, when the first subtree is as high as the rest, vertex 1."""
     found = [{(0,): 1}]
     for n in range(2, n_max + 1):
-        grown = {}
-        for key in found[-1]:
-            for v in range(n - 1):
-                form, _, aut = _canonical(_index_adjacency(n, zip((*key[1:], v), range(1, n))))
-                grown[form] = aut
-        found.append(grown)
+        found.append({})
+        for layout in _layouts(n):
+            last, edges = [0] * n, []  # the latest vertex at each depth
+            for v, depth in enumerate(layout[1:], 1):
+                last[depth] = v
+                edges.append((last[depth - 1], v))
+            left, rest = _split(layout)
+            other = 1 if max(left) == max(rest) else None
+            form, _, aut = _canonical(_index_adjacency(n, edges), 0, other)
+            found[-1][form] = aut
     return found[:n_max]
+
+
+def _layouts(n: int) -> Iterator[list[int]]:
+    """Each free tree of order n >= 2 once, as the level sequence (depths in
+    preorder, subtrees non-increasing) rooted at a center, changed in place
+    between yields (Wright, Richmond, Odlyzko and McKay, SIAM J. Comput. 15,
+    1986): Beyer-Hedetniemi successors from the path to the star, and past
+    one whose first subtree is higher than the rest, or as high and larger
+    or lexicographically later, a jump to the next free tree's."""
+    layout = [*range(n // 2 + 1), *range(1, (n + 1) // 2)]  # the path, rooted at its center
+    while True:
+        left, rest = _split(layout)
+        if (max(left), len(left), left) > (max(rest), len(rest), rest):
+            _successor(layout, len(left))  # from the last vertex of ``left``
+            if layout[len(left)] > 1:  # it was past depth 2: end on a path one deeper than ``left``
+                h = max(_split(layout)[0])
+                layout[n - h - 1:] = range(1, h + 2)
+        yield layout
+        if max(layout) == 1:  # the star, the last sequence
+            return
+        _successor(layout, max(i for i, depth in enumerate(layout) if depth > 1))
+
+
+def _split(layout) -> tuple[list[int], list[int]]:
+    """The level sequences of the root's first subtree and of the rest."""
+    m = (*layout, 1).index(1, 2)  # the root's second child, else n
+    return [depth - 1 for depth in layout[1:m]], [0, *layout[m:]]
+
+
+def _successor(layout, p: int) -> None:
+    """Beyer-Hedetniemi, in place: from p on, repeat layout[q:p], q p's parent."""
+    q = p - 1 - layout[p - 1::-1].index(layout[p] - 1)
+    layout[p:] = (layout[q:p] * len(layout))[:len(layout) - p]
 
 
 def _vertex_names(n: int) -> tuple[str, ...]:

@@ -40,15 +40,16 @@ from the same table, and replay_certificate runs the sweep's own check, the
 claim's judge or its tree test and check, on the certificate's data.
 
 Every claim is invariant under vertex relabeling, so a sweep checks each
-order once per free tree (trees._free_trees), on a record of its class key
-(_ClassFacts), and counts each case n!/|Aut T| times, once per labeled
-tree of the class. Only the counterexample reads vertex names, to pick a
-longest path; a class record judges it with the 3 on every vertex third on
-some longest path, onto which each labeled copy's pick maps, so a class
-fails if any copy does. A failing class is checked again in the task that
-finds it, on each of its n!/|Aut T| labeled copies (_copies), whose
-certificates replace the class's, so a report lists every failing labeled
-tree, its rank the tree's Prufer rank. The cases still come from the class.
+order once per free tree, each generated once as a center-rooted level
+sequence (trees._free_trees), on a record of its class key (_ClassFacts),
+and counts each case n!/|Aut T| times, once per labeled tree of the class.
+Only the counterexample reads vertex names, to pick a longest path; a class
+record judges it with the 3 on every vertex third on some longest path,
+onto which each labeled copy's pick maps, so a class fails if any copy
+does. A failing class is checked again in the task that finds it, on each
+of its n!/|Aut T| labeled copies (_copies), whose certificates replace the
+class's, so a report lists every failing labeled tree, its rank the tree's
+Prufer rank. The cases still come from the class.
 
 Each run returns a VerificationReport whose cases_checked equals the
 analytically predicted grid size. Each order is gated on its own: its
@@ -223,15 +224,15 @@ def _long_count(n: int) -> int:
     return _tree_count(n) - _qualifying_count(n)
 
 
-def _free_tree_count(n: int) -> int:
-    """Free trees of order n >= 1 (OEIS A000055), by Otter's formula
-    t(x) = r(x) - (r(x)^2 - r(x^2)) / 2 on the rooted tree counts r (A000081)."""
+def _free_tree_counts(n_max: int) -> list[int]:
+    """Free trees of orders 1..n_max (A000055) from one table of the rooted
+    tree counts r (A000081), by Otter's t(x) = r(x) - (r(x)^2 - r(x^2)) / 2."""
     r = [0, 1]
-    for m in range(1, n):  # r(m + 1), each root's subtrees a multiset of rooted trees
+    for m in range(1, n_max):  # r(m + 1), each root's subtrees a multiset of rooted trees
         divisors = (sum(d * r[d] for d in range(1, k + 1) if k % d == 0) for k in range(1, m + 1))
         r.append(sum(s * r[m + 1 - k] for k, s in enumerate(divisors, 1)) // m)
-    pairs = sum(r[i] * r[n - i] for i in range(1, n)) - (r[n // 2] if n % 2 == 0 else 0)
-    return r[n] - pairs // 2
+    return [r[n] - (sum(r[i] * r[n - i] for i in range(1, n)) - r[n // 2] * (1 - n % 2)) // 2
+            for n in range(1, n_max + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -680,6 +681,8 @@ def _cases_by_order(theorem: str, value_count: int) -> Iterator[int]:
 
 def predicted_cases(theorem: str, n_max: int, value_count: int) -> int:
     """The exact number of checks a run will perform up to order n_max."""
+    if isinstance(n_max, bool) or not isinstance(n_max, int):
+        raise ValueError(f"n_max must be an int, got {n_max!r}")
     if n_max < 0:
         raise ValueError(f"n_max must be at least 0, got {n_max}")
     if isinstance(value_count, bool) or not isinstance(value_count, int) or value_count < 0:
@@ -782,10 +785,10 @@ def _execute(theorem, n_max, values, budget, jobs, subchecks=None) -> Verificati
     started = time.perf_counter()
     # chunks past the processor count only add tasks
     chunks = min(jobs, os.cpu_count() or 1) if predicted[-1] >= _POOL_MIN_CASES else 1
-    tasks = []
+    tasks, otter = [], _free_tree_counts(n_max)
     for n, found in reversed(list(enumerate(_free_trees(n_max), 1))):  # largest order first
         classes = [(key, math.factorial(n) // aut) for key, aut in found.items()]
-        _gate(n, "free trees", len(classes), _free_tree_count(n))
+        _gate(n, "free trees", len(classes), otter[n - 1])
         _gate(n, "labeled trees", sum(weight for _, weight in classes), _tree_count(n))
         for part in _deal(theorem, classes, min(chunks, len(classes)), len(vals or ())):
             tasks.append({"theorem": theorem, "n": n, "trees": part, "values": vals})

@@ -8,10 +8,12 @@ check over every ordered triple, the recursive dendrogram split,
 path-maximum matrices that walk every pair's path, and the quadratic
 Prufer decode that rescans for the least leaf.
 The point is that none of it shares code with the implementations under
-test, so agreement is evidence rather than tautology. The one exception is
-the reference sweep at the end, which runs verify's own claim checks one
-labeled tree at a time: it checks what a class sweep adds, the classes,
-their weights and their labeled copies.
+test, so agreement is evidence rather than tautology. The two exceptions
+are at the end. Leaf augmentation, the generator of free trees that
+trees._free_trees replaced, keeps the canonical forms of trees._canonical:
+it checks that the generator lists every class once. The reference sweep
+runs verify's own claim checks one labeled tree at a time: it checks what a
+class sweep adds, the classes, their weights and their labeled copies.
 """
 
 from __future__ import annotations
@@ -479,6 +481,32 @@ def random_spaces(draw, min_order=1, max_order=40):
         tuple(space.points[i] for i in perm),
         tuple(tuple(space.dist[i][j] for j in perm) for i in perm),
     )
+
+
+# ---------------------------------------------------------------------------
+# the reference generator: free trees by leaf augmentation
+
+# free trees by order, 1 through 20 (OEIS A000055)
+A000055 = (
+    1, 1, 1, 2, 3, 6, 11, 23, 47, 106,
+    235, 551, 1301, 3159, 7741, 19320, 48629, 123867, 317955, 823065,
+)
+
+
+def leaf_augmented_trees(n_max):
+    """trees._free_trees's answer found the slow way: every tree of order n
+    is a tree of order n - 1 with a leaf added, so hanging one from each
+    vertex of each class key one order down and keeping the canonical forms
+    finds every class of order n, each from many candidates."""
+    found = [{(0,): 1}]
+    for n in range(2, n_max + 1):
+        grown = {}
+        for key in found[-1]:
+            for v in range(n - 1):
+                form, _, aut = _canonical(_index_adjacency(n, zip((*key[1:], v), range(1, n))))
+                grown[form] = aut
+        found.append(grown)
+    return found[:n_max]
 
 
 # ---------------------------------------------------------------------------

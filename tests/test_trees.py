@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import (
+    A000055,
     adjacency,
     automorphisms,
     brute_counterexample,
@@ -16,6 +17,7 @@ from helpers import (
     brute_trees,
     cayley,
     edge_index_set,
+    leaf_augmented_trees,
     path_tree,
     random_trees,
     star_tree,
@@ -345,8 +347,7 @@ def _bfs_shapes(n):
     return shapes
 
 
-# free trees by order, 1 through 8 (OEIS A000055)
-FREE_TREES = (1, 1, 1, 2, 3, 6, 11, 23)
+FREE_TREES = A000055[:8]  # free trees by order, 1 through 8
 
 
 class TestCanonicalTree:
@@ -376,13 +377,14 @@ class TestCanonicalTree:
 
 
 class TestFreeTrees:
-    """Leaf augmentation against hard-coded A000055 and networkx, and each
-    class weight n!/|Aut T| against a count of the labeled trees."""
+    """The level-sequence generator against hard-coded A000055, leaf
+    augmentation and networkx, and each class weight n!/|Aut T| against a
+    count of the labeled trees."""
 
     def test_classes_against_a000055_and_networkx(self):
         nx = pytest.importorskip("networkx")
         found = _free_trees(10)
-        assert tuple(map(len, found)) == FREE_TREES + (47, 106)
+        assert tuple(map(len, found)) == A000055[:10]
         for n, keys in enumerate(found, 1):
             for key in keys:  # each a canonical key, spelling its own form
                 assert _canonical(_index_adjacency(n, zip(key[1:], range(1, n))))[0] == key
@@ -401,18 +403,37 @@ class TestFreeTrees:
             )
             assert labeled == {key: math.factorial(n) // aut for key, aut in keys.items()}
 
-    def test_each_candidate_costs_three_searches(self, monkeypatch):
-        # _far's two searches and one from the center, at every order
-        searches, search = [], trees._bfs_parents
+    def test_matches_leaf_augmentation_through_order_twelve(self):
+        # keys and |Aut T|, which _free_trees finds at the layout's centers
+        # and leaf augmentation at the middle of _far's path
+        assert _free_trees(12) == leaf_augmented_trees(12)
 
-        def counting(n, adj, src):
-            searches.append(src)
-            return search(n, adj, src)
+    def test_each_order_computes_one_key_per_class(self, monkeypatch):
+        # one _canonical call per free tree of each order from 2 on: no
+        # candidate is generated twice and thrown away
+        orders, canonical = collections.Counter(), trees._canonical
 
-        monkeypatch.setattr(trees, "_bfs_parents", counting)
-        found = _free_trees(8)
-        candidates = sum(n * len(keys) for n, keys in enumerate(found[:-1], 1))  # a leaf on each vertex
-        assert len(searches) == 3 * candidates
+        def counting(adj, *centers):
+            orders[len(adj)] += 1
+            return canonical(adj, *centers)
+
+        monkeypatch.setattr(trees, "_canonical", counting)
+        found = _free_trees(12)
+        assert tuple(map(len, found)) == A000055[:12]
+        assert orders == {n: A000055[n - 1] for n in range(2, 13)}
+
+    def test_layouts_are_center_rooted_level_sequences(self):
+        # each a preorder of depths from a root that is a center: the two
+        # deepest branches from it differ in depth by at most one
+        for n in range(2, 13):
+            count = 0
+            for layout in trees._layouts(n):
+                count += 1
+                assert layout[0] == 0 and all(1 <= b <= a + 1 for a, b in zip(layout, layout[1:]))
+                starts = [i for i, depth in enumerate(layout) if depth == 1] + [n]
+                depths = sorted((max(layout[i:j]) for i, j in zip(starts, starts[1:])), reverse=True)
+                assert depths[0] - (depths + [0])[1] <= 1
+            assert count == A000055[n - 1]
 
 
 class TestCenterRootedKeys:

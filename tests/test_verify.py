@@ -11,6 +11,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    A000055,
     RankFacts,
     automorphisms,
     brute_counterexample,
@@ -119,6 +120,16 @@ class TestCaseCounting:
             with pytest.raises(ValueError, match=f"n_max must be at least 0, got {n_max}"):
                 predicted_cases("main", n_max, 3)
         assert predicted_cases("main", 0, 3) == 0
+
+    def test_order_must_be_an_int(self):
+        # negative orders and order 0: test_negative_order_refused
+        for n_max in (True, 2.5, "3", None):
+            with pytest.raises(ValueError, match=f"n_max must be an int, got {n_max!r}"):
+                predicted_cases("main", n_max, 3)
+
+    def test_otter_counts_the_free_trees_through_order_twenty(self):
+        assert tuple(verify._free_tree_counts(20)) == A000055
+        assert verify._free_tree_counts(0) == []
 
     def test_value_count_must_be_a_non_negative_int(self):
         for value_count in (-1, -2, 2.5, 3.0, Fraction(3), True, "3", None):
