@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import heapq
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -299,71 +298,55 @@ def _longest_path(adj, names, far) -> list[int]:
     return path
 
 
-def _canonical(adj, root=None, other=None) -> tuple[tuple[int, ...], list[int], int]:
-    """(key, position of each vertex, |Aut T|) of the canonical form, from
-    one AHU pass at the center, the middle of _far's path unless ``root``
-    and the second center ``other`` (or None) are given, which every
-    automorphism fixes: the preorder from the center, children by ascending
-    AHU string. The key, each position's parent position (the root its own),
-    spells the form, so isomorphic trees and no others share it. A bicentral
-    tree is cut at its central edge into two halves, the one of lesser
-    string first: the key lists it as positions [0, h) and the other, hung
-    last from vertex 0, as [h, n). Children of one string keep their search
-    order. |Aut T| is the product, over the vertices, of m! for each m
-    children of one string, times 2 when the halves are equal."""
-    n = len(adj)
-    if root is None:
-        far_parent, far_order, d = _far(adj)
-        root = far_order[-1]
-        for _ in range(d // 2):
-            root = far_parent[root]
-        other = far_parent[root] if d % 2 else None
-    parent, order = _bfs_parents(n, adj, root)
-    text, kids = [""] * n, [[] for _ in range(n)]
-    for v in order[1:]:
-        kids[parent[v]].append(v)
-    if other is not None:
-        kids[root].remove(other)
-    aut = 1
-    for v in reversed(order):  # children before parents
-        group = kids[v]
-        if len(group) > 1:
-            group.sort(key=text.__getitem__)
-            for _, same in itertools.groupby(map(text.__getitem__, group)):
-                aut *= math.factorial(len(list(same)))
-        text[v] = "(" + "".join(map(text.__getitem__, group)) + ")"
-    if other is not None:
-        if text[other] < text[root]:
-            root, other = other, root
-        aut *= 2 if text[other] == text[root] else 1
-        kids[root].append(other)
-        parent[root], parent[other] = root, root
-    at, key, stack = [0] * n, [], [root]
-    while stack:
-        v = stack.pop()
-        at[v] = len(key)
-        key.append(at[parent[v]])
-        stack.extend(reversed(kids[v]))
-    return tuple(key), at, aut
-
-
 def _free_trees(n_max: int) -> list[dict[tuple[int, ...], int]]:
     """The free trees of orders 1..n_max, one dict per order from each class
-    key to |Aut T|: one _canonical call on each of _layouts's trees, at its
-    center 0 and, when the first subtree is as high as the rest, vertex 1."""
+    key to |Aut T|. Vertex k > 0 of a key hangs from key[k], the last earlier
+    vertex one level up in one of _layouts's sequences, a bicentral tree's
+    first subtree (the other center's half) moved to hang last from the root.
+    |Aut T| is the product of j over the key's _sibling_blocks."""
     found = [{(0,): 1}]
     for n in range(2, n_max + 1):
         found.append({})
         for layout in _layouts(n):
-            last, edges = [0] * n, []  # the latest vertex at each depth
-            for v, depth in enumerate(layout[1:], 1):
-                last[depth] = v
-                edges.append((last[depth - 1], v))
             left, rest = _split(layout)
-            other = 1 if max(left) == max(rest) else None
-            form, _, aut = _canonical(_index_adjacency(n, edges), 0, other)
-            found[-1][form] = aut
+            if max(left) == max(rest):  # bicentral: vertex 1 is the other center
+                layout = rest + [depth + 1 for depth in left]
+            key, last = [0], [0] * n  # last: the latest vertex at each depth
+            for v, depth in enumerate(layout[1:], 1):
+                key.append(last[depth - 1])
+                last[depth] = v
+            found[-1][tuple(key)] = math.prod(j for _, _, j in _sibling_blocks(key))
     return found[:n_max]
+
+
+def _sibling_blocks(key) -> list[tuple[int, int, int]]:
+    """The blocks of positions that automorphisms of the class key's tree
+    swap, from the key alone (a preorder in which vertex k > 0 hangs from
+    ``key[k]``): (s, size, j) for the j-th (j >= 2) of a run of consecutive
+    sibling subtrees laid out alike, the subtree at s spanning [s, s + size)
+    and the one before it [s - size, s); and (h, h, 2) when the root's last
+    child h heads a half laid out like the rest, [0, h). Sibling leaves are
+    blocks of size 1. Swapping a block with the one before it is an
+    automorphism; on a key of _free_trees, which lays alike subtrees out
+    alike and side by side, these swaps generate Aut T."""
+    n = len(key)
+    size = [1] * n
+    for k in range(n - 1, 0, -1):
+        size[key[k]] += size[k]
+
+    def shape(s):  # the subtree at s, each position's parent as an offset from s
+        return [p - s for p in key[s + 1:s + size[s]]]
+
+    blocks, last, j = [], [0] * n, [1] * n  # last: each vertex's last child so far
+    for k in range(1, n):
+        q, last[key[k]] = last[key[k]], k
+        if q and size[q] == size[k] and shape(q) == shape(k):
+            j[k] = j[q] + 1
+            blocks.append((k, size[k], j[k]))
+    h = last[0]
+    if 2 * h == n and shape(h) == list(key[1:h]):
+        blocks.append((h, h, 2))
+    return blocks
 
 
 def _layouts(n: int) -> Iterator[list[int]]:

@@ -91,7 +91,7 @@ O(k):
   axioms, a non-degenerate one for the witness. Each labeling is counted
   with its own verdict at a leaf; a mismatch rebuilds the full matrix.
 
-A class sweep walks one labeling per orbit of Aut T (_sibling_blocks).
+A class sweep walks one labeling per orbit of Aut T (trees._sibling_blocks).
 Its key roots the tree at the center, which every automorphism fixes, so
 Aut T is generated by swaps of blocks of key positions: runs of
 consecutive sibling subtrees laid out alike (sibling leaves are blocks of
@@ -105,7 +105,7 @@ blocks, multiplies it by j and divides by r, exactly at every step. A walk
 leaf counts its weight, and the weights of a class walk must sum to
 |codes|^n, or _gate raises. A failing representative stands for its orbit:
 a failing class is walked again over every labeling, which each copy reads
-through its names. The walk runs on a class key (trees._canonical), a
+through its names. The walk runs on a class key (trees._free_trees), a
 preorder from the center in which vertex k > 0 hangs from key[k] < k.
 """
 
@@ -143,6 +143,7 @@ from .trees import (
     _kind_of,
     _longest_path,
     _prufer_rank,
+    _sibling_blocks,
     _tree_count,
     _vertex_names,
     classify,
@@ -238,36 +239,6 @@ def _free_tree_counts(n_max: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # the labeling walk
 
-def _sibling_blocks(key) -> list[tuple[int, int, int]]:
-    """The blocks of positions that automorphisms of the class key's tree
-    swap, from the key alone (a preorder in which vertex k > 0 hangs from
-    ``key[k]``, as trees._canonical spells it): (s, size, j) for the
-    j-th (j >= 2) of a run of consecutive sibling subtrees laid out alike,
-    the subtree at s spanning [s, s + size) and the one before it
-    [s - size, s); and (h, h, 2) when the root's last child h heads a half
-    laid out like the rest, [0, h). Sibling leaves are blocks of size 1.
-    Swapping a block with the one before it, position by position, is an
-    automorphism, and on a canonical key these swaps generate Aut T."""
-    n = len(key)
-    size = [1] * n
-    for k in range(n - 1, 0, -1):
-        size[key[k]] += size[k]
-
-    def shape(s):  # the subtree at s, each position's parent as an offset from s
-        return [p - s for p in key[s + 1:s + size[s]]]
-
-    blocks, last, j = [], [0] * n, [1] * n  # last: each vertex's last child so far
-    for k in range(1, n):
-        q, last[key[k]] = last[key[k]], k
-        if q and size[q] == size[k] and shape(q) == shape(k):
-            j[k] = j[q] + 1
-            blocks.append((k, size[k], j[k]))
-    h = last[0]
-    if 2 * h == n and shape(h) == list(key[1:h]):
-        blocks.append((h, h, 2))
-    return blocks
-
-
 def _orbit_count(key, q: int) -> int:
     """The orbits of the swaps _sibling_blocks spells on the labelings over
     q codes of the tree of ``key``, which the orbit walk's leaves count.
@@ -301,7 +272,7 @@ def _walk_size(key, q: int) -> int:
 def _labelings(parents, codes, witness: bool, leaf, blocks=()) -> None:
     """Call leaf(lab, nondeg, verdict, weight) once for every labeling over
     ``codes`` (ascending) of the tree in which vertex k > 0 hangs from
-    ``parents[k]`` < k, in any such order (a class key of trees._canonical,
+    ``parents[k]`` < k, in any such order (a class key of trees._free_trees,
     a breadth-first order); ``lab`` lists codes by vertex and is reused
     between calls. The verdict is whether the path-max matrix is an
     ultrametric, or with ``witness`` whether the matrix of a non-degenerate
@@ -679,10 +650,14 @@ def _cases_by_order(theorem: str, value_count: int) -> Iterator[int]:
     )
 
 
+def _require_int(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def predicted_cases(theorem: str, n_max: int, value_count: int) -> int:
     """The exact number of checks a run will perform up to order n_max."""
-    if isinstance(n_max, bool) or not isinstance(n_max, int):
-        raise ValueError(f"n_max must be an int, got {n_max!r}")
+    _require_int("n_max", n_max)
     if n_max < 0:
         raise ValueError(f"n_max must be at least 0, got {n_max}")
     if isinstance(value_count, bool) or not isinstance(value_count, int) or value_count < 0:
@@ -766,6 +741,8 @@ def _deal(theorem: str, classes, chunks: int, value_count: int) -> list[list]:
 
 
 def _execute(theorem, n_max, values, budget, jobs, subchecks=None) -> VerificationReport:
+    for name, value in ("n_max", n_max), ("jobs", jobs), ("budget", budget):
+        _require_int(name, value)
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     if jobs < 1:

@@ -10,8 +10,9 @@ Prufer decode that rescans for the least leaf.
 The point is that none of it shares code with the implementations under
 test, so agreement is evidence rather than tautology. The two exceptions
 are at the end. Leaf augmentation, the generator of free trees that
-trees._free_trees replaced, keeps the canonical forms of trees._canonical:
-it checks that the generator lists every class once. The reference sweep
+trees._free_trees replaced, keeps the AHU forms of ``canonical``, the
+canonicalizer the generator's class keys replaced: it checks that the
+generator lists every class once. The reference sweep
 runs verify's own claim checks one labeled tree at a time: it checks what a
 class sweep adds, the classes, their weights and their labeled copies.
 """
@@ -20,8 +21,9 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, groupby, permutations, product
 from pathlib import Path
 
 from hypothesis import strategies as st
@@ -40,7 +42,7 @@ from ultratree import (
 )
 from ultratree import verify
 from ultratree.spaces import _value_codes
-from ultratree.trees import _canonical, _index_adjacency, _rank_edges
+from ultratree.trees import _bfs_parents, _far, _index_adjacency, _rank_edges
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -493,17 +495,73 @@ A000055 = (
 )
 
 
+def canonical(adj):
+    """(key, position of each vertex, |Aut T|) of the tree's AHU form, from
+    one AHU pass at the center, the middle of trees._far's path, which every
+    automorphism fixes: the preorder from the center, children by ascending
+    AHU string. The key, each position's parent position (the root its own),
+    spells the form, so isomorphic trees and no others share it. A bicentral
+    tree is cut at its central edge into two halves, the one of lesser
+    string first: the key lists it as positions [0, h) and the other, hung
+    last from vertex 0, as [h, n). Children of one string keep their search
+    order. |Aut T| is the product, over the vertices, of m! for each m
+    children of one string, times 2 when the halves are equal."""
+    n = len(adj)
+    far_parent, far_order, d = _far(adj)
+    root = far_order[-1]
+    for _ in range(d // 2):
+        root = far_parent[root]
+    other = far_parent[root] if d % 2 else None
+    parent, order = _bfs_parents(n, adj, root)
+    text, kids = [""] * n, [[] for _ in range(n)]
+    for v in order[1:]:
+        kids[parent[v]].append(v)
+    if other is not None:
+        kids[root].remove(other)
+    aut = 1
+    for v in reversed(order):  # children before parents
+        group = kids[v]
+        if len(group) > 1:
+            group.sort(key=text.__getitem__)
+            for _, same in groupby(map(text.__getitem__, group)):
+                aut *= math.factorial(len(list(same)))
+        text[v] = "(" + "".join(map(text.__getitem__, group)) + ")"
+    if other is not None:
+        if text[other] < text[root]:
+            root, other = other, root
+        aut *= 2 if text[other] == text[root] else 1
+        kids[root].append(other)
+        parent[root], parent[other] = root, root
+    at, key, stack = [0] * n, [], [root]
+    while stack:
+        v = stack.pop()
+        at[v] = len(key)
+        key.append(at[parent[v]])
+        stack.extend(reversed(kids[v]))
+    return tuple(key), at, aut
+
+
+def canonicalized(found):
+    """trees._free_trees's answer with each class key, in which vertex k > 0
+    hangs from key[k], replaced by canonical's key of its tree."""
+    return [
+        {canonical(_index_adjacency(n, zip(key[1:], range(1, n))))[0]: aut for key, aut in keys.items()}
+        for n, keys in enumerate(found, 1)
+    ]
+
+
 def leaf_augmented_trees(n_max):
-    """trees._free_trees's answer found the slow way: every tree of order n
-    is a tree of order n - 1 with a leaf added, so hanging one from each
-    vertex of each class key one order down and keeping the canonical forms
-    finds every class of order n, each from many candidates."""
+    """trees._free_trees's answer found the slow way, keyed by canonical:
+    every tree of order n is a tree of order n - 1 with a leaf added, so
+    hanging one from each vertex of each class key one order down and
+    keeping the canonical forms finds every class of order n, each from many
+    candidates."""
     found = [{(0,): 1}]
     for n in range(2, n_max + 1):
         grown = {}
         for key in found[-1]:
             for v in range(n - 1):
-                form, _, aut = _canonical(_index_adjacency(n, zip((*key[1:], v), range(1, n))))
+                form, _, aut = canonical(_index_adjacency(n, zip((*key[1:], v), range(1, n))))
                 grown[form] = aut
         found.append(grown)
     return found[:n_max]
@@ -516,10 +574,10 @@ def leaf_augmented_trees(n_max):
 def copy_names(n, edges):
     """(class key, names) of the tree on 0..n-1 with index ``edges``, where
     names[k] is the vertex at key position k: of the isomorphisms from the
-    key's tree, trees._canonical's composed with every automorphism
-    (networkx), the one whose names rise at the start of each block of
+    key's tree, canonical's composed with every automorphism (networkx),
+    the one whose names rise at the start of each block of
     verify._sibling_blocks, as verify._copies names the copies."""
-    key, at, _ = _canonical(_index_adjacency(n, edges))
+    key, at, _ = canonical(_index_adjacency(n, edges))
     first = sorted(range(n), key=at.__getitem__)  # the vertex at each key position
     found = []
     for g in automorphisms(key):

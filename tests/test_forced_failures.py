@@ -45,9 +45,9 @@ from ultratree import (
     verify_theorem_nondegeneracy,
 )
 from ultratree import verify
-from ultratree.trees import _canonical, _free_trees, _index_adjacency
+from ultratree.trees import _free_trees, _index_adjacency
 
-from helpers import reference_sweep
+from helpers import canonical, canonicalized, reference_sweep
 
 FIXTURE = Path(__file__).with_name("forced_failures.json")
 
@@ -63,7 +63,7 @@ def _flip(monkeypatch, forced):
 
     def flipped(parents, codes, witness, leaf, blocks=()):
         n = len(parents)
-        key, at, _ = _canonical(_index_adjacency(n, zip(range(n - 1), range(1, n))))
+        key, at, _ = canonical(_index_adjacency(n, zip(range(n - 1), range(1, n))))
         mine, mirror = [0] * n, [0] * n
         for i in range(n):
             mine[at[i]] = mirror[at[n - 1 - i]] = forced[i % len(forced)]
@@ -114,7 +114,7 @@ def _witness_with_the_3_on_the_root(monkeypatch):
     real = verify._judge_counterexample
 
     def judge(f, lab):
-        key, at, _ = _canonical(f.adj)
+        key, at, _ = canonical(f.adj)
         fixed = all(s != size for s, size, _ in verify._sibling_blocks(key))
         return {"witness": f.names[0]} if fixed and at[lab.index(2)] == 0 else real(f, lab)
 
@@ -212,9 +212,12 @@ def test_forced_report_matches_the_reference_sweep_through_order_seven(monkeypat
     if name == "main-third-on-root":
         # some class fails on only some of its copies
         failed = collections.Counter(
-            _canonical(cert.tree._indexed)[0] for cert in fails
+            canonical(cert.tree._indexed)[0] for cert in fails
         )
-        weights = {key: math.factorial(len(key)) // aut for found in _free_trees(7) for key, aut in found.items()}
+        weights = {
+            key: math.factorial(len(key)) // aut
+            for found in canonicalized(_free_trees(7)) for key, aut in found.items()
+        }
         assert any(0 < count < weights[key] for key, count in failed.items())
 
 

@@ -15,6 +15,8 @@ from helpers import (
     brute_longest_path,
     brute_prufer_edges,
     brute_trees,
+    canonical,
+    canonicalized,
     cayley,
     edge_index_set,
     leaf_augmented_trees,
@@ -46,7 +48,6 @@ from ultratree import (
 )
 from ultratree import trees, verify
 from ultratree.trees import (
-    _canonical,
     _far,
     _free_trees,
     _index_adjacency,
@@ -337,45 +338,6 @@ class TestEnumerateTrees:
         assert all(t.order == 9 for t in first)
 
 
-def _bfs_shapes(n):
-    """Every breadth-first shape of order n: the parent position of each
-    position, the root its own, non-decreasing and each below its own
-    position. There are Catalan(n - 1) of them."""
-    shapes = [(0,)]
-    for k in range(1, n):
-        shapes = [s + (p,) for s in shapes for p in range(s[-1], k)]
-    return shapes
-
-
-FREE_TREES = A000055[:8]  # free trees by order, 1 through 8
-
-
-class TestCanonicalTree:
-    def test_every_shape_to_order_eight(self):
-        shapes = 0
-        for n in range(1, 9):
-            forms = set()
-            for key in _bfs_shapes(n):
-                edges = list(zip(key[1:], range(1, n)))
-                form, at, _ = _canonical(_index_adjacency(n, edges))
-                spelled = list(zip(form[1:], range(1, n)))
-                # a preorder of a rooted tree, onto which ``at`` maps every edge
-                assert form[0] == 0 and all(p < k for p, k in spelled)
-                assert sorted(at) == list(range(n))
-                mapped = {frozenset((at[a], at[b])) for a, b in edges}
-                assert mapped == set(map(frozenset, spelled))
-                assert _canonical(_index_adjacency(n, spelled))[0] == form
-                forms.add(form)
-                shapes += 1
-            assert len(forms) == FREE_TREES[n - 1]
-        assert shapes == 626
-
-    def test_free_tree_counts_against_networkx(self):
-        nx = pytest.importorskip("networkx")
-        counts = tuple(len(list(nx.nonisomorphic_trees(n))) for n in range(2, 9))
-        assert FREE_TREES[1:] == counts
-
-
 class TestFreeTrees:
     """The level-sequence generator against hard-coded A000055, leaf
     augmentation and networkx, and each class weight n!/|Aut T| against a
@@ -383,44 +345,79 @@ class TestFreeTrees:
 
     def test_classes_against_a000055_and_networkx(self):
         nx = pytest.importorskip("networkx")
-        found = _free_trees(10)
+        found = canonicalized(_free_trees(10))
         assert tuple(map(len, found)) == A000055[:10]
-        for n, keys in enumerate(found, 1):
-            for key in keys:  # each a canonical key, spelling its own form
-                assert _canonical(_index_adjacency(n, zip(key[1:], range(1, n))))[0] == key
-            if n > 1:
-                theirs = {
-                    _canonical(_index_adjacency(n, tree.edges()))[0]
-                    for tree in nx.nonisomorphic_trees(n)
-                }
-                assert theirs == set(keys)
+        for n, keys in enumerate(found[1:], 2):
+            theirs = {canonical(_index_adjacency(n, tree.edges()))[0] for tree in nx.nonisomorphic_trees(n)}
+            assert theirs == set(keys)
 
     def test_weights_count_the_labeled_trees(self):
-        for n, keys in enumerate(_free_trees(7), 1):
+        for n, keys in enumerate(canonicalized(_free_trees(7)), 1):
             labeled = collections.Counter(
-                _canonical(_index_adjacency(n, _rank_edges(n, rank)))[0]
+                canonical(_index_adjacency(n, _rank_edges(n, rank)))[0]
                 for rank in range(cayley(n))
             )
             assert labeled == {key: math.factorial(n) // aut for key, aut in keys.items()}
 
     def test_matches_leaf_augmentation_through_order_twelve(self):
-        # keys and |Aut T|, which _free_trees finds at the layout's centers
-        # and leaf augmentation at the middle of _far's path
-        assert _free_trees(12) == leaf_augmented_trees(12)
+        # keys and |Aut T|, which _free_trees reads off the level sequence
+        # and leaf augmentation finds by AHU strings; the keys themselves
+        # differ from order 9 on, so they are compared as AHU forms
+        assert canonicalized(_free_trees(12)) == leaf_augmented_trees(12)
 
-    def test_each_order_computes_one_key_per_class(self, monkeypatch):
-        # one _canonical call per free tree of each order from 2 on: no
-        # candidate is generated twice and thrown away
-        orders, canonical = collections.Counter(), trees._canonical
+    def test_keys_through_order_eight_are_the_ahu_forms(self):
+        # through order 8 the level sequence orders siblings as the AHU
+        # strings do, so sweeps of these orders walk the same keys as when
+        # the generator canonicalized each layout
+        found = _free_trees(8)
+        assert canonicalized(found) == found
 
-        def counting(adj, *centers):
-            orders[len(adj)] += 1
-            return canonical(adj, *centers)
+    def test_keys_meet_the_orbit_walks_precondition_through_order_ten(self):
+        # a preorder; alike sibling subtrees side by side and laid out alike;
+        # alike halves of a bicentral tree at [0, h) and [h, n): then the
+        # swaps of _sibling_blocks generate Aut T. Alike means one rooted
+        # shape, each vertex's children's shapes sorted, whatever the key's order
+        nx = pytest.importorskip("networkx")
+        for n, keys in enumerate(_free_trees(10), 1):
+            for key in keys:
+                assert key[0] == 0 and all(key[k] < k for k in range(1, n))
+                kids, size, shape = [[] for _ in range(n)], [1] * n, [()] * n
+                for k in range(n - 1, 0, -1):
+                    kids[key[k]].insert(0, k)
+                    size[key[k]] += size[k]
+                for v in range(n - 1, -1, -1):
+                    shape[v] = tuple(sorted(shape[c] for c in kids[v]))
 
-        monkeypatch.setattr(trees, "_canonical", counting)
-        found = _free_trees(12)
-        assert tuple(map(len, found)) == A000055[:12]
-        assert orders == {n: A000055[n - 1] for n in range(2, 13)}
+                def laid_out(s, end=None):  # positions [s, end) as offsets from s
+                    return [key[k] - s for k in range(s + 1, end or s + size[s])]
+
+                graph = nx.Graph(list(zip(key[1:], range(1, n))))
+                half = max(nx.center(graph)) if n > 1 else 0
+                for v in range(n):
+                    group = [c for c in kids[v] if not (v == 0 and c == half)]
+                    runs = [s for s, _ in itertools.groupby(shape[c] for c in group)]
+                    assert len(runs) == len(set(runs))  # alike siblings side by side
+                    for a, b in zip(group, group[1:]):
+                        assert (shape[a] == shape[b]) == (laid_out(a) == laid_out(b))
+                if half:
+                    assert size[half] == n - half
+                    rest = tuple(sorted(shape[c] for c in kids[0] if c != half))
+                    alike = rest == shape[half]
+                    assert alike == (2 * half == n and laid_out(half) == laid_out(0, half))
+
+    def test_split_siblings_trip_the_cayley_gate(self, monkeypatch):
+        # a layout whose alike legs have a leaf between them spells a key on
+        # which _sibling_blocks misses their swap: |Aut T| reads 1, not 2,
+        # and order 6's weights sum past 6^4
+        real = trees._layouts
+
+        def split(n):
+            for layout in real(n):
+                yield [0, 1, 2, 1, 1, 2] if layout == [0, 1, 2, 1, 2, 1] else layout
+
+        monkeypatch.setattr(trees, "_layouts", split)
+        with pytest.raises(RuntimeError, match="at order 6: 1656 labeled trees, predicted 1296"):
+            verify_main_theorem(6)
 
     def test_layouts_are_center_rooted_level_sequences(self):
         # each a preorder of depths from a root that is a center: the two

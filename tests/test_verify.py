@@ -4,6 +4,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from helpers import (
     brute_counterexample,
     brute_longest_path,
     brute_witness,
+    canonical,
     cayley,
     coded_matrix,
     copy_names,
@@ -243,6 +245,21 @@ class TestParameterErrors:
         for jobs in (0, -3):
             with pytest.raises(ValueError):
                 verify_structure_lemmas(3, jobs=jobs)
+
+    @pytest.mark.parametrize(
+        "sweep",
+        [verify_theorem_nondegeneracy, verify_main_theorem, verify_structure_lemmas, verify_classification],
+    )
+    @pytest.mark.parametrize(
+        "name, value",
+        [("n_max", True), ("n_max", 2.5), ("n_max", "3"), ("jobs", 1.5), ("jobs", True),
+         ("budget", 2.5), ("budget", None)],
+    )
+    def test_order_jobs_and_budget_must_be_ints(self, sweep, name, value):
+        # as predicted_cases checks n_max: a bool is no int, and no other
+        # type is coerced
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an int, got {value!r}")):
+            sweep(**{"n_max": 3, name: value})
 
 
 class TestParallelExecution:
@@ -663,7 +680,7 @@ def _stars_and_double_stars(n_max):
             leaves = [(0, v) for v in range(2, n - b)] + [(1, v) for v in range(n - b, n)]
             shapes.append(([(0, 1), *leaves], (n - 2 - b, b)))
         for edges, leaves in shapes:
-            yield trees._canonical(_index_adjacency(n, edges))[0], leaves
+            yield canonical(_index_adjacency(n, edges))[0], leaves
 
 
 class TestOrbitWalk:
@@ -844,7 +861,7 @@ class TestClassSweep:
             for rank in range(cayley(n)):
                 facts = RankFacts(n, rank)
                 if facts.far[2] >= 4:
-                    key, at, _ = trees._canonical(facts.adj)
+                    key, at, _ = canonical(facts.adj)
                     chosen[key].add(at[facts.path[2]])
         assert len(chosen) == 1 + 3 + 8  # long free trees of orders 5, 6 and 7
         for key, some in chosen.items():
@@ -883,7 +900,7 @@ class TestClassSweep:
         monkeypatch.setattr(verify, "_witness_index", lambda d: 0)
         report = verify_main_theorem(5, (0, 1))
         assert len(set(named)) == len(named) == 60
-        assert {key for key, _ in named} == {trees._canonical(index_adjacency(path_tree(5)))[0]}
+        assert {key for key, _ in named} == {canonical(index_adjacency(path_tree(5)))[0]}
         assert len({cert.evidence["tree_index"] for cert in report.failures}) == 60
         assert {cert.evidence["order"] for cert in report.failures} == {5}
         assert all(brute_longest_path(cert.tree) == 4 for cert in report.failures)
