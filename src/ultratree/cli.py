@@ -17,7 +17,7 @@ import json
 import sys
 
 from . import verify
-from .errors import NoLongPath, NotUS, UltratreeError
+from .errors import NoLongPath, NotUS, ParseError, UltratreeError
 from .labelings import build_ultrametric, counterexample_labeling
 from .rationals import parse_rational
 from .serialize import (
@@ -42,7 +42,11 @@ _THEOREMS = {
 
 def _load(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except ValueError as err:  # bad JSON, or an integer past int's digit limit
+        raise ParseError(str(err)) from None
 
 
 def _distance(args):
@@ -191,7 +195,7 @@ def run(argv=None) -> int:
     except OSError as err:
         print(f"error[io]: {err}", file=sys.stderr)
         return 1
-    except (json.JSONDecodeError, RecursionError) as err:  # json recurses per nesting level
+    except RecursionError as err:  # json recurses per nesting level
         print(f"error[parse-error]: {err}", file=sys.stderr)
         return 1
     except ValueError as err:

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .rationals import coerce_nonnegative
 from .spaces import FiniteUltrametricSpace, _compact, _decode, _value_codes
-from .trees import Tree, _far, _longest_path
+from .trees import Tree, _far, _thirds
 
 DEFAULT_LABELING_BUDGET = 1_000_000
 
@@ -179,10 +179,11 @@ def counterexample_labeling(tree: Tree) -> LabeledTree:
     counted from the least-named vertex that ends one.
     """
     verts, adj = tree.vertices, tree._indexed
-    path = _longest_path(adj, verts, _far(adj))
-    if len(path) < 5:
-        raise NoLongPath(f"longest path has {len(path) - 1} edges, need at least 4")
-    codes = _counterexample_codes(path[2], len(verts))
+    far = _far(adj)
+    thirds = _thirds(adj, far, verts)
+    if not thirds:
+        raise NoLongPath(f"longest path has {far[2]} edges, need at least 4")
+    codes = _counterexample_codes(thirds[0], len(verts))
     return LabeledTree._trusted(tree, dict(zip(verts, map(_COUNTEREXAMPLE_VALUES.__getitem__, codes))))
 
 

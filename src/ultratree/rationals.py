@@ -34,8 +34,9 @@ def parse_rational(raw) -> Fraction:
     """Parse a JSON-level value into a non-negative Fraction.
 
     Accepts non-negative integers and strings of the form ``"p"`` or
-    ``"p/q"``. Anything else (floats, signs, decimal points) raises
-    ParseError so file contents stay exact and canonical.
+    ``"p/q"``. Anything else (floats, signs, decimal points, integers past
+    Python's digit limit for int conversion) raises ParseError so file
+    contents stay exact and canonical.
     """
     if isinstance(raw, bool):
         raise ParseError(f"expected a rational, got {raw!r}")
@@ -46,7 +47,10 @@ def parse_rational(raw) -> Fraction:
     match = _RATIONAL_RE.fullmatch(raw.strip()) if isinstance(raw, str) else None
     if match is None:
         raise ParseError(f"expected 'p' or 'p/q' with non-negative integers, got {raw!r}")
-    num, den = map(int, match.groups("1"))
+    try:
+        num, den = map(int, match.groups("1"))
+    except ValueError as err:  # past the digit limit; the message omits the digits
+        raise ParseError(str(err)) from None
     if not den:
         raise ParseError(f"zero denominator in {raw!r}")
     return Fraction(num, den)

@@ -9,7 +9,7 @@ path-maximum metric reproduces the space exactly.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -450,16 +450,9 @@ def canonical_form(space: FiniteUltrametricSpace) -> CanonicalForm:
 def check_isometric(a: FiniteUltrametricSpace, b: FiniteUltrametricSpace) -> bool:
     """Whether a distance-preserving bijection exists between two spaces.
 
-    Mismatched sizes or distance multisets short-circuit to False; otherwise
-    the serialized canonical forms decide. O(n^2).
+    Mismatched sizes or distance value sets short-circuit to False;
+    otherwise the serialized canonical forms decide. O(n^2).
     """
-    if a.size != b.size:
-        return False
-    if a._ranked[0] != b._ranked[0] or _upper_counts(a) != _upper_counts(b):
+    if a.size != b.size or a._ranked[0] != b._ranked[0]:
         return False
     return canonical_form(a).serialized == canonical_form(b).serialized
-
-
-def _upper_counts(space: FiniteUltrametricSpace) -> Counter:
-    rows = enumerate(space._ranked[1])
-    return Counter(chain.from_iterable(row[i + 1:] for i, row in rows))

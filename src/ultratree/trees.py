@@ -13,7 +13,7 @@ import enum
 import heapq
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -267,35 +267,28 @@ def _far(adj) -> tuple[list[int], list[int], int]:
     return parent, order, steps
 
 
-def _ends(adj, far) -> dict[int, list[int]]:
-    """Each vertex that ends a longest path, with the parents of the search
-    from a far end D away from it, given ``far`` = _far(adj): a vertex ends
-    a longest path iff _far's end a or b is D away from it, so this adds one
-    search, from b."""
+def _thirds(adj, far, names=None) -> list[int]:
+    """The vertices counterexample_labeling may put its 3 on, as indices into
+    the index adjacency lists ``adj``, given ``far`` = _far(adj): none when
+    the diameter D is below 4, else the vertex two steps in from each end of
+    a longest path, ascending, or with ``names`` only from the least-named
+    end. A vertex ends a longest path iff _far's end a or b is D away from
+    it, so this adds one search, from b. Which longest path from an end it
+    follows cannot show: every one runs through the center, so all share
+    their first ceil(D/2) + 1 vertices."""
     n, (parent_a, order_a, d) = len(adj), far
-    ends = {}
+    if d < 4:
+        return []
+    thirds = {}  # each end's third
     for parent, order in (parent_a, order_a), _bfs_parents(n, adj, order_a[-1]):
         depth = [-1] * n  # the root, its own parent, gets 0
         for v in order:
             depth[v] = depth[parent[v]] + 1
             if depth[v] == d:
-                ends[v] = parent
-    return ends
-
-
-def _longest_path(adj, names, far) -> list[int]:
-    """The longest path counterexample_labeling labels, as indices into the
-    index adjacency lists ``adj``, given ``far`` = _far(adj): the parent
-    chain, in _ends's search, of u, the least of ``names`` that ends a
-    longest path. Which far end it reaches cannot show: every longest path
-    from u runs through the center, so all of them share their first
-    ceil(D/2) + 1 vertices."""
-    ends = _ends(adj, far)
-    path = [min(ends, key=names.__getitem__)]
-    parent = ends[path[0]]
-    while parent[path[-1]] != path[-1]:
-        path.append(parent[path[-1]])
-    return path
+                thirds[v] = parent[parent[v]]
+    if names is not None:
+        return [thirds[min(thirds, key=names.__getitem__)]]
+    return sorted(set(thirds.values()))
 
 
 def _free_trees(n_max: int) -> list[dict[tuple[int, ...], int]]:
@@ -382,6 +375,7 @@ def _successor(layout, p: int) -> None:
     layout[p:] = (layout[q:p] * len(layout))[:len(layout) - p]
 
 
+@cache  # one tuple of names per order, shared by every tree on it
 def _vertex_names(n: int) -> tuple[str, ...]:
     return tuple(f"v{i + 1}" for i in range(n))
 

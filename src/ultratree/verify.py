@@ -29,8 +29,9 @@ finite value set. Each reports the claims the claim table lists for it:
 A sweep runs on one facts record per class or labeled tree (_Facts): order,
 rank, index edges and adjacency, and, each computed when a claim first reads
 it, the search record of trees._far (the diameter, and two of the three
-searches of the counterexample path), the high-degree vertices, the public
-Tree, that path and the labeling walk. The claim table (_CLAIMS) maps each
+searches of trees._thirds), the high-degree vertices, the public Tree, the
+vertices the counterexample puts its 3 on (thirds, none on a tree too short
+for it) and the labeling walk. The claim table (_CLAIMS) maps each
 claim id to the theorems that report it, with for each the trees it is
 checked on and whether its checks count as cases; to whether it is checked
 once per tree or once per labeling; to its check on the record; and, for a
@@ -135,15 +136,14 @@ from .spaces import _CEILINGS, _byte_joins, _first_offender, _joins, _lift, _val
 from .serialize import tree_to_dict, tree_from_dict
 from .trees import (
     Tree,
-    _ends,
     _far,
     _free_trees,
     _index_adjacency,
     _index_tree,
     _kind_of,
-    _longest_path,
     _prufer_rank,
     _sibling_blocks,
+    _thirds,
     _tree_count,
     _vertex_names,
     classify,
@@ -426,7 +426,7 @@ class _Facts:
 
     @cached_property
     def far(self) -> tuple[list[int], list[int], int]:
-        """trees._far, whose ``far[2]`` is the diameter; the path reuses it."""
+        """trees._far, whose ``far[2]`` is the diameter; _thirds reuses it."""
         return _far(self.adj)
 
     @cached_property
@@ -439,14 +439,10 @@ class _Facts:
         return _index_tree(self.names, self.edges)
 
     @cached_property
-    def path(self) -> list[int]:
-        """The longest path counterexample_labeling labels."""
-        return _longest_path(self.adj, self.names, self.far)
-
-    @cached_property
-    def thirds(self):
-        """The vertices the counterexample check puts its 3 on: the path's third."""
-        return self.path[2:3]
+    def thirds(self) -> list[int]:
+        """The vertices the counterexample check puts its 3 on: the one
+        counterexample_labeling labels, none on a tree too short for it."""
+        return _thirds(self.adj, self.far, self.names)
 
     def walk(self, witness: bool):
         """The class's full walk, taken once per mode for all its copies in
@@ -479,8 +475,8 @@ class _ClassFacts(_Facts):
         self.key, self.rank = key, None
 
     @cached_property
-    def thirds(self):
-        return {parent[parent[end]] for end, parent in _ends(self.adj, self.far).items()}
+    def thirds(self) -> list[int]:
+        return _thirds(self.adj, self.far)
 
     def walk(self, witness: bool):
         """_class_walk over orbits: a class fails iff a representative does."""
@@ -543,10 +539,8 @@ def _witnesses(f: _Facts):
 
 def _check_counterexample(f: _Facts) -> list[Certificate]:
     """counterexample_labeling's codes with the 3 on each of ``f.thirds``,
-    judged up to the first failure. A path too short for the pattern is
-    counterexample-applicable's failure."""
-    if len(f.path) < 5:
-        return []
+    judged up to the first failure. A tree too short for the pattern has
+    none: that is counterexample-applicable's failure."""
     for third in f.thirds:
         lab = _counterexample_codes(third, f.n)
         evidence = _judge_counterexample(f, lab)
@@ -609,8 +603,8 @@ _CLAIMS = {
     ),
     CLAIM_CE_APPLICABLE: _Claim(
         {THEOREM_MAIN: (_LONG, False), THEOREM_CLASSIFY: (_MANY, False)}, False,
-        lambda f: [f.fail(CLAIM_CE_APPLICABLE, {"longest_path": len(f.path) - 1})]
-        if len(f.path) < 5 else [],
+        lambda f: [f.fail(CLAIM_CE_APPLICABLE, {"longest_path": f.far[2]})]
+        if not f.thirds else [],
     ),
     CLAIM_AT_MOST_TWO: _Claim(  # one case per tree: the lemma holds vacuously on long trees
         {THEOREM_LEMMAS: (_ALL, True)}, False,
@@ -626,7 +620,7 @@ _CLAIMS = {
     CLAIM_CE_INAPPLICABLE: _Claim(
         {THEOREM_CLASSIFY: (_FEW, False)}, False,
         lambda f: [f.fail(CLAIM_CE_INAPPLICABLE, {"longest_path": f.far[2]})]
-        if f.far[2] >= 4 else [],
+        if f.thirds else [],
     ),
 }
 

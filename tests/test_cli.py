@@ -315,6 +315,24 @@ class TestUsageAndIO:
         assert run(["classify", str(bad)]) == 1
         assert "error[parse-error]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("form", ['"1{}/3"', "1{}"], ids=["string", "integer"])
+    @pytest.mark.parametrize("command", ["check-us", "distance"])
+    def test_over_long_integer(self, capsys, tmp_path, command, form):
+        # past Python's 4,300-digit limit for int conversion, in a "p/q"
+        # string or as a bare JSON integer; the message leaves the digits out
+        value = form.format("0" * 5000)
+        doc = {
+            "check-us": f'{{"points": ["a", "b"], "dist": [["0", {value}], [{value}, "0"]]}}',
+            "distance": f'{{"vertices": ["a", "b"], "edges": [["a", "b"]], '
+            f'"labels": {{"a": {value}, "b": "1"}}}}',
+        }[command]
+        big = tmp_path / "big.json"
+        big.write_text(doc)
+        assert run([command, str(big)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[parse-error]: ")
+        assert "0" * 100 not in err
+
     def test_invalid_tree_document(self, capsys, tmp_path):
         bad = tmp_path / "forest.json"
         bad.write_text(

@@ -352,6 +352,17 @@ class TestIsometry:
         a = space_of(("p", "q"), ((0, 2), (2, 0)))
         b = space_of(("p", "q"), ((0, 3), (3, 0)))
         assert not check_isometric(a, b)
+        # one value set {1, 2}, with two pairs at 1 against one
+        two = space_of(
+            ("p", "q", "r", "s"),
+            ((0, 1, 2, 2), (1, 0, 2, 2), (2, 2, 0, 1), (2, 2, 1, 0)),
+        )
+        one = space_of(
+            ("p", "q", "r", "s"),
+            ((0, 1, 2, 2), (1, 0, 2, 2), (2, 2, 0, 2), (2, 2, 2, 0)),
+        )
+        assert not check_isometric(two, one)
+        assert not check_isometric(one, two)
 
     def test_equal_multisets_can_still_differ(self):
         # one 4-block with two tight pairs plus two far points, versus two

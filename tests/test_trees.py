@@ -52,10 +52,10 @@ from ultratree.trees import (
     _free_trees,
     _index_adjacency,
     _index_tree,
-    _longest_path,
     _prufer_edges,
     _prufer_rank,
     _rank_edges,
+    _thirds,
     _vertex_names,
 )
 
@@ -220,23 +220,31 @@ class TestLongestPath:
                 rename = dict(zip(tree.vertices, rnd.sample(names, n)))
                 tree = Tree(tuple(rename.values()), [(rename[a], rename[b]) for a, b in tree.edges])
                 adj, verts = tree._indexed, tree.vertices
-                path = _longest_path(adj, verts, _far(adj))
-                assert len(set(path)) == len(path)
-                assert all(b in adj[a] for a, b in zip(path, path[1:]))
-                assert len(path) == longest_path_length(tree) + 1
-                # eccentricities by a search from every vertex; the far end is free
-                nbrs, eccentricity = adjacency(tree), {}
+                far = _far(adj)
+                thirds = _thirds(adj, far, verts)
+                # distances and eccentricities by a search from every vertex
+                nbrs, dist = adjacency(tree), {}
                 for v in verts:
-                    dist, queue = {v: 0}, [v]
+                    dist[v], queue = {v: 0}, [v]
                     for w in queue:
                         for u in nbrs[w]:
-                            if u not in dist:
-                                dist[u] = dist[w] + 1
+                            if u not in dist[v]:
+                                dist[v][u] = dist[v][w] + 1
                                 queue.append(u)
-                    eccentricity[v] = max(dist.values())
+                eccentricity = {v: max(found.values()) for v, found in dist.items()}
                 diameter = max(eccentricity.values())
-                assert len(path) == diameter + 1
-                assert verts[path[0]] == min(v for v, e in eccentricity.items() if e == diameter)
+                assert far[2] == diameter
+                if diameter < 4:
+                    assert thirds == []
+                else:
+                    # two steps in from the least-named end along a longest
+                    # path: the one vertex that far from it whose eccentricity
+                    # is D - 2, any other one being D or more from the end's
+                    # farthest vertex
+                    end = min(v for v, e in eccentricity.items() if e == diameter)
+                    assert [verts[v] for v in thirds] == [
+                        v for v in verts if dist[end][v] == 2 and eccentricity[v] == diameter - 2
+                    ]
                 expected = brute_counterexample(tree)
                 if expected is None:
                     with pytest.raises(NoLongPath):

@@ -62,6 +62,7 @@ from ultratree import (
     verify_theorem_nondegeneracy,
 )
 from ultratree.errors import (
+    NoLongPath,
     ParseError,
     PositivityViolation,
     StrongTriangleViolation,
@@ -857,20 +858,27 @@ class TestClassSweep:
 
     def test_thirds_are_the_third_vertices_of_every_longest_path(self):
         chosen = collections.defaultdict(set)  # each labeled tree's third, by key position
-        for n in range(5, 8):
+        for n in range(1, 8):
             for rank in range(cayley(n)):
                 facts = RankFacts(n, rank)
-                if facts.far[2] >= 4:
-                    key, at, _ = canonical(facts.adj)
-                    chosen[key].add(at[facts.path[2]])
+                if facts.far[2] < 4:
+                    assert facts.thirds == []
+                    with pytest.raises(NoLongPath):
+                        counterexample_labeling(facts.tree)
+                    continue
+                (third,) = facts.thirds
+                labels = counterexample_labeling(facts.tree).labels
+                assert [v for v, q in labels.items() if q == 3] == [facts.names[third]]
+                key, at, _ = canonical(facts.adj)
+                chosen[key].add(at[third])
         assert len(chosen) == 1 + 3 + 8  # long free trees of orders 5, 6 and 7
         for key, some in chosen.items():
             facts = verify._ClassFacts(key, (), ())
             # every longest path, read from each end, by the pairs' own searches
             paths = [path for _, _, path in pair_paths(facts.n, facts.adj)]
             longest = [path for path in paths if len(path) == max(map(len, paths))]
-            assert facts.thirds == {path[k] for path in longest for k in (2, -3)}
-            assert some <= facts.thirds
+            assert facts.thirds == sorted({path[k] for path in longest for k in (2, -3)})
+            assert some <= set(facts.thirds)
 
     @staticmethod
     def _named_copies(monkeypatch):
@@ -958,12 +966,27 @@ class TestLongestPathSearches:
                 facts = RankFacts(n, rank)
                 if verify._LONG.holds(facts):  # reads the diameter
                     assert len(calls) == 2
-                    assert len(facts.path) > 4
+                    assert len(facts.thirds) == 1
                     assert len(calls) == 3
                     long_trees += 1
                 else:
                     assert len(calls) == 2
         assert long_trees == sum(cayley(n) - qualifying_count(n) for n in range(1, 7))
+        # a class record: both counterexample claims read the one third search
+        applicable = verify._CLAIMS[CLAIM_CE_APPLICABLE].check
+        long_classes = 0
+        for keys in trees._free_trees(7):
+            for key in keys:
+                calls.clear()
+                facts = verify._ClassFacts(key, (), ())
+                if verify._LONG.holds(facts):
+                    assert len(calls) == 2
+                    assert applicable(facts) == _check_counterexample(facts) == []
+                    assert len(calls) == 3
+                    long_classes += 1
+                else:
+                    assert len(calls) == 2
+        assert long_classes == 1 + 3 + 8
 
 
 class TestCodedCounterexample:
@@ -1074,17 +1097,16 @@ class TestCertificates:
                 assert replay_certificate(cert) is False
 
     def test_replay_reproduces_counterexample_applicability(self, monkeypatch):
-        # a one-vertex path: too short for the pattern on every tree
-        monkeypatch.setattr(verify, "_longest_path", lambda adj, names, far: [0])
+        # no third: too short for the pattern on every tree
+        monkeypatch.setattr(verify, "_thirds", lambda adj, far, names=None: [])
         for claim, tree, reproduces in (
             (CLAIM_CE_APPLICABLE, self._p5(), True),
             (CLAIM_CE_INAPPLICABLE, star_tree(4), False),
         ):
             cert = Certificate(tree=tree, labeling=None, claim_violated=claim, evidence={})
             assert replay_certificate(cert) is reproduces
-        monkeypatch.undo()
-        far = verify._far  # every tree long, the search itself kept for the path
-        monkeypatch.setattr(verify, "_far", lambda adj: (*far(adj)[:2], 4))
+        # a third on every tree
+        monkeypatch.setattr(verify, "_thirds", lambda adj, far, names=None: [0])
         for claim, tree, reproduces in (
             (CLAIM_CE_INAPPLICABLE, star_tree(4), True),
             (CLAIM_CE_APPLICABLE, self._p5(), False),
