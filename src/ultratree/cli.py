@@ -42,11 +42,10 @@ _THEOREMS = {
 
 def _load(path):
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        return json.loads(text)
-    except ValueError as err:  # bad JSON, or an integer past int's digit limit
-        raise ParseError(str(err)) from None
+        try:
+            return json.loads(fh.read())
+        except ValueError as err:  # not UTF-8, bad JSON, or an integer past int's digit limit
+            raise ParseError(str(err)) from None
 
 
 def _distance(args):

@@ -116,6 +116,13 @@ def _path_max(adj, labels) -> list[list]:
     return rows
 
 
+def _path_minima(adj, labels) -> list:
+    """Each column's minimum off the diagonal of _path_max(adj, labels), in
+    O(n): y's label maxed into the least label next to y, since every path
+    from y runs through a neighbour and the nearest one's entry is that."""
+    return [max(c, min(map(labels.__getitem__, adj[y]), default=0)) for y, c in enumerate(labels)]
+
+
 def build_ultrametric(lt: LabeledTree):
     """The ultrametric space generated by a non-degenerate labeled tree.
 

@@ -58,11 +58,14 @@ class FiniteUltrametricSpace:
     coding makes equal exactly when (points, dist) are. The constructor
     rejects an empty or repeated point list and a matrix that is not N x N
     with ValueError (_names, _check_shape), but does not check the axioms;
-    validate_ultrametric is the checked entry point for untrusted data.
+    validate_ultrametric is the checked entry point for untrusted data. A
+    checked space keeps the links its check found (_mst, see _validated),
+    which no other space has and equality ignores.
     """
 
     points: tuple[str, ...]
     dist: tuple[tuple[Fraction, ...], ...] = _Decoded()
+    _mst = None  # not a field: a checked space's _links, set by _validated
 
     def __post_init__(self):
         object.__setattr__(self, "points", _names(self.points))
@@ -142,10 +145,15 @@ def _validated(pts, values, codes) -> FiniteUltrametricSpace:
     """The axiom stage of every checked space: the space over ``pts`` and
     the rank codes of its matrix, or the first violation (_first_offender)
     raised as SymmetryViolation, PositivityViolation or
-    StrongTriangleViolation naming its points."""
-    offence = _first_offender(codes)
+    StrongTriangleViolation naming its points. The space keeps the links
+    the check reads as ``_mst``, a minimum spanning tree of a valid space,
+    for its column minima and canonical form."""
+    links = list(_links(codes))
+    offence = _first_offender(codes, links)
     if offence is None:
-        return FiniteUltrametricSpace._coded(pts, values, codes)
+        space = FiniteUltrametricSpace._coded(pts, values, codes)
+        object.__setattr__(space, "_mst", links)
+        return space
     axiom, at = offence
     a, b, *c = (pts[k] for k in at)
     if axiom == "symmetry":
@@ -162,7 +170,7 @@ def _check_shape(points, dist) -> None:
         raise ValueError(f"distance matrix must be {len(points)}x{len(points)}")
 
 
-def _first_offender(codes):
+def _first_offender(codes, links=None):
     """The first axiom a square matrix of rank codes (all byte or all list
     rows) breaks, as (axiom, point indices), or None. An accept-only screen
     runs first, in whole-row operations: each row's one zero on the
@@ -170,10 +178,11 @@ def _first_offender(codes):
     stepped slices of the joined rows). Only a matrix it rejects is scanned
     row by row, the diagonal entry and then each pair i < j for symmetry and
     positivity, to name the first offender. Then, unless every point joins
-    the points before it by the join rule (_links; _joins, or _byte_joins on
-    byte rows), the first strong-triangle triple (i, j, k) with i < j, which
-    on a symmetric matrix is also the first over ordered pairs: an offender
-    (j, i, k) with j > i makes (i, j, k) one."""
+    the points before it by the join rule (``links``, by default _links of
+    the codes; _joins, or _byte_joins on byte rows), the first
+    strong-triangle triple (i, j, k) with i < j, which on a symmetric
+    matrix is also the first over ordered pairs: an offender (j, i, k) with
+    j > i makes (i, j, k) one."""
     n = len(codes)
     row_type = type(codes[0])
     screened = all(not row[i] and row.count(0) == 1 for i, row in enumerate(codes))
@@ -189,7 +198,9 @@ def _first_offender(codes):
                 if not row[j]:
                     return "positivity", (i, j)
     joins = _byte_joins if row_type is bytes else _joins
-    if all(joins(codes[k][:k], m, codes[a][:k]) for m, a, k in _links(codes)):
+    if links is None:
+        links = _links(codes)
+    if all(joins(codes[k][:k], m, codes[a][:k]) for m, a, k in links):
         return None
     for i, row in enumerate(codes):
         for j in range(i + 1, n):
@@ -324,21 +335,46 @@ def us_witness(space: FiniteUltrametricSpace) -> str | None:
     """The first point (in point order) witnessing star generation, if any.
 
     A witness x0 satisfies d(x0, x) <= d(y, x) for all points x != x0 and
-    y != x: off the diagonal, its row holds each column's minimum. O(n^2).
-    The matrix must be symmetric, as it is in every space but one built
-    unchecked from an asymmetric matrix.
+    y != x: off the diagonal, its row holds each column's minimum. O(n^2):
+    the minima of a checked space come from its links in O(n), those of any
+    other space from its rows (see _column_minima), and then the rows are
+    compared with them. An unchecked space's matrix must be symmetric, as
+    it is in every space but one built from an asymmetric matrix.
     """
-    i = _witness_index(space._ranked[1])
+    i = _witness_index(space._ranked[1], _column_minima(space))
     return None if i is None else space.points[i]
 
 
-def _witness_index(d) -> int | None:
-    """The first witness row of a symmetric square matrix of code rows (0
-    for one point), or None. Each column's minimum off the diagonal is read
-    from its row, which the symmetry makes the same; callers pass a space's
-    codes (see us_witness) or a _path_max matrix, which is symmetric."""
-    # of the rows' own type, bytes or list, to compare equal to their slices
-    colmin = type(d[0])(min(row[:x] + row[x + 1:], default=0) for x, row in enumerate(d))
+def _column_minima(space: FiniteUltrametricSpace):
+    """Each column's minimum off the diagonal, as a row of the space's own
+    type, bytes or list, so that it compares equal to the row slices. On a
+    checked space, the least link touching each point: every minimum
+    spanning tree holds an edge of least weight at each vertex, and the
+    links are one. On any other space, read from the rows (_row_minima)."""
+    values, codes = space._ranked
+    if space._mst is None:
+        return _row_minima(codes)
+    colmin = [len(values) - 1] * len(codes)
+    for m, a, k in space._mst:
+        colmin[k] = m  # no earlier link touches k
+        if m < colmin[a]:
+            colmin[a] = m
+    return type(codes[0])(colmin)
+
+
+def _row_minima(d):
+    """Each column's minimum off the diagonal of a symmetric square matrix
+    of code rows, read from its row, which the symmetry makes the same; of
+    the rows' own type."""
+    return type(d[0])(min(row[:x] + row[x + 1:], default=0) for x, row in enumerate(d))
+
+
+def _witness_index(d, colmin) -> int | None:
+    """The first witness row of a square matrix of code rows (0 for one
+    point), or None: the first row equal off the diagonal to ``colmin``,
+    each column's minimum off the diagonal, of the rows' type. Callers pass
+    a space's codes with _column_minima, or a _path_max matrix with
+    _path_minima."""
     for i, row in enumerate(d):
         if row[:i] == colmin[:i] and row[i + 1:] == colmin[i + 1:]:
             return i
@@ -375,7 +411,7 @@ def realize_as_star(space: FiniteUltrametricSpace):
     from .trees import Tree
 
     values, codes = space._ranked
-    i = _witness_index(codes)
+    i = _witness_index(codes, _column_minima(space))
     if i is None:
         raise NotUS("the space has no witness point, so no star generates it")
     center = space.points[i]
@@ -422,10 +458,12 @@ class CanonicalForm:
 def canonical_form(space: FiniteUltrametricSpace) -> CanonicalForm:
     """Canonical form of a valid space; equal forms mean isometric spaces.
 
-    Built bottom-up in O(n^2) without recursion: the links of _links, a
-    minimum spanning tree, join classes by union-find in increasing order,
-    all joins at one distance one node."""
+    Built bottom-up without recursion: the links of _links, a minimum
+    spanning tree, join classes by union-find in increasing order, all
+    joins at one distance one node. A checked space's links are those its
+    check found (_mst); any other space's are found in O(n^2)."""
     values, codes = space._ranked
+    links = _links(codes) if space._mst is None else space._mst
     root = list(range(space.size))
 
     def find(v):
@@ -435,7 +473,7 @@ def canonical_form(space: FiniteUltrametricSpace) -> CanonicalForm:
         return v
 
     forms = [CanonicalForm(Fraction(0), ())] * space.size
-    for w, group in groupby(sorted(_links(codes)), key=itemgetter(0)):
+    for w, group in groupby(sorted(links), key=itemgetter(0)):
         kids: dict[int, list[CanonicalForm]] = {}
         for _, a, b in group:
             a, b = find(a), find(b)

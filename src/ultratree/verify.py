@@ -129,6 +129,7 @@ from .labelings import (
     _canon_values,
     _counterexample_codes,
     _path_max,
+    _path_minima,
     _zero_edge,
 )
 from .rationals import format_rational, parse_rational
@@ -517,11 +518,12 @@ def _judge_validity(f: _Facts, lab) -> dict | None:
 def _judge_witness(f: _Facts, lab) -> dict | None:
     if _zero_edge(f.edges, lab) is not None:
         return None
-    return None if _witness_index(_path_max(f.adj, lab)) is not None else {"witness": None}
+    i = _witness_index(_path_max(f.adj, lab), _path_minima(f.adj, lab))
+    return None if i is not None else {"witness": None}
 
 
 def _judge_counterexample(f: _Facts, lab) -> dict | None:
-    i = _witness_index(_path_max(f.adj, lab))
+    i = _witness_index(_path_max(f.adj, lab), _path_minima(f.adj, lab))
     return None if i is None else {"witness": f.names[i]}
 
 

@@ -309,6 +309,14 @@ class TestUsageAndIO:
             assert run([command, str(deep)]) == 1
             assert capsys.readouterr().err.startswith("error[parse-error]")
 
+    def test_input_that_is_not_utf8(self, capsys, tmp_path):
+        bad = tmp_path / "latin.json"
+        bad.write_bytes(b'{"vertices": ["\xff"], "edges": []}')
+        for command in ("classify", "check-us"):
+            assert run([command, str(bad)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error[parse-error]: 'utf-8' codec can't decode byte 0xff")
+
     def test_wrong_document_shape(self, capsys, tmp_path):
         bad = tmp_path / "list.json"
         bad.write_text("[1, 2, 3]")

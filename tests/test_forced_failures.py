@@ -99,7 +99,7 @@ RUNS = {
     ),
     "main-flip": (lambda mp: _flip(mp, (1, 0, 1, 0, 1)), verify_main_theorem, False),
     "main-witness": (
-        lambda mp: mp.setattr(verify, "_witness_index", lambda d: 0), verify_main_theorem, True
+        lambda mp: mp.setattr(verify, "_witness_index", lambda d, colmin: 0), verify_main_theorem, True
     ),
     "classify-tag": (_stars_as_double_stars, verify_classification, True),
 }

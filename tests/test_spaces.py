@@ -1,4 +1,5 @@
 import copy
+import json
 import itertools
 import pickle
 import sys
@@ -61,9 +62,17 @@ from ultratree import (
 )
 from ultratree import spaces
 from ultratree.cli import run
-from ultratree.labelings import _path_max
+from ultratree.labelings import _path_max, _path_minima
 from ultratree.rationals import coerce_nonnegative, parse_rational
-from ultratree.spaces import _byte_joins, _first_offender, _joins, _rank, _witness_index
+from ultratree.spaces import (
+    _byte_joins,
+    _column_minima,
+    _first_offender,
+    _joins,
+    _rank,
+    _row_minima,
+    _witness_index,
+)
 from ultratree.trees import _free_trees, _index_tree, longest_path_length
 
 
@@ -811,7 +820,8 @@ class TestByteWidthBoundary:
         assert not check_isometric(loaded, other) and form != canonical_form(other)
         codes = loaded._ranked[1]
         assert _first_offender(codes) is None
-        assert _witness_index(codes) == _witness_index([list(row) for row in codes]) == 0
+        lists = [list(row) for row in codes]
+        assert _witness_index(codes, _column_minima(loaded)) == _witness_index(lists, _row_minima(lists)) == 0
         # offences found early: strong triangle, symmetry and positivity
         for cells, x in ((((0, 2), (2, 0)), 1), (((0, n - 1),), n - 2), (((n - 1, n - 2), (n - 2, n - 1)), 0)):
             bad = [row[:] for row in rows]
@@ -1003,8 +1013,11 @@ class TestLazyDist:
 
 
 class TestWitnessIndex:
-    """_witness_index reads column minima from rows, so it takes a symmetric
-    matrix: every path-max matrix is one, degenerate labelings included."""
+    """_witness_index compares rows with column minima from its caller: a
+    path-max matrix's from the labels (_path_minima), a checked space's from
+    the links its check found, any other space's from its rows, which takes
+    a symmetric matrix. Each is checked against the row minima, and the
+    answers against brute_witness."""
 
     def test_matches_the_brute_witness_on_every_small_labeling(self):
         checked = 0
@@ -1017,8 +1030,66 @@ class TestWitnessIndex:
                 for lab in itertools.product(range(3), repeat=n):
                     d = _path_max(adj, lab)
                     assert d == coded_matrix(n, pairs, lab)
-                    got = _witness_index(d)
+                    colmin = _path_minima(adj, lab)
+                    assert n == 1 or colmin == _row_minima(d)  # one point has no minimum
+                    got = _witness_index(d, colmin)
                     brute = brute_witness(FiniteUltrametricSpace(names, d))
                     assert (None if got is None else names[got]) == brute
                     checked += 1
         assert checked == sum(3**n * len(c) for n, c in enumerate(_free_trees(6), start=1)) == 5304
+
+    @staticmethod
+    def _checked_agree(space, unchecked):
+        """A checked space's link minima are its row minima, and its answers
+        are those of the same matrix in an unchecked space and the oracles."""
+        assert space._mst is not None and unchecked._mst is None
+        codes = space._ranked[1]
+        assert _column_minima(space) == _row_minima(codes) == _column_minima(unchecked)
+        assert us_witness(space) == us_witness(unchecked) == brute_witness(unchecked)
+        if us_witness(space) is not None:
+            assert build_ultrametric(realize_as_star(space)) == space
+        assert canonical_form(space) == canonical_form(unchecked) == brute_form(unchecked)
+
+    @settings(max_examples=60)
+    @given(random_spaces(max_order=40))
+    def test_link_minima_are_row_minima_on_checked_spaces(self, space):
+        rows = [[str(x) for x in row] for row in space.dist]
+        for checked in (validate_ultrametric(space.points, space.dist), _from_json(space.points, rows)):
+            self._checked_agree(checked, space)
+
+    @pytest.mark.parametrize("n", (2, 256, 257, 300))
+    def test_link_minima_on_byte_and_list_rows(self, n):
+        # d(i, j) = max(i, j) holds n values: byte rows up to 256, lists
+        # above; reversed, the first witness is neither end of the order
+        rows = _max_rows(n)
+        points = [f"p{i}" for i in range(n)]
+        back = [row[::-1] for row in rows[::-1]]
+        for names, matrix, witness in ((points, rows, "p0"), (points[::-1], back, "p1")):
+            checked = validate_ultrametric(names, matrix)
+            assert type(checked._ranked[1][0]) is (bytes if n <= 256 else list)
+            self._checked_agree(checked, FiniteUltrametricSpace(names, matrix))
+            assert us_witness(checked) == witness
+
+    def test_an_unchecked_space_off_the_axioms_keeps_row_minima(self):
+        # c is the only witness; the nearest-earlier links (5, a, b) and
+        # (1, a, c) are no minimum spanning tree, and their minima would name a
+        rows = [[0, 5, 1], [5, 0, 1], [1, 1, 0]]
+        with pytest.raises(StrongTriangleViolation):
+            validate_ultrametric("abc", rows)
+        space = FiniteUltrametricSpace("abc", rows)
+        assert list(_column_minima(space)) == [1, 1, 1]
+        assert us_witness(space) == brute_witness(space) == "c"
+        assert realize_as_star(space).tree.edges == (("a", "c"), ("b", "c"))
+
+    def test_an_isometric_request_finds_links_once_per_space(self, monkeypatch, capsys, tmp_path):
+        # the spaces share size and value set, so both canonical forms are
+        # built, each from the links its validation found
+        calls = []
+        real = spaces._links
+        monkeypatch.setattr(spaces, "_links", lambda codes: calls.append(len(codes)) or real(codes))
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        first.write_text(json.dumps(space_to_dict(fig1_space())))
+        second.write_text(json.dumps(space_to_dict(_permuted(fig1_space(), [4, 3, 2, 1, 0]))))
+        assert run(["isometric", str(first), str(second)]) == 0
+        assert capsys.readouterr().out == "true\n"
+        assert calls == [5, 5]

@@ -503,6 +503,6 @@ class TestPruferRank:
         # its expansion comes one copy short of 5!/2
         real = verify._copies
         monkeypatch.setattr(verify, "_copies", lambda key: itertools.islice(real(key), 1, None))
-        monkeypatch.setattr(verify, "_witness_index", lambda d: 0)
+        monkeypatch.setattr(verify, "_witness_index", lambda d, colmin: 0)
         with pytest.raises(RuntimeError, match="at order 5: 59 labeled copies, predicted 60"):
             verify_main_theorem(5, (0, 1))

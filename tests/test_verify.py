@@ -69,7 +69,7 @@ from ultratree.errors import (
     SymmetryViolation,
 )
 from ultratree import labelings, trees, verify
-from ultratree.spaces import _first_offender, _value_codes, _witness_index
+from ultratree.spaces import _first_offender, _row_minima, _value_codes, _witness_index
 from ultratree.trees import _bfs_parents, _index_adjacency, _prufer_edges, _rank_edges
 from ultratree.verify import (
     CLAIM_ADJACENT,
@@ -441,7 +441,7 @@ class TestCodedCore:
                 assert (viol is None) == is_nondegenerate(lt)
                 if valid:
                     space = validate_ultrametric(points, rows)
-                    assert (_witness_index(d) is not None) == (brute_witness(space) is not None)
+                    assert (_witness_index(d, _row_minima(d)) is not None) == (brute_witness(space) is not None)
 
     def test_coded_run_decides_the_same_predicates(self):
         # identity coding, then a coding where values and codes differ
@@ -905,7 +905,7 @@ class TestClassSweep:
         # every counterexample space witnessed: of orders 1-5 only the path
         # of order 5 is long, and each of its 5!/2 copies fails
         named = self._named_copies(monkeypatch)
-        monkeypatch.setattr(verify, "_witness_index", lambda d: 0)
+        monkeypatch.setattr(verify, "_witness_index", lambda d, colmin: 0)
         report = verify_main_theorem(5, (0, 1))
         assert len(set(named)) == len(named) == 60
         assert {key for key, _ in named} == {canonical(index_adjacency(path_tree(5)))[0]}
@@ -1011,7 +1011,7 @@ class TestCodedCounterexample:
 
     def test_coded_pattern_is_the_labeling(self, monkeypatch):
         # report every tree as witnessed, so each failure carries its labeling
-        monkeypatch.setattr(verify, "_witness_index", lambda d: 0)
+        monkeypatch.setattr(verify, "_witness_index", lambda d, colmin: 0)
         for facts, tree in self._long_trees():
             (cert,) = _check_counterexample(facts)
             assert cert.claim_violated == CLAIM_COUNTEREXAMPLE
