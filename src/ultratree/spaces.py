@@ -458,12 +458,24 @@ class CanonicalForm:
 def canonical_form(space: FiniteUltrametricSpace) -> CanonicalForm:
     """Canonical form of a valid space; equal forms mean isometric spaces.
 
-    Built bottom-up without recursion: the links of _links, a minimum
-    spanning tree, join classes by union-find in increasing order, all
-    joins at one distance one node. A checked space's links are those its
-    check found (_mst); any other space's are found in O(n^2)."""
-    values, codes = space._ranked
-    links = _links(codes) if space._mst is None else space._mst
+    Built bottom-up without recursion by _dendrogram, each node from its
+    merge value and its children sorted by their serialized text."""
+    values, text = space._ranked[0], attrgetter("serialized")
+
+    def join(w, children):
+        children.sort(key=text)
+        return CanonicalForm(values[w], tuple(children))
+
+    return _dendrogram(space, CanonicalForm(Fraction(0), ()), join)
+
+
+def _dendrogram(space: FiniteUltrametricSpace, leaf, join):
+    """The root of a valid space's dendrogram, each point ``leaf`` and each
+    node ``join(w, children)`` for the classes, a list of their nodes, that
+    merge at code w. Union-find joins classes along the links (_links, a
+    minimum spanning tree; on a checked space those its check found, _mst)
+    in increasing order, all joins at one distance one node. O(n^2)."""
+    links = _links(space._ranked[1]) if space._mst is None else space._mst
     root = list(range(space.size))
 
     def find(v):
@@ -472,25 +484,33 @@ def canonical_form(space: FiniteUltrametricSpace) -> CanonicalForm:
             v = root[v]
         return v
 
-    forms = [CanonicalForm(Fraction(0), ())] * space.size
+    nodes = [leaf] * space.size
     for w, group in groupby(sorted(links), key=itemgetter(0)):
-        kids: dict[int, list[CanonicalForm]] = {}
+        kids: dict[int, list] = {}
         for _, a, b in group:
             a, b = find(a), find(b)
             root[b] = a
-            kids.setdefault(a, [forms[a]]).extend(kids.pop(b, [forms[b]]))
+            kids.setdefault(a, [nodes[a]]).extend(kids.pop(b, [nodes[b]]))
         for r, children in kids.items():
-            children.sort(key=attrgetter("serialized"))
-            forms[r] = CanonicalForm(values[w], tuple(children))
-    return forms[find(0)]
+            nodes[r] = join(w, children)
+    return nodes[find(0)]
 
 
 def check_isometric(a: FiniteUltrametricSpace, b: FiniteUltrametricSpace) -> bool:
     """Whether a distance-preserving bijection exists between two spaces.
 
-    Mismatched sizes or distance value sets short-circuit to False;
-    otherwise the serialized canonical forms decide. O(n^2).
+    Mismatched sizes or distance value sets short-circuit to False. Else
+    both dendrograms are numbered through one table: a point is 0, a node
+    (code, sorted child numbers) the next number from 1 on first sight.
+    The shared value list makes a code the same value in each, so equal
+    root numbers mean equal canonical forms. O(n^2), no Fraction or text.
     """
     if a.size != b.size or a._ranked[0] != b._ranked[0]:
         return False
-    return canonical_form(a).serialized == canonical_form(b).serialized
+    table: dict[tuple, int] = {}
+
+    def join(w, children):
+        children.sort()
+        return table.setdefault((w, tuple(children)), len(table) + 1)
+
+    return _dendrogram(a, 0, join) == _dendrogram(b, 0, join)

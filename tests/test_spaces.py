@@ -60,7 +60,7 @@ from ultratree import (
     validate_tree,
     validate_ultrametric,
 )
-from ultratree import spaces
+from ultratree import cli, spaces
 from ultratree.cli import run
 from ultratree.labelings import _path_max, _path_minima
 from ultratree.rationals import coerce_nonnegative, parse_rational
@@ -408,6 +408,31 @@ class TestIsometry:
         )
         assert not check_isometric(blocky, paired)
         assert not brute_isometric(blocky, paired)
+
+    def test_a_chain_and_two_pairs_over_one_value_set(self):
+        # (((x y) z) u) against ((x y) (z u)) at distances {1, 2, 3}: were a
+        # point's number also a node's, x's number would stand for (x y)
+        chain = validate_ultrametric("xyzu", ((0, 1, 2, 3), (1, 0, 2, 3), (2, 2, 0, 3), (3, 3, 3, 0)))
+        pairs = validate_ultrametric("xyzu", ((0, 1, 3, 3), (1, 0, 3, 3), (3, 3, 0, 2), (3, 3, 2, 0)))
+        assert not check_isometric(chain, pairs)
+        assert not check_isometric(pairs, chain)
+        assert canonical_form(chain) != canonical_form(pairs)
+
+    def test_matches_oracle_on_every_four_point_space_over_three_values(self):
+        # same-size, same-value pairs, which the shortcut cannot decide
+        found = []
+        for upper in itertools.product((1, 2, 3), repeat=6):
+            rows = [[0] * 4 for _ in range(4)]
+            for (i, j), x in zip(itertools.combinations(range(4), 2), upper):
+                rows[i][j] = rows[j][i] = x
+            try:
+                found.append(validate_ultrametric("abcd", rows))
+            except StrongTriangleViolation:
+                pass
+        pairs = [(a, b) for a in found for b in found if a._ranked[0] == b._ranked[0]]
+        assert (len(found), len(pairs)) == (60, 834)
+        for a, b in pairs:
+            assert check_isometric(a, b) == brute_isometric(a, b)
 
     def test_matches_oracle_on_corpus(self):
         distinct = list({(s.points, s.dist): s for s in small_us_corpus()}.values())
@@ -1082,14 +1107,21 @@ class TestWitnessIndex:
         assert realize_as_star(space).tree.edges == (("a", "c"), ("b", "c"))
 
     def test_an_isometric_request_finds_links_once_per_space(self, monkeypatch, capsys, tmp_path):
-        # the spaces share size and value set, so both canonical forms are
-        # built, each from the links its validation found
-        calls = []
-        real = spaces._links
+        # the spaces share size and value set, so both dendrograms are
+        # numbered, each from the links its validation found, with no
+        # canonical form built and no Fraction row decoded
+        calls, loaded, made = [], [], []
+        real, check = spaces._links, spaces.check_isometric
         monkeypatch.setattr(spaces, "_links", lambda codes: calls.append(len(codes)) or real(codes))
+        monkeypatch.setattr(cli, "check_isometric", lambda a, b: loaded.extend((a, b)) or check(a, b))
+        monkeypatch.setattr(spaces, "canonical_form", lambda space: made.append(space))
+        monkeypatch.setattr(CanonicalForm, "__init__", lambda form, *args: made.append(args))
         first, second = tmp_path / "a.json", tmp_path / "b.json"
         first.write_text(json.dumps(space_to_dict(fig1_space())))
         second.write_text(json.dumps(space_to_dict(_permuted(fig1_space(), [4, 3, 2, 1, 0]))))
         assert run(["isometric", str(first), str(second)]) == 0
         assert capsys.readouterr().out == "true\n"
         assert calls == [5, 5]
+        assert made == []
+        assert len(loaded) == 2 and all(space._mst is not None for space in loaded)
+        assert all("dist" not in space.__dict__ for space in loaded)
