@@ -24,7 +24,7 @@ from .errors import (
     _decimal,
 )
 from .rationals import coerce_nonnegative
-from .spaces import FiniteUltrametricSpace, _compact, _decode, _value_codes
+from .spaces import FiniteUltrametricSpace, _compact, _decode, _row_kind, _value_codes
 from .trees import Tree, _far, _thirds
 
 DEFAULT_LABELING_BUDGET = 1_000_000
@@ -94,33 +94,34 @@ def _coded_distances(lt: LabeledTree):
     return _compact(values, _path_max(lt.tree._indexed, codes))
 
 
-def _path_max(adj, labels) -> list[list]:
+def _path_max(adj, labels) -> list:
     """Path-maximum matrix of the tree with index adjacency lists ``adj``, 0
-    on the diagonal. In breadth-first order from vertex 0 each row is the
-    label maxed into the parent's row, whose own entry reads as the parent's
-    label: paths to earlier vertices run through the parent."""
+    on the diagonal, as bytes or list rows (_row_kind). In breadth-first
+    order a row is its parent's, the parent's entry read as its label, lifted
+    to the vertex's: paths to earlier vertices run through the parent."""
     n = len(labels)
-    rows = [[0] * n for _ in range(n)]
-    seen = [True] + [False] * (n - 1)
-    order = [0]
-    for p in order:
-        above, dp = labels[p], rows[p]
+    row, lift, ceilings = _row_kind(max(labels))
+    d = row(bytes(n * n))  # zero diagonal
+    order = [(0, -1)]  # (vertex, its parent)
+    for p, up in order:
         for z in adj[p]:
-            if not seen[z]:
-                seen[z] = True
-                c, dz = labels[z], rows[z]
-                for x in order:
-                    w = above if x == p else dp[x]
-                    dz[x] = rows[x][z] = c if c > w else w
-                order.append(z)
-    return rows
+            if z != up:
+                order.append((z, p))
+                r = d[p * n:p * n + n]  # a copy per child: an earlier sibling wrote its column
+                r[p] = labels[p]
+                r = lift(r, ceilings[labels[z]])
+                r[z] = 0
+                d[z * n:z * n + n] = d[z::n] = r
+    flat = bytes(d) if row is bytearray else d
+    return [flat[i:i + n] for i in range(0, n * n, n)]
 
 
-def _path_minima(adj, labels) -> list:
-    """Each column's minimum off the diagonal of _path_max(adj, labels), in
-    O(n): y's label maxed into the least label next to y, since every path
-    from y runs through a neighbour and the nearest one's entry is that."""
-    return [max(c, min(map(labels.__getitem__, adj[y]), default=0)) for y, c in enumerate(labels)]
+def _path_minima(adj, labels):
+    """The column minima off the diagonal of _path_max(adj, labels) in O(n),
+    a row of _row_kind: y's label maxed into its least neighbour's, since a
+    path from y runs through a neighbour, and to the least one it is that."""
+    row = _row_kind(max(labels))[0]
+    return row([max(c, min(map(labels.__getitem__, adj[y]), default=0)) for y, c in enumerate(labels)])
 
 
 def build_ultrametric(lt: LabeledTree):

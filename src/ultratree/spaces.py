@@ -47,20 +47,17 @@ class FiniteUltrametricSpace:
 
     Every space is born rank-coded: ``_ranked`` holds (values, codes) with
     values[codes[i][j]] == dist[i][j] and values[0] == 0, the values sorted
-    and each held by some entry or zero. The code rows are ``bytes`` when
-    there are at most 256 values, the width of a byte, and lists otherwise,
-    so equal spaces share one row type. The constructor coerces each
-    distinct entry to a Fraction once (_rank) and codes the matrix; the
-    package's own spaces (validate_ultrametric, space_from_dict,
-    build_ultrametric, restrict) are made from codes by _coded. The checks
-    and answers read the codes only: ``dist`` is decoded on first read, and
-    equality and hashing go through (points, values, codes), which the
-    coding makes equal exactly when (points, dist) are. The constructor
-    rejects an empty or repeated point list and a matrix that is not N x N
-    with ValueError (_names, _check_shape), but does not check the axioms;
-    validate_ultrametric is the checked entry point for untrusted data. A
-    checked space keeps the links its check found (_mst, see _validated),
-    which no other space has and equality ignores.
+    and each held by some entry or zero. Code rows are ``bytes`` up to 256
+    values, the width of a byte, else lists, so equal spaces share one row
+    type; the constructor codes its matrix (_rank, each distinct entry
+    coerced to a Fraction once), and the package's own spaces are made from
+    rows so coded by _coded. Checks and answers read the codes only:
+    ``dist`` is decoded on first read, and equality and hashing go through
+    (points, values, codes), equal exactly when (points, dist) are. The
+    constructor rejects an empty or repeated point list and a matrix that
+    is not N x N with ValueError (_names, _check_shape), but not a broken
+    axiom; validate_ultrametric checks untrusted data. A checked space keeps
+    the links its check found (_mst, see _validated), which equality ignores.
     """
 
     points: tuple[str, ...]
@@ -81,8 +78,6 @@ class FiniteUltrametricSpace:
     @classmethod
     def _coded(cls, points, values, codes) -> "FiniteUltrametricSpace":
         """A space over a tuple of points and their rank codes, unchecked."""
-        if len(values) <= 256:
-            codes = list(map(bytes, codes))
         space = object.__new__(cls)
         object.__setattr__(space, "points", points)
         object.__setattr__(space, "_ranked", (values, codes))
@@ -282,11 +277,16 @@ def _value_codes(fracs):
 
 def _compact(values, codes):
     """(values, codes) with the values no entry holds dropped, zero kept at
-    code 0, and the codes renumbered to match."""
+    code 0, and the rows recoded to match: a ``bytes`` row by one translate,
+    a list row entry by entry (into bytes up to 256 values)."""
     held = sorted({0}.union(*codes))
     if len(held) < len(values):
-        recode = dict(zip(held, range(len(held))))
-        values, codes = [values[c] for c in held], [list(map(recode.__getitem__, r)) for r in codes]
+        values = [values[c] for c in held]
+        if type(codes[0]) is bytes:
+            table = bytes.maketrans(bytes(held), bytes(range(len(held))))
+            return values, [row.translate(table) for row in codes]
+        recode = dict(zip(held, count())).__getitem__
+        codes = [(bytes if len(held) <= 256 else list)(map(recode, row)) for row in codes]
     return values, codes
 
 
@@ -310,8 +310,13 @@ def _links(codes):
         yield m, row.index(m), k
 
 
-def _lift(row, m) -> list:
-    """max(m, row) entry by entry on a list row; row.translate(_CEILINGS[m]) on bytes."""
+def _row_kind(top):
+    """(row type, lift, ceilings) for codes up to ``top``, lift(row, ceilings[c])
+    being max(c, row) entry by entry: bytearray rows below 256, else lists."""
+    return (bytearray, bytearray.translate, _CEILINGS) if top < 256 else (list, _lift, range(top + 1))
+
+
+def _lift(row, m) -> list:  # _row_kind's lift on list rows
     return [m if m > w else w for w in row]
 
 
@@ -320,9 +325,8 @@ def _joins(r, m, near) -> bool:
     ultrametric, at distance m from the first of its nearest ones (codes
     ``near``), keeps it one exactly when m > 0 and r = max(m, near) entry by
     entry. The isosceles property forces that row, and the row keeps every
-    triple through the new point isosceles. On list rows, which spaces and
-    verify's walk keep past 256 codes; _byte_joins is the same rule on byte
-    rows (bytes or bytearray)."""
+    triple through the new point isosceles. On list rows (_row_kind);
+    _byte_joins is the same rule on bytes or bytearray rows."""
     return m > 0 and r == _lift(near, m)
 
 
@@ -392,7 +396,7 @@ def restrict(space: FiniteUltrametricSpace, subset: Iterable[str]) -> FiniteUltr
     keep = [i for i, p in enumerate(space.points) if p in wanted]
     pts = tuple(space.points[i] for i in keep)
     values, codes = space._ranked
-    block = [[codes[i][j] for j in keep] for i in keep]
+    block = [type(codes[i])(map(codes[i].__getitem__, keep)) for i in keep]
     return FiniteUltrametricSpace._coded(pts, *_compact(values, block))
 
 

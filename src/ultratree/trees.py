@@ -100,7 +100,7 @@ def validate_tree(vertices: Iterable[str], edges: Iterable) -> Tree:
     if not verts:
         raise EmptyVertexSet("a tree needs at least one vertex")
 
-    norm_edges: set[tuple[str, str]] = set()
+    pairs = []
     for edge in edges:
         try:
             pair = tuple(edge)
@@ -113,21 +113,18 @@ def validate_tree(vertices: Iterable[str], edges: Iterable) -> Tree:
             raise BadEdge(f"self-loop at {a!r}", (a,))
         if not (isinstance(a, str) and isinstance(b, str)) or a not in seen or b not in seen:
             raise BadEdge(f"edge ({a!r}, {b!r}) references an unknown vertex", (a, b))
-        norm_edges.add((a, b) if a <= b else (b, a))
+        pairs.append(pair)
 
-    n = len(verts)
-    if len(norm_edges) > n - 1:
-        raise HasCycle(f"{len(norm_edges)} edges on {n} vertices, a tree has {n - 1}")
-    if len(norm_edges) < n - 1:
-        raise NotConnected(f"{len(norm_edges)} edges cannot connect {n} vertices")
+    n, tree = len(verts), Tree(tuple(verts), pairs)  # the distinct edges, sorted once
+    if len(tree.edges) > n - 1:
+        raise HasCycle(f"{len(tree.edges)} edges on {n} vertices, a tree has {n - 1}")
+    if len(tree.edges) < n - 1:
+        raise NotConnected(f"{len(tree.edges)} edges cannot connect {n} vertices")
 
-    index = {v: i for i, v in enumerate(verts)}
-    adj = _index_adjacency(n, [(index[a], index[b]) for a, b in norm_edges])
-    reached = _bfs_parents(n, adj, 0)[1]
+    reached = _bfs_parents(n, tree._indexed, 0)[1]  # the index form, built once and kept
     if len(reached) != n:
         raise NotConnected(f"{n - len(reached)} vertices unreachable from {verts[0]!r}")
-
-    return Tree(tuple(verts), tuple(norm_edges))
+    return tree
 
 
 def _require_vertex(tree: Tree, v: str) -> None:

@@ -133,7 +133,7 @@ from .labelings import (
     _zero_edge,
 )
 from .rationals import format_rational, parse_rational
-from .spaces import _CEILINGS, _byte_joins, _first_offender, _joins, _lift, _value_codes, _witness_index
+from .spaces import _byte_joins, _first_offender, _joins, _row_kind, _value_codes, _witness_index
 from .serialize import tree_to_dict, tree_from_dict
 from .trees import (
     Tree,
@@ -280,14 +280,12 @@ def _labelings(parents, codes, witness: bool, leaf, blocks=()) -> None:
     labeling has a witness (False on degenerate ones). With ``blocks``
     (_sibling_blocks of a class key) the walk visits one labeling per orbit
     of Aut T, ``weight`` the orbit's size; without, every labeling, each of
-    weight 1. The matrix is one row-major n * n buffer, a bytearray while
-    every code is below 256, else a list. See the module docstring."""
+    weight 1. The matrix is one row-major n * n buffer of _row_kind. See
+    the module docstring."""
     n, top = len(parents), codes[-1]
     lab = [0] * n
-    if top < 256:  # lift(row, ceilings[c]) is max(c, row) entry by entry
-        row, lift, ceilings, joins = bytearray, bytearray.translate, _CEILINGS, _byte_joins
-    else:
-        row, lift, ceilings, joins = list, _lift, range(top + 1), _joins
+    row, lift, ceilings = _row_kind(top)
+    joins = _byte_joins if row is bytearray else _joins
     d = row(bytes(n * n))  # zero diagonal
     at = {c: i for i, c in enumerate(codes)}
     # each vertex's later blocks: (its mirror, the block's start, the start

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -43,6 +44,8 @@ from ultratree import (
     validate_tree,
     validate_ultrametric,
 )
+from ultratree.labelings import _path_max, _path_minima
+from ultratree.spaces import _compact, _row_minima
 from ultratree.verify import _Facts, _validity
 
 
@@ -173,6 +176,96 @@ class TestDistanceMatrix:
             for b in path:
                 if a != b:
                     assert sub.distance(a, b) == expected.distance(a, b)
+
+
+class TestPathMaxKernel:
+    """_path_max lifts whole rows; every matrix is checked against the
+    pairwise path oracle, and its rows are ``bytes`` while every code is
+    below 256, lists past it, as are _path_minima's column minima."""
+
+    @staticmethod
+    def _adjacency(n, edges):
+        adj = [[] for _ in range(n)]
+        for a, b in edges:
+            adj[a].append(b)
+            adj[b].append(a)
+        return adj
+
+    @staticmethod
+    def _checked(adj, lab):
+        n = len(lab)
+        d = _path_max(adj, lab)
+        assert list(map(list, d)) == coded_matrix(n, pair_paths(n, adj), lab)
+        byte_rows = max(lab) < 256
+        assert all(type(row) is (bytes if byte_rows else list) for row in d)
+        minima = _path_minima(adj, lab)
+        assert type(minima) is (bytearray if byte_rows else list)
+        assert n == 1 or minima == _row_minima(d)
+        return d
+
+    def test_random_trees_with_zero_labels(self):
+        rnd = random.Random(28)
+        for n in [*range(1, 65), 200]:
+            for top in (1, 3, 255):
+                # vertex 0, where the walk starts, anywhere in the tree
+                at = list(range(n))
+                rnd.shuffle(at)
+                edges = [(at[rnd.randrange(k)], at[k]) for k in range(1, n)]
+                lab = [rnd.randint(0, top) for _ in range(n)]
+                self._checked(self._adjacency(n, edges), lab)
+
+    @pytest.mark.parametrize("legs", [1, 2, 3])
+    def test_siblings_read_each_other_through_the_parent(self, legs):
+        # a star (legs of one edge) or spider whose centre has 5 children
+        # with falling labels: a copy of the centre's row shared by the
+        # siblings misses each earlier sibling's column
+        n = 1 + 5 * legs
+        edges = [(0, 1 + k) for k in range(5)]
+        edges += [(k, k + 5) for k in range(1, n - 5)]
+        for centre in (0, n - 1):  # the walk starts at the centre, or at a leaf
+            swap = {0: centre, centre: 0}
+            moved = [(swap.get(a, a), swap.get(b, b)) for a, b in edges]
+            for lab in ([0] + list(range(n - 1, 0, -1)), [0] + list(range(1, n))):
+                lab = [lab[swap.get(v, v)] for v in range(n)]
+                self._checked(self._adjacency(n, moved), lab)
+
+    def test_past_a_byte_on_list_rows(self):
+        rnd = random.Random(256)
+        for n in (256, 300):
+            for path in (True, False):
+                edges = [(k - 1 if path else rnd.randrange(k), k) for k in range(1, n)]
+                lab = list(range(n))
+                rnd.shuffle(lab)
+                self._checked(self._adjacency(n, edges), lab)
+
+    @pytest.mark.parametrize("n, distinct", [(64, 40), (300, 300)])
+    def test_build_ultrametric_matches_the_decoded_oracle(self, n, distinct):
+        rnd = random.Random(n)
+        names = [f"v{k}" for k in range(n)]
+        rnd.shuffle(names)
+        pool = [Fraction(k + 1, 3) for k in range(distinct)]
+        edges = [(names[rnd.randrange(k)], names[k]) for k in range(1, n)]
+        tree = validate_tree(names, edges)
+        lt = LabeledTree(tree, dict(zip(names, rnd.sample(pool, n) if distinct >= n else rnd.choices(pool, k=n))))
+        labels = [lt.labels[v] for v in tree.vertices]
+        expected = coded_matrix(n, pair_paths(n, index_adjacency(tree)), labels)
+        points, rows = raw_distance_matrix(lt)
+        assert points == tree.vertices and list(map(list, rows)) == expected
+        space = build_ultrametric(lt)
+        assert list(map(list, space.dist)) == expected
+        values, codes = space._ranked
+        assert all(type(row) is (bytes if len(values) <= 256 else list) for row in codes)
+
+    def test_compact_keeps_the_row_type(self):
+        # the centre's label, below every leaf's, shows nowhere
+        lab = [1, 3, 5, 4]
+        d = _path_max(self._adjacency(4, [(0, 1), (0, 2), (0, 3)]), lab)
+        values = [Fraction(c) for c in range(6)]
+        got = _compact(values, d)
+        assert got == _compact(values, [list(row) for row in d])  # both bytes rows at 4 values
+        assert got[0] == [0, 3, 4, 5]
+        assert all(type(row) is bytes for row in got[1])
+        assert list(map(list, got[1])) == [[0, 1, 3, 2], [1, 0, 3, 2], [3, 3, 0, 3], [2, 2, 3, 0]]
 
 
 class TestValidityMatchesNondegeneracy:

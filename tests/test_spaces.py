@@ -1054,7 +1054,7 @@ class TestWitnessIndex:
                 pairs = pair_paths(n, adj)
                 for lab in itertools.product(range(3), repeat=n):
                     d = _path_max(adj, lab)
-                    assert d == coded_matrix(n, pairs, lab)
+                    assert list(map(list, d)) == coded_matrix(n, pairs, lab)
                     colmin = _path_minima(adj, lab)
                     assert n == 1 or colmin == _row_minima(d)  # one point has no minimum
                     got = _witness_index(d, colmin)

@@ -19,6 +19,7 @@ from helpers import (
     canonicalized,
     cayley,
     edge_index_set,
+    index_adjacency,
     leaf_augmented_trees,
     path_tree,
     random_trees,
@@ -132,6 +133,19 @@ class TestValidateTree:
     def test_tree_normalizes_edges_itself(self):
         t = Tree(("a", "b", "c"), (("c", "a"), ("b", "a")))
         assert t.edges == (("a", "b"), ("a", "c"))
+
+    @given(random_trees(max_order=12), st.randoms(use_true_random=False))
+    def test_keeps_the_index_form_its_check_built(self, tree, rnd):
+        # vertices and edges shuffled, edges flipped: the cached index form
+        # is the one a fresh tree derives from its sorted edges
+        verts = list(tree.vertices)
+        edges = [e[::-1] if rnd.random() < 0.5 else e for e in tree.edges]
+        rnd.shuffle(verts)
+        rnd.shuffle(edges)
+        t = validate_tree(verts, edges)
+        assert {"_index", "_indexed"} <= t.__dict__.keys()
+        assert t._index == {v: i for i, v in enumerate(verts)}
+        assert t._indexed == index_adjacency(t) == Tree(t.vertices, t.edges)._indexed
 
 
 class TestUniquePath:

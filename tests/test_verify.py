@@ -68,7 +68,7 @@ from ultratree.errors import (
     StrongTriangleViolation,
     SymmetryViolation,
 )
-from ultratree import labelings, trees, verify
+from ultratree import labelings, spaces, trees, verify
 from ultratree.spaces import _first_offender, _row_minima, _value_codes, _witness_index
 from ultratree.trees import _bfs_parents, _index_adjacency, _prufer_edges, _rank_edges
 from ultratree.verify import (
@@ -799,8 +799,8 @@ class TestRowTypes:
     @pytest.mark.parametrize("top", [255, 256, 257, 300])
     def test_wide_codes_walk_as_small_ones_through_order_six(self, top, monkeypatch):
         lifts = []
-        real = verify._lift
-        monkeypatch.setattr(verify, "_lift", lambda row, c: lifts.append(c) or real(row, c))
+        real = spaces._lift
+        monkeypatch.setattr(spaces, "_lift", lambda row, c: lifts.append(c) or real(row, c))
         grids = [((0, 1, 2, 3), (0, 1, top - 1, top)), ((1, 2, 3), (1, top - 1, top))]
         for small, wide in grids:
             recode = dict(zip(small, wide))
@@ -812,7 +812,7 @@ class TestRowTypes:
                             for lab, *rest in _stream(key, small, witness, blocks)
                         ]
                         assert _stream(key, wide, witness, blocks) == want
-        # list rows, lifted by spaces._lift, exactly past code 255
+        # list rows, lifted by spaces._lift (spaces._row_kind), exactly past code 255
         assert bool(lifts) == (top >= 256)
 
     @pytest.mark.parametrize("count", [255, 256, 257, 300])
