@@ -1,17 +1,15 @@
 """Exact non-negative rational values: coercion, parsing, formatting.
 
 All label and distance arithmetic in this package is exact. Floats are
-rejected everywhere so no binary rounding can sneak in.
+rejected everywhere so no binary rounding can sneak in. Tokens are read by
+str methods: ``str.isdecimal`` accepts exactly the digits ``int`` reads.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 
 from .errors import ParseError
-
-_RATIONAL_RE = re.compile(r"(\d+)(?:/(\d+))?")
 
 
 def coerce_rational(value) -> Fraction:
@@ -34,9 +32,10 @@ def parse_rational(raw) -> Fraction:
     """Parse a JSON-level value into a non-negative Fraction.
 
     Accepts non-negative integers and strings of the form ``"p"`` or
-    ``"p/q"``. Anything else (floats, signs, decimal points, integers past
-    Python's digit limit for int conversion) raises ParseError so file
-    contents stay exact and canonical.
+    ``"p/q"``, p and q decimal digits of any script, with surrounding
+    whitespace. Anything else (floats, signs, underscores, decimal points,
+    integers past Python's digit limit for int conversion) raises
+    ParseError so file contents stay exact and canonical.
     """
     if isinstance(raw, bool):
         raise ParseError(f"expected a rational, got {raw!r}")
@@ -44,16 +43,15 @@ def parse_rational(raw) -> Fraction:
         if raw < 0:
             raise ParseError(f"negative value {raw}")
         return Fraction(raw)
-    match = _RATIONAL_RE.fullmatch(raw.strip()) if isinstance(raw, str) else None
-    if match is None:
+    num, slash, den = raw.strip().partition("/") if isinstance(raw, str) else ("",) * 3
+    if not (num.isdecimal() and (den.isdecimal() or not slash)):
         raise ParseError(f"expected 'p' or 'p/q' with non-negative integers, got {raw!r}")
     try:
-        num, den = map(int, match.groups("1"))
+        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
     except ValueError as err:  # past the digit limit; the message omits the digits
         raise ParseError(str(err)) from None
-    if not den:
-        raise ParseError(f"zero denominator in {raw!r}")
-    return Fraction(num, den)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {raw!r}") from None
 
 
 def format_rational(q: Fraction) -> str:

@@ -16,7 +16,7 @@ from .errors import ParseError
 from .labelings import LabeledTree
 from .rationals import format_rational, parse_rational
 from .spaces import FiniteUltrametricSpace, _names, _rank, _validated
-from .trees import Tree, validate_tree
+from .trees import Tree, _all_truthy, _tree
 
 
 def tree_to_dict(tree: Tree) -> dict:
@@ -32,18 +32,19 @@ def tree_from_dict(obj) -> Tree:
         raise ParseError("expected a JSON object for a tree")
     vertices = obj.get("vertices")
     edges = obj.get("edges")
-    if not isinstance(vertices, list) or not all(
-        isinstance(v, str) and v for v in vertices
-    ):
+    if not isinstance(vertices, list) or not _all_truthy(vertices):
         raise ParseError('"vertices" must be a list of non-empty strings')
     if len(set(vertices)) != len(vertices):
         raise ParseError("duplicate vertex names")
     if not isinstance(edges, list):
         raise ParseError('"edges" must be a list of two-element lists')
-    for e in edges:
-        if not isinstance(e, list) or len(e) != 2 or not all(isinstance(x, str) for x in e):
-            raise ParseError(f"bad edge entry {e!r}")
-    return validate_tree(vertices, edges)
+    pairs = _all_truthy(edges, {list}) and set(map(len, edges)) <= {2}
+    ends = list(chain.from_iterable(edges)) if pairs else [None]
+    if not _all_truthy(ends):
+        for e in edges:
+            if not isinstance(e, list) or len(e) != 2 or not all(isinstance(x, str) for x in e):
+                raise ParseError(f"bad edge entry {e!r}")
+    return _tree(vertices, edges, ends)  # distinct names, checked
 
 
 def labeled_tree_to_dict(lt: LabeledTree) -> dict:
@@ -57,8 +58,12 @@ def labeled_tree_from_dict(obj) -> LabeledTree:
     labels_obj = obj.get("labels")
     if not isinstance(labels_obj, dict):
         raise ParseError('"labels" must map vertex names to rational strings')
-    labels = {v: parse_rational(raw) for v, raw in labels_obj.items()}
-    return LabeledTree(tree, labels)
+    tokens, parse = list(labels_obj.values()), parse_rational
+    if set(map(type, tokens)) <= {str, int}:  # hashable, and each distinct token parsed once
+        parse = {t: parse_rational(t) for t in dict.fromkeys(tokens)}.__getitem__
+    labels = dict(zip(labels_obj, map(parse, tokens)))
+    exact = labels.keys() == tree._index.keys()  # no unknown vertex and none missing
+    return LabeledTree._trusted(tree, labels) if exact else LabeledTree(tree, labels)
 
 
 def space_to_dict(space: FiniteUltrametricSpace) -> dict:
@@ -76,17 +81,16 @@ def space_from_dict(obj) -> FiniteUltrametricSpace:
         raise ParseError("expected a JSON object for a space")
     points = obj.get("points")
     dist = obj.get("dist")
-    if not isinstance(points, list) or not all(
-        isinstance(p, str) and p for p in points
-    ):
+    if not isinstance(points, list) or not _all_truthy(points):
         raise ParseError('"points" must be a list of non-empty strings')
     if len(set(points)) != len(points):
         raise ParseError("duplicate point names")
     if not isinstance(dist, list) or len(dist) != len(points):
         raise ParseError('"dist" must be a square matrix of rational strings')
-    for r, row in enumerate(dist):
-        if not isinstance(row, list) or len(row) != len(points):
-            for x in chain.from_iterable(dist[:r]):  # a bad entry in an earlier row comes first
-                parse_rational(x)
-            raise ParseError('"dist" must be a square matrix of rational strings')
-    return _validated(_names(points), *_rank(dist, parse_rational))  # each distinct token parsed once
+    if not (_all_truthy(dist, {list}) and set(map(len, dist)) <= {len(points)}):
+        for r, row in enumerate(dist):
+            if not isinstance(row, list) or len(row) != len(points):
+                for x in chain.from_iterable(dist[:r]):  # a bad entry in an earlier row comes first
+                    parse_rational(x)
+                raise ParseError('"dist" must be a square matrix of rational strings')
+    return _validated(tuple(points) or _names(points), *_rank(dist, parse_rational))  # empty: _names raises

@@ -168,35 +168,30 @@ def _check_shape(points, dist) -> None:
 def _first_offender(codes, links=None):
     """The first axiom a square matrix of rank codes (all byte or all list
     rows) breaks, as (axiom, point indices), or None. An accept-only screen
-    runs first, in whole-row operations: each row's one zero on the
-    diagonal, and the matrix equal to its transpose (byte columns are
-    stepped slices of the joined rows). Only a matrix it rejects is scanned
-    row by row, the diagonal entry and then each pair i < j for symmetry and
-    positivity, to name the first offender. Then, unless every point joins
-    the points before it by the join rule (``links``, by default _links of
-    the codes; _joins, or _byte_joins on byte rows), the first
-    strong-triangle triple (i, j, k) with i < j, which on a symmetric
-    matrix is also the first over ordered pairs: an offender (j, i, k) with
-    j > i makes (i, j, k) one."""
+    runs first, in whole-row operations: the diagonal all zero and the
+    matrix equal to its transpose, both stepped slices of the joined rows,
+    and every point joining the points before it by the join rule
+    (``links``, by default _links of the codes; _joins, or _byte_joins on
+    byte rows), whose m > 0 puts no zero off the diagonal. Only a matrix it
+    rejects is scanned row by row, the diagonal entry and then each pair
+    i < j for symmetry and positivity, to name the first offender; then
+    the first strong-triangle triple (i, j, k) with i < j, which on a
+    symmetric matrix is also the first over ordered pairs: an offender
+    (j, i, k) with j > i makes (i, j, k) one."""
     n = len(codes)
-    row_type = type(codes[0])
-    screened = all(not row[i] and row.count(0) == 1 for i, row in enumerate(codes))
-    flat = b"".join(codes) if row_type is bytes else None
-    transpose = list(map(row_type, zip(*codes))) if flat is None else [flat[j::n] for j in range(n)]
-    if not (screened and codes == transpose):
-        for i, row in enumerate(codes):
-            if row[i]:
-                return "positivity", (i, i)
-            for j in range(i + 1, n):
-                if row[j] != codes[j][i]:
-                    return "symmetry", (i, j)
-                if not row[j]:
-                    return "positivity", (i, j)
-    joins = _byte_joins if row_type is bytes else _joins
-    if links is None:
-        links = _links(codes)
-    if all(joins(codes[k][:k], m, codes[a][:k]) for m, a, k in links):
+    flat = b"".join(codes) if type(codes[0]) is bytes else list(chain.from_iterable(codes))
+    joins = _byte_joins if type(flat) is bytes else _joins
+    screened = not any(flat[::n + 1]) and codes == [flat[j::n] for j in range(n)]
+    if screened and all(joins(codes[k][:k], m, codes[a][:k]) for m, a, k in links or _links(codes)):
         return None
+    for i, row in enumerate(codes):
+        if row[i]:
+            return "positivity", (i, i)
+        for j in range(i + 1, n):
+            if row[j] != codes[j][i]:
+                return "symmetry", (i, j)
+            if not row[j]:
+                return "positivity", (i, j)
     for i, row in enumerate(codes):
         for j in range(i + 1, n):
             for k in range(n):
@@ -263,14 +258,17 @@ def _value_codes(fracs):
     codes[i] the index of fracs[i] in values. Distinct values are told
     apart by (numerator, denominator), which a Fraction keeps in lowest
     terms, so no Fraction is hashed and only the distinct ones are sorted:
-    integers as their (numerator, 1) pairs, others as Fractions.
-    Comparisons and maxima of values are those of their codes, which is all
-    the path-max metric and the checks read."""
+    integers as their (numerator, 1) pairs, others by the exact key (floor,
+    remainder / denominator, Fraction): a float correctly rounded, so
+    monotone, below 1, so in range, then the Fraction for float ties. Codes
+    compare as values do, which is all the path-max metric and checks read."""
     keys = [(q.numerator, q.denominator) for q in fracs]
     distinct = dict(zip(keys, fracs))
     distinct.setdefault((0, 1), Fraction(0))
-    integers = all(den == 1 for _, den in distinct)
-    order = sorted(distinct) if integers else sorted(distinct, key=distinct.__getitem__)
+    if all(den == 1 for _, den in distinct):
+        order = sorted(distinct)
+    else:
+        order = sorted(distinct, key=lambda k: (k[0] // k[1], k[0] % k[1] / k[1], distinct[k]))
     code = dict(zip(order, range(len(order))))
     return [distinct[k] for k in order], list(map(code.__getitem__, keys))
 

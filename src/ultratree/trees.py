@@ -14,6 +14,8 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import chain
+from operator import ne
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -89,32 +91,39 @@ def validate_tree(vertices: Iterable[str], edges: Iterable) -> Tree:
     is right but the graph splits into components (each then carrying a
     cycle), NotConnected is reported.
     """
-    verts: list[str] = []
-    seen: set[str] = set()
-    for v in vertices:
-        if not isinstance(v, str) or not v:
-            raise BadEdge(f"vertex ids must be non-empty strings, got {v!r}")
-        if v not in seen:
-            seen.add(v)
-            verts.append(v)
+    verts, edges = list(vertices), list(edges)
+    if not _all_truthy(verts):
+        for v in verts:
+            if not isinstance(v, str) or not v:
+                raise BadEdge(f"vertex ids must be non-empty strings, got {v!r}")
+    pairs = _all_truthy(edges, {list, tuple}) and set(map(len, edges)) <= {2}
+    return _tree(list(dict.fromkeys(verts)), edges, list(chain.from_iterable(edges)) if pairs else [None])
+
+
+def _tree(verts, edges, ends) -> Tree:
+    """validate_tree on a list of distinct non-empty names, a list of edges,
+    and their ends in order if each edge is a list or tuple pair (else any
+    list _all_truthy rejects); tree_from_dict calls it with its own screens made."""
     if not verts:
         raise EmptyVertexSet("a tree needs at least one vertex")
-
-    pairs = []
-    for edge in edges:
-        try:
-            pair = tuple(edge)
-        except TypeError:
-            raise BadEdge(f"edge {edge!r} is not a two-element set", (edge,)) from None
-        if len(pair) != 2:
-            raise BadEdge(f"edge {pair!r} is not a two-element set", pair)
-        a, b = pair
-        if a == b:
-            raise BadEdge(f"self-loop at {a!r}", (a,))
-        if not (isinstance(a, str) and isinstance(b, str)) or a not in seen or b not in seen:
-            raise BadEdge(f"edge ({a!r}, {b!r}) references an unknown vertex", (a, b))
-        pairs.append(pair)
-
+    seen = set(verts)
+    if _all_truthy(ends) and seen.issuperset(ends) and all(map(ne, ends[::2], ends[1::2])):
+        pairs = edges
+    else:  # check each edge, naming the first offender
+        pairs = []
+        for edge in edges:
+            try:
+                pair = tuple(edge)
+            except TypeError:
+                raise BadEdge(f"edge {edge!r} is not a two-element set", (edge,)) from None
+            if len(pair) != 2:
+                raise BadEdge(f"edge {pair!r} is not a two-element set", pair)
+            a, b = pair
+            if a == b:
+                raise BadEdge(f"self-loop at {a!r}", (a,))
+            if not (isinstance(a, str) and isinstance(b, str)) or a not in seen or b not in seen:
+                raise BadEdge(f"edge ({a!r}, {b!r}) references an unknown vertex", (a, b))
+            pairs.append(pair)
     n, tree = len(verts), Tree(tuple(verts), pairs)  # the distinct edges, sorted once
     if len(tree.edges) > n - 1:
         raise HasCycle(f"{len(tree.edges)} edges on {n} vertices, a tree has {n - 1}")
@@ -125,6 +134,12 @@ def validate_tree(vertices: Iterable[str], edges: Iterable) -> Tree:
     if len(reached) != n:
         raise NotConnected(f"{n - len(reached)} vertices unreachable from {verts[0]!r}")
     return tree
+
+
+def _all_truthy(xs, kinds=frozenset((str,))) -> bool:
+    """Whether each item of the list ``xs`` is truthy and of a type in ``kinds``
+    (default str): by whole-list operations on exact types, else item by item."""
+    return set(map(type, xs)) <= kinds and all(xs) or all(isinstance(x, tuple(kinds)) and x for x in xs)
 
 
 def _require_vertex(tree: Tree, v: str) -> None:

@@ -5,8 +5,9 @@ longest path, every pair's path for the counterexample labeling,
 permutation search for isometry, edge-subset filtering for tree
 enumeration, a literal transcription of the witness condition, the axiom
 check over every ordered triple, the recursive dendrogram split,
-path-maximum matrices that walk every pair's path, and the quadratic
-Prufer decode that rescans for the least leaf.
+path-maximum matrices that walk every pair's path, the quadratic
+Prufer decode that rescans for the least leaf, and the regular-expression
+rational parser that parse_rational's str methods replaced.
 The point is that none of it shares code with the implementations under
 test, so agreement is evidence rather than tautology. The two exceptions
 are at the end. Leaf augmentation, the generator of free trees that
@@ -22,6 +23,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import re
 from fractions import Fraction
 from itertools import combinations, groupby, permutations, product
 from pathlib import Path
@@ -32,6 +34,7 @@ from ultratree import (
     CanonicalForm,
     FiniteUltrametricSpace,
     LabeledTree,
+    ParseError,
     PositivityViolation,
     StrongTriangleViolation,
     SymmetryViolation,
@@ -263,6 +266,30 @@ def brute_witness(space):
         ):
             return space.points[i]
     return None
+
+
+_RATIONAL_RE = re.compile(r"(\d+)(?:/(\d+))?")
+
+
+def regex_parse_rational(raw):
+    """parse_rational by a regular expression over the stripped token,
+    raising the same ParseError texts."""
+    if isinstance(raw, bool):
+        raise ParseError(f"expected a rational, got {raw!r}")
+    if isinstance(raw, int):
+        if raw < 0:
+            raise ParseError(f"negative value {raw}")
+        return Fraction(raw)
+    match = _RATIONAL_RE.fullmatch(raw.strip()) if isinstance(raw, str) else None
+    if match is None:
+        raise ParseError(f"expected 'p' or 'p/q' with non-negative integers, got {raw!r}")
+    try:
+        num, den = map(int, match.groups("1"))
+    except ValueError as err:
+        raise ParseError(str(err)) from None
+    if not den:
+        raise ParseError(f"zero denominator in {raw!r}")
+    return Fraction(num, den)
 
 
 def brute_validate(points, dist):

@@ -13,8 +13,10 @@ from helpers import (
     random_labeled_trees,
     random_spaces,
     random_trees,
+    regex_parse_rational,
 )
 from ultratree import (
+    BadEdge,
     ParseError,
     PositivityViolation,
     UnknownVertex,
@@ -53,10 +55,35 @@ class TestParseRational:
     def test_round_trips_with_format(self, q):
         assert parse_rational(format_rational(q)) == q
 
+    @pytest.mark.parametrize("raw", [
+        "٣/٤", "²", " 3 ", "+1", "1_000", "3/", "/3", "", "1/0", "0/0", " 5/ 2", "1/2/3",
+        pytest.param("9" * 4301, id="4301-digits"),
+        pytest.param("1/" + "9" * 4301, id="1/4301-digits"),
+        pytest.param(10**4301, id="int-4301-digits"), True, None, 1.5, [1],
+    ])
+    def test_matches_the_regex_parser(self, raw):
+        assert _parsed(parse_rational, raw) == _parsed(regex_parse_rational, raw)
+
+    @given(st.one_of(
+        st.text(st.sampled_from("0123456789/ _+-.٣٤२²\u00a0\t"), max_size=8),
+        st.builds("{}/{}".format, st.integers(0, 10**30), st.integers(0, 10**30)),
+        st.integers(0, 10**30).map(str),
+    ))
+    def test_random_tokens_match_the_regex_parser(self, raw):
+        assert _parsed(parse_rational, raw) == _parsed(regex_parse_rational, raw)
+
     def test_format_shapes(self):
         assert format_rational(Fraction(4)) == "4"
         assert format_rational(Fraction(5, 2)) == "5/2"
         assert format_rational(Fraction(0)) == "0"
+
+
+def _parsed(parse, raw):
+    """The Fraction a parser gives, or the text of its ParseError."""
+    try:
+        return parse(raw)
+    except ParseError as err:
+        return str(err)
 
 
 class TestCoercion:
@@ -188,6 +215,51 @@ class TestSpaceWire:
         ):
             with pytest.raises(ParseError):
                 space_from_dict(obj)
+
+
+_PATH4 = {"vertices": ["a", "b", "c", "d"], "edges": [["a", "b"], ["b", "c"], ["c", "d"]]}
+_TRIO = {"points": ["a", "b", "c"]}
+_NOT_RATIONAL = "expected 'p' or 'p/q' with non-negative integers, got "
+
+
+class TestFirstOffender:
+    """Each reader screens whole lists and names a rejected input's first
+    offender, as an entry-by-entry read does; two bad entries, the first
+    late in its list, name the first."""
+
+    @pytest.mark.parametrize("read, obj, error, message", [
+        (tree_from_dict, {"vertices": ["a", "b", "c", 1, ""], "edges": []},
+         ParseError, '"vertices" must be a list of non-empty strings'),
+        (tree_from_dict, {"vertices": ["a", "b", "c", ["d"]], "edges": []},
+         ParseError, '"vertices" must be a list of non-empty strings'),
+        (tree_from_dict, {"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"], ["a", 1], ["c"]]},
+         ParseError, "bad edge entry ['a', 1]"),
+        (tree_from_dict, dict(_PATH4, edges=[["a", "b"], ["b", "c"], ["c", "x"], ["d", "d"]]),
+         BadEdge, "edge ('c', 'x') references an unknown vertex"),
+        (tree_from_dict, dict(_PATH4, edges=[["a", "b"], ["b", "c"], ["c", "c"], ["d", "x"]]),
+         BadEdge, "self-loop at 'c'"),
+        (space_from_dict, {"points": ["a", "b", 3, ""], "dist": []},
+         ParseError, '"points" must be a list of non-empty strings'),
+        # a short row names a bad entry of an earlier row first
+        (space_from_dict, dict(_TRIO, dist=[["0", "1", "1"], ["1", "0", "x"], ["1", "1"]]),
+         ParseError, _NOT_RATIONAL + "'x'"),
+        (space_from_dict, dict(_TRIO, dist=[["0", "1", "1"], ["1", "0", "1"], ["1", "1"], "x"]),
+         ParseError, '"dist" must be a square matrix of rational strings'),
+        (space_from_dict, dict(_TRIO, dist=[["0", "1", "1"], ["1", "0", "1"], ["1", "1", "0.5"]]),
+         ParseError, _NOT_RATIONAL + "'0.5'"),
+        (space_from_dict, {"points": [], "dist": []}, ValueError, "a space needs at least one point"),
+        (labeled_tree_from_dict, dict(_PATH4, labels={"a": "1", "b": "2", "c": "0.5", "d": -1}),
+         ParseError, _NOT_RATIONAL + "'0.5'"),
+        # distinct tokens are parsed in order of first appearance
+        (labeled_tree_from_dict, dict(_PATH4, labels={"a": "1", "b": "q", "c": "1", "d": "p"}),
+         ParseError, _NOT_RATIONAL + "'q'"),
+        (labeled_tree_from_dict, dict(_PATH4, labels={"a": "1", "b": 2, "c": "1", "d": [1]}),
+         ParseError, _NOT_RATIONAL + "[1]"),
+    ])
+    def test_first_offender_is_named(self, read, obj, error, message):
+        with pytest.raises(error) as info:
+            read(obj)
+        assert type(info.value) is error and str(info.value) == message
 
 
 class TestFixtures:

@@ -115,6 +115,26 @@ class TestValidateTree:
         assert info.value.code == "bad-edge"
         assert info.value.offenders == (5,)
 
+    @pytest.mark.parametrize("vertices, edges, message", [
+        # two bad entries, the first late: the first is named
+        (["a", "b", "c", 3, ""], [], "vertex ids must be non-empty strings, got 3"),
+        (["a", ["b"]], [], "vertex ids must be non-empty strings, got ['b']"),
+        (["a", "b"], [("a", ["b"])], "edge ('a', ['b']) references an unknown vertex"),
+        (["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "c"), ("d", "x")], "self-loop at 'c'"),
+        (["a", "b", "c"], [("a", "b"), ("c", "c")], "self-loop at 'c'"),  # else n - 1 edges, unconnected
+        (["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("d", "x"), ("c", "c")],
+         "edge ('d', 'x') references an unknown vertex"),
+        (["a", "b", "c"], [("a", "b"), ("b", "c"), 5, ("a",)], "edge 5 is not a two-element set"),
+    ])
+    def test_first_offender_is_named(self, vertices, edges, message):
+        with pytest.raises(BadEdge) as info:
+            validate_tree(vertices, edges)
+        assert str(info.value) == message
+
+    def test_generators_are_read_once(self):
+        t = validate_tree((v for v in "abc"), (e for e in [("a", "b"), ("c", "b")]))
+        assert t == Tree(("a", "b", "c"), (("a", "b"), ("b", "c")))
+
     def test_triangle_has_cycle(self):
         with pytest.raises(HasCycle):
             validate_tree(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])

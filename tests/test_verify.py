@@ -407,12 +407,23 @@ class TestCodedCore:
     @given(
         st.lists(st.fractions(min_value=0, max_value=50, max_denominator=4))
         | st.lists(st.integers(0, 99).map(Fraction))  # integers sort as pairs
+        # wide numerators and denominators: floors, remainders and float ties
+        | st.lists(st.builds(Fraction, st.integers(0, 10**45), st.integers(1, 10**45)))
     )
     def test_value_codes_rank_the_sorted_distinct_values(self, fracs):
         values, codes = _value_codes(fracs)
         assert values == sorted({Fraction(0), *fracs})
         assert all(type(q) is Fraction for q in values)
         assert [values[c] for c in codes] == fracs
+
+    def test_value_codes_order_float_ties_and_values_past_float_range(self):
+        tie = [Fraction(3 * 10**39 + 1, 10**40), Fraction(3 * 10**39, 10**40)]
+        assert float(tie[0]) == float(tie[1])
+        huge = [Fraction(10**400, 3), Fraction(10**400, 7), Fraction(10**400 + 1, 7), Fraction(1, 2)]
+        for fracs in (tie, huge, tie + huge, [*reversed(huge), *tie, Fraction(3, 10)]):
+            values, codes = _value_codes(fracs)
+            assert values == sorted({Fraction(0), *fracs})
+            assert [values[c] for c in codes] == fracs
 
     def _agreement_on(self, n, values):
         vals, codes = _grid(values)
