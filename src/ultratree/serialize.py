@@ -38,8 +38,8 @@ def tree_from_dict(obj) -> Tree:
         raise ParseError("duplicate vertex names")
     if not isinstance(edges, list):
         raise ParseError('"edges" must be a list of two-element lists')
-    pairs = _all_truthy(edges, {list}) and set(map(len, edges)) <= {2}
-    ends = list(chain.from_iterable(edges)) if pairs else [None]
+    paired = _all_truthy(edges, {list}) and set(map(len, edges)) <= {2}
+    ends = list(chain.from_iterable(edges)) if paired else [None]
     if not _all_truthy(ends):
         for e in edges:
             if not isinstance(e, list) or len(e) != 2 or not all(isinstance(x, str) for x in e):

@@ -96,8 +96,8 @@ def validate_tree(vertices: Iterable[str], edges: Iterable) -> Tree:
         for v in verts:
             if not isinstance(v, str) or not v:
                 raise BadEdge(f"vertex ids must be non-empty strings, got {v!r}")
-    pairs = _all_truthy(edges, {list, tuple}) and set(map(len, edges)) <= {2}
-    return _tree(list(dict.fromkeys(verts)), edges, list(chain.from_iterable(edges)) if pairs else [None])
+    paired = _all_truthy(edges, {list, tuple}) and set(map(len, edges)) <= {2}
+    return _tree(list(dict.fromkeys(verts)), edges, list(chain.from_iterable(edges)) if paired else [None])
 
 
 def _tree(verts, edges, ends) -> Tree:
