@@ -89,9 +89,11 @@ def raw_distance_matrix(lt: LabeledTree) -> tuple[tuple[str, ...], tuple[tuple[F
 
 def _coded_distances(lt: LabeledTree):
     """The path-maximum matrix run on rank codes of the labels: the values
-    it holds (a label below all its neighbours shows nowhere) and its codes."""
+    it holds and its codes. It holds 0 and each code at or above a
+    neighbour's, no other (a path's top vertex ends one of its edges)."""
     values, codes = _value_codes(list(map(lt.labels.__getitem__, lt.tree.vertices)))
-    return _compact(values, _path_max(lt.tree._indexed, codes))
+    held = {0, *(c for nbrs, c in zip(lt.tree._indexed, codes) for b in nbrs if codes[b] <= c)}
+    return _compact(values, _path_max(lt.tree._indexed, codes), held)
 
 
 def _path_max(adj, labels) -> list:
@@ -114,14 +116,6 @@ def _path_max(adj, labels) -> list:
                 d[z * n:z * n + n] = d[z::n] = r
     flat = bytes(d) if row is bytearray else d
     return [flat[i:i + n] for i in range(0, n * n, n)]
-
-
-def _path_minima(adj, labels):
-    """The column minima off the diagonal of _path_max(adj, labels) in O(n),
-    a row of _row_kind: y's label maxed into its least neighbour's, since a
-    path from y runs through a neighbour, and to the least one it is that."""
-    row = _row_kind(max(labels))[0]
-    return row([max(c, min(map(labels.__getitem__, adj[y]), default=0)) for y, c in enumerate(labels)])
 
 
 def build_ultrametric(lt: LabeledTree):

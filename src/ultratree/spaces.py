@@ -273,11 +273,11 @@ def _value_codes(fracs):
     return [distinct[k] for k in order], list(map(code.__getitem__, keys))
 
 
-def _compact(values, codes):
-    """(values, codes) with the values no entry holds dropped, zero kept at
-    code 0, and the rows recoded to match: a ``bytes`` row by one translate,
-    a list row entry by entry (into bytes up to 256 values)."""
-    held = sorted({0}.union(*codes))
+def _compact(values, codes, held):
+    """(values, codes) with just the values of ``held``, the codes the rows
+    hold, zero still at code 0, and the rows recoded to match: a ``bytes``
+    row by one translate, a list row entry by entry (bytes to 256 values)."""
+    held = sorted(held)
     if len(held) < len(values):
         values = [values[c] for c in held]
         if type(codes[0]) is bytes:
@@ -374,9 +374,8 @@ def _row_minima(d):
 def _witness_index(d, colmin) -> int | None:
     """The first witness row of a square matrix of code rows (0 for one
     point), or None: the first row equal off the diagonal to ``colmin``,
-    each column's minimum off the diagonal, of the rows' type. Callers pass
-    a space's codes with _column_minima, or a _path_max matrix with
-    _path_minima."""
+    each column's minimum off the diagonal, of the rows' type, as
+    _column_minima gives it for a space and _row_minima for any matrix."""
     for i, row in enumerate(d):
         if row[:i] == colmin[:i] and row[i + 1:] == colmin[i + 1:]:
             return i
@@ -395,7 +394,7 @@ def restrict(space: FiniteUltrametricSpace, subset: Iterable[str]) -> FiniteUltr
     pts = tuple(space.points[i] for i in keep)
     values, codes = space._ranked
     block = [type(codes[i])(map(codes[i].__getitem__, keep)) for i in keep]
-    return FiniteUltrametricSpace._coded(pts, *_compact(values, block))
+    return FiniteUltrametricSpace._coded(pts, *_compact(values, block, {0}.union(*block)))
 
 
 def realize_as_star(space: FiniteUltrametricSpace):

@@ -129,11 +129,11 @@ from .labelings import (
     _canon_values,
     _counterexample_codes,
     _path_max,
-    _path_minima,
     _zero_edge,
 )
 from .rationals import format_rational, parse_rational
-from .spaces import _byte_joins, _first_offender, _joins, _row_kind, _value_codes, _witness_index
+from .spaces import _byte_joins, _first_offender, _joins, _row_kind, _row_minima, _value_codes
+from .spaces import _witness_index
 from .serialize import tree_to_dict, tree_from_dict
 from .trees import (
     Tree,
@@ -516,12 +516,14 @@ def _judge_validity(f: _Facts, lab) -> dict | None:
 def _judge_witness(f: _Facts, lab) -> dict | None:
     if _zero_edge(f.edges, lab) is not None:
         return None
-    i = _witness_index(_path_max(f.adj, lab), _path_minima(f.adj, lab))
+    d = _path_max(f.adj, lab)
+    i = _witness_index(d, _row_minima(d))
     return None if i is not None else {"witness": None}
 
 
 def _judge_counterexample(f: _Facts, lab) -> dict | None:
-    i = _witness_index(_path_max(f.adj, lab), _path_minima(f.adj, lab))
+    d = _path_max(f.adj, lab)
+    i = _witness_index(d, _row_minima(d))
     return None if i is None else {"witness": f.names[i]}
 
 

@@ -138,6 +138,13 @@ def coded_matrix(n, pairs, lab):
     return d
 
 
+def scanned_held(rows):
+    """The codes a matrix of code rows holds, by a scan of every entry: the
+    reference for the held codes that the path-max build reads off the
+    tree's edges."""
+    return {0}.union(*rows)
+
+
 def brute_longest_path(tree):
     """Longest path length by enumerating every simple path."""
     adj = adjacency(tree)

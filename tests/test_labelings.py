@@ -20,6 +20,7 @@ from helpers import (
     path_tree,
     random_labeled_trees,
     random_trees,
+    scanned_held,
     star_tree,
 )
 from ultratree import (
@@ -39,13 +40,14 @@ from ultratree import (
     longest_path_length,
     raw_distance_matrix,
     restrict,
+    space_from_dict,
     unique_path,
     us_witness,
     validate_tree,
     validate_ultrametric,
 )
-from ultratree.labelings import _path_max, _path_minima
-from ultratree.spaces import _compact, _row_minima
+from ultratree.labelings import _coded_distances, _path_max
+from ultratree.spaces import _compact, _decode, _value_codes
 from ultratree.verify import _Facts, _validity
 
 
@@ -106,6 +108,9 @@ class TestDistanceMatrix:
         space = build_ultrametric(labeled(validate_tree(["a"], []), (7,)))
         assert space.points == ("a",)
         assert space.dist == ((Fraction(0),),)
+        # the label 7 shows nowhere, so the space holds the value 0 only
+        assert space == space_from_dict({"points": ["a"], "dist": [["0"]]})
+        assert space._ranked[0] == [0]
 
     def test_single_edge(self):
         space = build_ultrametric(labeled(path_tree(2), (0, 5)))
@@ -181,7 +186,8 @@ class TestDistanceMatrix:
 class TestPathMaxKernel:
     """_path_max lifts whole rows; every matrix is checked against the
     pairwise path oracle, and its rows are ``bytes`` while every code is
-    below 256, lists past it, as are _path_minima's column minima."""
+    below 256, lists past it. The codes a built matrix holds, read off the
+    tree's edges, are checked against a scan of every entry."""
 
     @staticmethod
     def _adjacency(n, edges):
@@ -196,12 +202,22 @@ class TestPathMaxKernel:
         n = len(lab)
         d = _path_max(adj, lab)
         assert list(map(list, d)) == coded_matrix(n, pair_paths(n, adj), lab)
-        byte_rows = max(lab) < 256
-        assert all(type(row) is (bytes if byte_rows else list) for row in d)
-        minima = _path_minima(adj, lab)
-        assert type(minima) is (bytearray if byte_rows else list)
-        assert n == 1 or minima == _row_minima(d)
+        assert all(type(row) is (bytes if max(lab) < 256 else list) for row in d)
         return d
+
+    @staticmethod
+    def _held_agrees(n, edges, lab):
+        """The tree on v0..v(n-1) with index ``edges``, labeled ``lab``,
+        compacts its coded matrix to the codes a scan of every entry finds,
+        and its raw matrix decodes them, zero labels included."""
+        names = [f"v{k}" for k in range(n)]
+        tree = validate_tree(names, [(names[a], names[b]) for a, b in edges])
+        lt = LabeledTree(tree, dict(zip(names, lab)))
+        values, codes = _value_codes([lt.labels[v] for v in tree.vertices])
+        d = _path_max(tree._indexed, codes)
+        want = _compact(values, d, scanned_held(d))
+        assert _coded_distances(lt) == want
+        assert raw_distance_matrix(lt) == (tree.vertices, _decode(*want))
 
     def test_random_trees_with_zero_labels(self):
         rnd = random.Random(28)
@@ -213,6 +229,7 @@ class TestPathMaxKernel:
                 edges = [(at[rnd.randrange(k)], at[k]) for k in range(1, n)]
                 lab = [rnd.randint(0, top) for _ in range(n)]
                 self._checked(self._adjacency(n, edges), lab)
+                self._held_agrees(n, edges, lab)
 
     @pytest.mark.parametrize("legs", [1, 2, 3])
     def test_siblings_read_each_other_through_the_parent(self, legs):
@@ -228,6 +245,7 @@ class TestPathMaxKernel:
             for lab in ([0] + list(range(n - 1, 0, -1)), [0] + list(range(1, n))):
                 lab = [lab[swap.get(v, v)] for v in range(n)]
                 self._checked(self._adjacency(n, moved), lab)
+                self._held_agrees(n, moved, lab)  # the centre's 0 is below every leaf
 
     def test_past_a_byte_on_list_rows(self):
         rnd = random.Random(256)
@@ -237,6 +255,7 @@ class TestPathMaxKernel:
                 lab = list(range(n))
                 rnd.shuffle(lab)
                 self._checked(self._adjacency(n, edges), lab)
+                self._held_agrees(n, edges, lab)
 
     @pytest.mark.parametrize("n, distinct", [(64, 40), (300, 300)])
     def test_build_ultrametric_matches_the_decoded_oracle(self, n, distinct):
@@ -258,14 +277,17 @@ class TestPathMaxKernel:
 
     def test_compact_keeps_the_row_type(self):
         # the centre's label, below every leaf's, shows nowhere
-        lab = [1, 3, 5, 4]
-        d = _path_max(self._adjacency(4, [(0, 1), (0, 2), (0, 3)]), lab)
+        lab, edges = [1, 3, 5, 4], [(0, 1), (0, 2), (0, 3)]
+        d = _path_max(self._adjacency(4, edges), lab)
+        held = scanned_held(d)
+        assert held == {0, 3, 4, 5}
         values = [Fraction(c) for c in range(6)]
-        got = _compact(values, d)
-        assert got == _compact(values, [list(row) for row in d])  # both bytes rows at 4 values
+        got = _compact(values, d, held)
+        assert got == _compact(values, [list(row) for row in d], held)  # both bytes rows at 4 values
         assert got[0] == [0, 3, 4, 5]
         assert all(type(row) is bytes for row in got[1])
         assert list(map(list, got[1])) == [[0, 1, 3, 2], [1, 0, 3, 2], [3, 3, 0, 3], [2, 2, 3, 0]]
+        self._held_agrees(4, edges, lab)
 
 
 class TestValidityMatchesNondegeneracy:

@@ -62,7 +62,7 @@ from ultratree import (
 )
 from ultratree import cli, spaces
 from ultratree.cli import run
-from ultratree.labelings import _path_max, _path_minima
+from ultratree.labelings import _path_max
 from ultratree.rationals import coerce_nonnegative, parse_rational
 from ultratree.spaces import (
     _byte_joins,
@@ -1039,10 +1039,10 @@ class TestLazyDist:
 
 class TestWitnessIndex:
     """_witness_index compares rows with column minima from its caller: a
-    path-max matrix's from the labels (_path_minima), a checked space's from
-    the links its check found, any other space's from its rows, which takes
-    a symmetric matrix. Each is checked against the row minima, and the
-    answers against brute_witness."""
+    checked space's from the links its check found, any other space's and
+    a path-max matrix's from its rows, which takes a symmetric matrix. The
+    link minima are checked against the row minima, and the answers against
+    brute_witness."""
 
     def test_matches_the_brute_witness_on_every_small_labeling(self):
         checked = 0
@@ -1055,9 +1055,7 @@ class TestWitnessIndex:
                 for lab in itertools.product(range(3), repeat=n):
                     d = _path_max(adj, lab)
                     assert list(map(list, d)) == coded_matrix(n, pairs, lab)
-                    colmin = _path_minima(adj, lab)
-                    assert n == 1 or colmin == _row_minima(d)  # one point has no minimum
-                    got = _witness_index(d, colmin)
+                    got = _witness_index(d, _row_minima(d))
                     brute = brute_witness(FiniteUltrametricSpace(names, d))
                     assert (None if got is None else names[got]) == brute
                     checked += 1
