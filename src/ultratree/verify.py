@@ -88,26 +88,29 @@ O(k):
   When it drops, a candidate x0 != p leaves anyway: d(z, x0) >= d(p, x0),
   the old minimum x0's row holds, which lies above d(z, p) >= m. So a
   candidate x0 stays iff d(z, x0) = m.
+* Codes c <= min d(p, x) keep p's row, so they share z's row, m, a, verdict,
+  candidates and column minima, found once per prefix: no later vertex
+  writes row z.
 * Rows are built only while they can matter: under a valid prefix for the
   axioms, a non-degenerate one for the witness. Each labeling is counted
   with its own verdict at a leaf; a mismatch rebuilds the full matrix.
 
 A class sweep walks one labeling per orbit of Aut T (trees._sibling_blocks).
 Its key roots the tree at the center, which every automorphism fixes, so
-Aut T is generated by swaps of blocks of key positions: runs of
-consecutive sibling subtrees laid out alike (sibling leaves are blocks of
-size 1), and the two halves of a bicentral tree when they are alike. Each
-swap keeps every verdict. A vertex of a later block takes only codes >= the
-code of its mirror, the vertex in its place in the block before, while its
-block still ties that block along the prefix; so each run's blocks rise
-lexicographically, one labeling per orbit. The prefix carries the orbit's
-size: the last vertex of the j-th block of a run, ending a run of r equal
-blocks, multiplies it by j and divides by r, exactly at every step. A walk
-leaf counts its weight, and the weights of a class walk must sum to
-|codes|^n, or _gate raises. A failing representative stands for its orbit:
-a failing class is walked again over every labeling, which each copy reads
-through its names. The walk runs on a class key (trees._free_trees), a
-preorder from the center in which vertex k > 0 hangs from key[k] < k.
+Aut T is generated by swaps of blocks of key positions: runs of consecutive
+sibling subtrees laid out alike (sibling leaves are blocks of size 1), and
+the two halves of a bicentral tree when they are alike. Each swap keeps
+every verdict. A vertex of a later block takes only codes >= the code of its
+mirror, the vertex in its place in the block before, while its block still
+ties that block along the prefix; so each run's blocks rise
+lexicographically, one labeling per orbit. A vertex heading every block it
+is in (a sibling leaf, an alike subtree's root) ties iff it takes its
+mirror's code. The prefix carries the orbit's size: the last vertex of the
+j-th block of a run, ending a run of r equal blocks, multiplies it by j and
+divides by r, exactly at every step. A walk leaf counts its weight, and the
+weights of a class walk must sum to |codes|^n, or _gate raises. A failing
+representative stands for its orbit: a failing class is walked again over
+every labeling, which each copy reads through its names.
 """
 
 from __future__ import annotations
@@ -155,8 +158,8 @@ DEFAULT_VALUES = (Fraction(0), Fraction(1), Fraction(2))
 DEFAULT_CASE_BUDGET = 2_000_000
 # a sweep whose top order predicts fewer cases runs in process: a pool costs
 # more than it saves (on three values nondeg gains from order 8, main and
-# classify from order 9)
-_POOL_MIN_CASES = 50_000_000
+# classify from order 11)
+_POOL_MIN_CASES = 1_000_000_000
 
 THEOREM_NONDEG = "nondeg"
 THEOREM_MAIN = "main"
@@ -287,33 +290,43 @@ def _labelings(parents, codes, witness: bool, leaf, blocks=()) -> None:
     row, lift, ceilings = _row_kind(top)
     joins = _byte_joins if row is bytearray else _joins
     d = row(bytes(n * n))  # zero diagonal
-    at = {c: i for i, c in enumerate(codes)}
+    tails = {c: codes[i:] for i, c in enumerate(codes)}  # the codes >= c
     # each vertex's later blocks: (its mirror, the block's start, the start
-    # of the block before, j at the block's last vertex, else 0)
+    # of the block before, j at the block's last vertex, else 0), and in
+    # heads the one block of a vertex that starts every block it is in
     later = [[] for _ in range(n)]
     for s, size, j in blocks:
         for k in range(s, s + size):
             later[k].append((k - size, s, s - size, j if k == s + size - 1 else 0))
+    heads = [m[0] if len(m) == 1 and m[0][1] == k else None for k, m in enumerate(later)]
     tied = [True] * n  # by block start: each vertex so far equals its mirror
     runs = [1] * n  # by block start: the run of equal blocks it ends
 
     def extend(k, nondeg, valid, cand, colmin, weight):
-        p, kn = parents[k], k * n
+        p, kn, last = parents[k], k * n, k == n - 1
         above = lab[p]
         if nondeg if witness else valid:  # else the prefix is dead: no rows
             dp = d[p * n:p * n + k]
             dp[p] = above
             low = min(dp)
-        member = later[k]
+        head, member, shared = heads[k], later[k], None
         tail, size = codes, weight
-        if member:  # codes >= the mirror in each block still tying the one before
+        if head:  # a head's block ties the one before so far: codes >= its mirror
+            x, s, q, j = head
+            tail = tails[lab[x]]
+        elif member:  # codes >= the mirror in each block still tying the one before
             before = [k == s or tied[s] for _, s, _, _ in member]
             floor = [lab[x] for (x, _, _, _), tie in zip(member, before) if tie]
             if floor:
-                tail = codes[at[max(floor)]:]
+                tail = tails[max(floor)]
         for c in tail:
             lab[k] = c
-            if member:  # at a block's end the orbit grows j / run-fold
+            if head:  # at a block's end the orbit grows j / run-fold
+                tie = tied[s] = c == lab[x]
+                if j:
+                    run = runs[s] = runs[q] + 1 if tie else 1
+                    size = weight * j // run
+            elif member:
                 size = weight
                 for (x, s, q, j), tie in zip(member, before):
                     tie = tied[s] = tie and c == lab[x]
@@ -322,25 +335,31 @@ def _labelings(parents, codes, witness: bool, leaf, blocks=()) -> None:
                         size = size * j // run
             nd = nondeg and (c > 0 or above > 0)
             ok, keep, cm = False, None, None
-            if nd if witness else valid:
+            if shared and c <= low:  # row k still holds dp: no later vertex writes it
+                ok, keep, cm = shared
+            elif nd if witness else valid:
                 r = lift(dp, ceilings[c])
                 m = c if c > low else low
                 if witness:
                     cm = colmin.copy()
                     if r[p] < cm[p]:  # the one column minimum that can drop
                         cm[p] = r[p]
-                    keep = [x for x in cand if r[x] == m]
-                    if r == cm:
-                        keep.append(k)
-                    cm.append(m)
-                    ok = bool(keep)
+                    if last:  # no vertex reads keep or cm: ok iff one stays or z joins
+                        ok = r == cm or m in [r[x] for x in cand]
+                    else:
+                        keep = [x for x in cand if r[x] == m]
+                        if r == cm:
+                            keep.append(k)
+                        cm.append(m)
+                        ok = bool(keep)
                 else:
                     a = r.index(m)
                     ok = joins(r, m, d[a * n:a * n + k])
-                if k < n - 1:
+                if not last:
                     d[kn:kn + k] = r
                     d[k:kn + k:n] = r
-            if k == n - 1:
+                shared = (ok, keep, cm) if c <= low else None  # dp is the row of every code <= low
+            if last:
                 leaf(lab, nd, ok, size)
             else:
                 extend(k + 1, nd, ok, keep, cm, size)
@@ -711,7 +730,7 @@ def _gate(n: int, what: str, got: int, want: int) -> None:
 
 # a class's facts and per-tree checks cost about as much as this many walk
 # visits (_walk_size), measured at orders 10 to 12
-_CLASS_VISITS = 50
+_CLASS_VISITS = 70
 
 
 def _deal(theorem: str, classes, chunks: int, value_count: int) -> list[list]:
@@ -737,12 +756,10 @@ def _deal(theorem: str, classes, chunks: int, value_count: int) -> list[list]:
 
 
 def _execute(theorem, n_max, values, budget, jobs, subchecks=None) -> VerificationReport:
-    for name, value in ("n_max", n_max), ("jobs", jobs), ("budget", budget):
+    for name, value, least in ("n_max", n_max, 1), ("jobs", jobs, 1), ("budget", budget, 0):
         _require_int(name, value)
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
     labeled = any(claim.per_labeling for claim, _, _ in _reported(theorem))
     vals = _canon_values(values) if labeled else None
     predicted, total = [], 0  # cases by order, and their sum

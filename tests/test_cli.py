@@ -252,6 +252,10 @@ class TestVerifyCommand:
             assert run(argv) == 1
             assert "error[usage]" in capsys.readouterr().err
 
+    def test_negative_budget_usage_error(self, capsys):
+        assert run(["verify", "--theorem", "main", "--budget", "-5"]) == 1
+        assert capsys.readouterr().err == "error[usage]: budget must be at least 0, got -5\n"
+
 
 _USAGE = {
     "": "usage: ultratree [-h]\n"

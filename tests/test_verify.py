@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -247,6 +248,14 @@ class TestParameterErrors:
             with pytest.raises(ValueError):
                 verify_structure_lemmas(3, jobs=jobs)
 
+    def test_negative_budget(self):
+        # refused as a usage error before any count; a budget of 0 is refused
+        # by the count, as order 1 exceeds it
+        with pytest.raises(ValueError, match="budget must be at least 0, got -1"):
+            verify_main_theorem(budget=-1)
+        with pytest.raises(BudgetExceeded):
+            verify_main_theorem(1, budget=0)
+
     @pytest.mark.parametrize(
         "sweep",
         [verify_theorem_nondegeneracy, verify_main_theorem, verify_structure_lemmas, verify_classification],
@@ -376,13 +385,13 @@ class TestParallelExecution:
                 assert all(heavy & dict(part).keys() for part in parts) or len(heavy) < chunks
 
     def test_small_sweeps_run_in_process(self, monkeypatch):
-        # the top order's predicted cases on three values: 11,964,928 at
-        # order 8 of main, 99,020,628 at order 9
+        # the top order's predicted cases on three values: 875,509,120 at
+        # order 10 of main, 9,686,789,288 at order 11
         asked = self._recording_pool(monkeypatch, 2)
-        small = verify_main_theorem(8, jobs=2, budget=10**8)
+        small = verify_main_theorem(10, jobs=2, budget=10**9)
         assert asked == []
-        assert small.cases_checked == expected_cases("main", 8, 3)
-        verify_main_theorem(9, jobs=2, budget=10**9)
+        assert small.cases_checked == expected_cases("main", 10, 3)
+        verify_main_theorem(11, jobs=2, budget=10**11)
         assert [a[0] for a in asked] == [2]
 
 
@@ -697,7 +706,8 @@ def _stars_and_double_stars(n_max):
 
 class TestOrbitWalk:
     """Class sweeps walk one labeling per orbit of Aut T, counted with the
-    orbit's size, against networkx's automorphisms and the full walk."""
+    orbit's size, against networkx's automorphisms, the full walk and the
+    full-matrix oracles."""
 
     def test_blocks_swap_into_automorphisms_that_generate_aut_t(self):
         pytest.importorskip("networkx")
@@ -738,6 +748,34 @@ class TestOrbitWalk:
                         failing = orbit(full_bad.pop(), auts)
                         assert len(failing & reps) == 1
                         full_bad -= failing
+
+    @pytest.mark.parametrize("codes", [(0, 1, 2), (1, 2, 3, 4), (0, 256, 300)])
+    def test_each_leaf_matches_the_full_matrix_oracles_through_order_seven(self, codes):
+        """The orbit walk's own verdicts, labeling by labeling, against the
+        full-matrix oracles, on byte rows and on list rows. Without a zero no
+        labeling is degenerate, so every prefix builds rows, and each code
+        after the first at or below the parent row's minimum reuses its row."""
+        for n, found in enumerate(trees._free_trees(7), 1):
+            for key in found:
+                pairs = pair_paths(n, _index_adjacency(n, list(zip(key[1:], range(1, n)))))
+                oracle = {}
+                for witness in (False, True):
+                    visits = 0
+
+                    def leaf(lab, nondeg, verdict, weight):
+                        nonlocal visits
+                        visits += 1
+                        lab = tuple(lab)
+                        if lab not in oracle:
+                            d = coded_matrix(n, pairs, lab)
+                            nd = all(lab[k] or lab[key[k]] for k in range(1, n))
+                            star = brute_witness(SimpleNamespace(size=n, dist=d, points=range(n)))
+                            oracle[lab] = nd, _first_offender(d) is None, nd and star is not None
+                        nd, valid, has_witness = oracle[lab]
+                        assert (nondeg, verdict) == (nd, has_witness if witness else valid), (key, lab)
+
+                    _labelings(key, codes, witness, leaf, verify._sibling_blocks(key))
+                    assert visits == verify._orbit_count(key, len(codes))
 
     def test_orbit_count_is_burnsides_and_the_walks(self):
         pytest.importorskip("networkx")
