@@ -100,17 +100,17 @@ Its key roots the tree at the center, which every automorphism fixes, so
 Aut T is generated by swaps of blocks of key positions: runs of consecutive
 sibling subtrees laid out alike (sibling leaves are blocks of size 1), and
 the two halves of a bicentral tree when they are alike. Each swap keeps
-every verdict. A vertex of a later block takes only codes >= the code of its
-mirror, the vertex in its place in the block before, while its block still
-ties that block along the prefix; so each run's blocks rise
-lexicographically, one labeling per orbit. A vertex heading every block it
-is in (a sibling leaf, an alike subtree's root) ties iff it takes its
-mirror's code. The prefix carries the orbit's size: the last vertex of the
-j-th block of a run, ending a run of r equal blocks, multiplies it by j and
-divides by r, exactly at every step. A walk leaf counts its weight, and the
-weights of a class walk must sum to |codes|^n, or _gate raises. A failing
-representative stands for its orbit: a failing class is walked again over
-every labeling, which each copy reads through its names.
+every verdict. One rule keeps the labelings whose blocks rise
+lexicographically along each run, one per orbit: a block's head takes only
+codes >= its mirror's, the position in its place in the block before, and
+at a block's last position a labeling is dropped if the block's codes fall
+below the block before's. The prefix carries the orbit's size: the last
+position of the j-th block of a run, ending a run of r equal blocks,
+multiplies it by j and divides by r, exactly at every step. A walk leaf
+counts its weight, and the weights of a class walk must sum to |codes|^n,
+or _gate raises. A failing representative stands for its orbit: a failing
+class is walked again over every labeling, which each copy reads through
+its names.
 """
 
 from __future__ import annotations
@@ -269,7 +269,8 @@ def _orbit_count(key, q: int) -> int:
 def _walk_size(key, q: int) -> int:
     """About how many labelings the orbit walk visits on ``key`` over q
     codes, prefixes included: the orbit counts of the key's prefixes
-    summed, a block a prefix cuts short counted as free."""
+    summed, a block a prefix cuts short counted as free: the walk prunes
+    it only at its head."""
     return sum(_orbit_count(key[:k], q) for k in range(1, len(key) + 1))
 
 
@@ -282,24 +283,22 @@ def _labelings(parents, codes, witness: bool, leaf, blocks=()) -> None:
     ultrametric, or with ``witness`` whether the matrix of a non-degenerate
     labeling has a witness (False on degenerate ones). With ``blocks``
     (_sibling_blocks of a class key) the walk visits one labeling per orbit
-    of Aut T, ``weight`` the orbit's size; without, every labeling, each of
-    weight 1. The matrix is one row-major n * n buffer of _row_kind. See
-    the module docstring."""
+    of Aut T, the one whose blocks each rise from the block before,
+    ``weight`` the orbit's size; without, every labeling, each of weight 1.
+    The matrix is one row-major n * n buffer of _row_kind. See the module
+    docstring."""
     n, top = len(parents), codes[-1]
     lab = [0] * n
     row, lift, ceilings = _row_kind(top)
     joins = _byte_joins if row is bytearray else _joins
     d = row(bytes(n * n))  # zero diagonal
     tails = {c: codes[i:] for i, c in enumerate(codes)}  # the codes >= c
-    # each vertex's later blocks: (its mirror, the block's start, the start
-    # of the block before, j at the block's last vertex, else 0), and in
-    # heads the one block of a vertex that starts every block it is in
-    later = [[] for _ in range(n)]
+    # a block head's mirror, and for each block ending at k: (its start, its
+    # end, the start of the block before, j)
+    mirror, ends = [None] * n, [[] for _ in range(n)]
     for s, size, j in blocks:
-        for k in range(s, s + size):
-            later[k].append((k - size, s, s - size, j if k == s + size - 1 else 0))
-    heads = [m[0] if len(m) == 1 and m[0][1] == k else None for k, m in enumerate(later)]
-    tied = [True] * n  # by block start: each vertex so far equals its mirror
+        mirror[s] = s - size
+        ends[s + size - 1].append((s, s + size, s - size, j))
     runs = [1] * n  # by block start: the run of equal blocks it ends
 
     def extend(k, nondeg, valid, cand, colmin, weight):
@@ -309,30 +308,24 @@ def _labelings(parents, codes, witness: bool, leaf, blocks=()) -> None:
             dp = d[p * n:p * n + k]
             dp[p] = above
             low = min(dp)
-        head, member, shared = heads[k], later[k], None
-        tail, size = codes, weight
-        if head:  # a head's block ties the one before so far: codes >= its mirror
-            x, s, q, j = head
-            tail = tails[lab[x]]
-        elif member:  # codes >= the mirror in each block still tying the one before
-            before = [k == s or tied[s] for _, s, _, _ in member]
-            floor = [lab[x] for (x, _, _, _), tie in zip(member, before) if tie]
-            if floor:
-                tail = tails[max(floor)]
-        for c in tail:
+        x, end, shared, size = mirror[k], ends[k], None, weight
+        for c in codes if x is None else tails[lab[x]]:
             lab[k] = c
-            if head:  # at a block's end the orbit grows j / run-fold
-                tie = tied[s] = c == lab[x]
-                if j:
-                    run = runs[s] = runs[q] + 1 if tie else 1
-                    size = weight * j // run
-            elif member:
+            if end:  # a block's last vertex: the orbit grows j / run-fold
                 size = weight
-                for (x, s, q, j), tie in zip(member, before):
-                    tie = tied[s] = tie and c == lab[x]
-                    if j:
-                        run = runs[s] = runs[q] + 1 if tie else 1
-                        size = size * j // run
+                for s, e, q, j in end:
+                    if s == k:  # a block of one vertex
+                        tie = c == lab[q]
+                    else:
+                        block, before = lab[s:e], lab[q:s]
+                        if block < before:  # another orbit's labeling
+                            size = 0
+                            break
+                        tie = block == before
+                    run = runs[s] = runs[q] + 1 if tie else 1
+                    size = size * j // run
+                if not size:
+                    continue
             nd = nondeg and (c > 0 or above > 0)
             ok, keep, cm = False, None, None
             if shared and c <= low:  # row k still holds dp: no later vertex writes it

@@ -749,6 +749,30 @@ class TestOrbitWalk:
                         assert len(failing & reps) == 1
                         full_bad -= failing
 
+    def test_one_leaf_per_orbit_on_wide_blocks_at_orders_nine_and_ten(self):
+        """Past the tallies' order 8, on every class key whose blocks
+        include one of two or more positions, the only blocks the walk
+        compares as slices: the leaves fall in distinct orbits that cover
+        the grid, each leaf weighted with its orbit's size."""
+        pytest.importorskip("networkx")
+        found = trees._free_trees(10)
+        for n, want in ((9, 17), (10, 40)):
+            keys = [key for key in found[n - 1]
+                    if any(size > 1 for _, size, _ in verify._sibling_blocks(key))]
+            assert len(keys) == want
+            for key in keys:
+                auts, seen = automorphisms(key), set()
+
+                def leaf(lab, nondeg, verdict, weight):
+                    lab = tuple(lab)
+                    assert lab not in seen, (key, lab)
+                    same = orbit(lab, auts)
+                    assert weight == len(same), (key, lab)
+                    seen.update(same)
+
+                _labelings(key, (0, 1), True, leaf, verify._sibling_blocks(key))
+                assert len(seen) == 2**n
+
     @pytest.mark.parametrize("codes", [(0, 1, 2), (1, 2, 3, 4), (0, 256, 300)])
     def test_each_leaf_matches_the_full_matrix_oracles_through_order_seven(self, codes):
         """The orbit walk's own verdicts, labeling by labeling, against the
