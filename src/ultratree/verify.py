@@ -26,19 +26,21 @@ finite value set. Each reports the claims the claim table lists for it:
   and counterexample-inapplicable-for-short-tree; elsewhere the two
   counterexample claims of ``main``.
 
-A sweep runs on one facts record per class or labeled tree (_Facts): order,
-rank, index edges and adjacency, and, each computed when a claim first reads
-it, the search record of trees._far (the diameter, and two of the three
-searches of trees._thirds), the high-degree vertices, the public Tree, the
-vertices the counterexample puts its 3 on (thirds, none on a tree too short
-for it) and the labeling walk. The claim table (_CLAIMS) maps each
+A sweep runs on one facts record per class or labeled tree (_Facts): order
+and rank, and, each computed when a claim first reads it, index edges and
+adjacency, the search record of trees._far (the diameter, and two of the
+three searches of trees._thirds), the high-degree vertices, the public
+Tree, the vertices the counterexample puts its 3 on (thirds, none on a tree
+too short for it) and the labeling walk. The claim table (_CLAIMS) maps each
 claim id to the theorems that report it, with for each the trees it is
 checked on and whether its checks count as cases; to whether it is checked
 once per tree or once per labeling; to its check on the record; and, for a
-claim on one labeling, to its judge on the full path-max matrix. One loop
-(_check) runs the theorem's checks on each record, predicted_cases counts
-from the same table, and replay_certificate runs the sweep's own check, the
-claim's judge or its tree test and check, on the certificate's data.
+claim on one labeling, to its judge: validity's on the full path-max matrix,
+the witness's and the counterexample's by the branch criterion on the tree
+(_first_witness, on a class record's key). One loop (_check) runs the
+theorem's checks on each record, predicted_cases counts from the same table,
+and replay_certificate runs the sweep's own check, the claim's judge or its
+tree test and check, on the certificate's data.
 
 Every claim is invariant under vertex relabeling, so a sweep checks each
 order once per free tree, each generated once as a center-rooted level
@@ -77,10 +79,10 @@ d(p, p) as p's label; with m its minimum, first reached at a, the rest costs
 O(k):
 
 * Axioms: a valid prefix stays valid iff m > 0 and d(z, x) = max(m, d(a, x))
-  for all x, the join rule of validation (spaces._byte_joins on the walk's
-  byte rows, spaces._joins on its list rows past code 255): the isosceles
-  property at (z, a, x) forces this row, and it keeps every triple through z
-  isosceles. Failure is kept by extensions.
+  for all x, the join rule of validation (spaces._joins), which the walk
+  reads as z's row equal to a's lifted to m by its own row lift: the
+  isosceles property at (z, a, x) forces this row, and it keeps every triple
+  through z isosceles. Failure is kept by extensions.
 * Witness: old candidate x0 stays one iff d(z, x0) = m and no other column
   minimum drops (x0's row must hold them all); z becomes one iff no column
   minimum lies below its row. A dropped candidate never returns. Only p's
@@ -90,7 +92,8 @@ O(k):
   candidate x0 stays iff d(z, x0) = m.
 * Codes c <= min d(p, x) keep p's row, so they share z's row, m, a, verdict,
   candidates and column minima, found once per prefix: no later vertex
-  writes row z.
+  writes row z. The axiom step finds their verdict and writes their row
+  before its loop; the witness step when the first such code comes.
 * Rows are built only while they can matter: under a valid prefix for the
   axioms, a non-degenerate one for the witness. Each labeling is counted
   with its own verdict at a leaf; a mismatch rebuilds the full matrix.
@@ -117,6 +120,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 import time
 from dataclasses import dataclass, field
@@ -135,8 +139,7 @@ from .labelings import (
     _zero_edge,
 )
 from .rationals import format_rational, parse_rational
-from .spaces import _byte_joins, _first_offender, _joins, _row_kind, _row_minima, _value_codes
-from .spaces import _witness_index
+from .spaces import _first_offender, _row_kind, _value_codes
 from .serialize import tree_to_dict, tree_from_dict
 from .trees import (
     Tree,
@@ -156,10 +159,6 @@ from .trees import (
 DEFAULT_MAX_ORDER = 6
 DEFAULT_VALUES = (Fraction(0), Fraction(1), Fraction(2))
 DEFAULT_CASE_BUDGET = 2_000_000
-# a sweep whose top order predicts fewer cases runs in process: a pool costs
-# more than it saves (on three values nondeg gains from order 8, main and
-# classify from order 11)
-_POOL_MIN_CASES = 1_000_000_000
 
 THEOREM_NONDEG = "nondeg"
 THEOREM_MAIN = "main"
@@ -281,7 +280,8 @@ def _labelings(parents, codes, witness: bool, leaf, blocks=()) -> None:
     a breadth-first order); ``lab`` lists codes by vertex and is reused
     between calls. The verdict is whether the path-max matrix is an
     ultrametric, or with ``witness`` whether the matrix of a non-degenerate
-    labeling has a witness (False on degenerate ones). With ``blocks``
+    labeling has a witness (False on degenerate ones), each mode by its own
+    recursive step (axioms, witnesses). With ``blocks``
     (_sibling_blocks of a class key) the walk visits one labeling per orbit
     of Aut T, the one whose blocks each rise from the block before,
     ``weight`` the orbit's size; without, every labeling, each of weight 1.
@@ -290,7 +290,6 @@ def _labelings(parents, codes, witness: bool, leaf, blocks=()) -> None:
     n, top = len(parents), codes[-1]
     lab = [0] * n
     row, lift, ceilings = _row_kind(top)
-    joins = _byte_joins if row is bytearray else _joins
     d = row(bytes(n * n))  # zero diagonal
     tails = {c: codes[i:] for i, c in enumerate(codes)}  # the codes >= c
     # a block head's mirror, and for each block ending at k: (its start, its
@@ -301,68 +300,90 @@ def _labelings(parents, codes, witness: bool, leaf, blocks=()) -> None:
         ends[s + size - 1].append((s, s + size, s - size, j))
     runs = [1] * n  # by block start: the run of equal blocks it ends
 
-    def extend(k, nondeg, valid, cand, colmin, weight):
+    def grown(end, k, size):  # k ends the blocks ``end``: each grows size j / run-fold, or drops it
+        for s, e, q, j in end:
+            if s == k:  # a block of one vertex
+                tie = lab[k] == lab[q]
+            else:
+                block, before = lab[s:e], lab[q:s]
+                if block < before:
+                    return 0
+                tie = block == before
+            run = runs[s] = runs[q] + 1 if tie else 1
+            size = size * j // run
+        return size
+
+    def axioms(k, nondeg, valid, weight):
         p, kn, last = parents[k], k * n, k == n - 1
         above = lab[p]
-        if nondeg if witness else valid:  # else the prefix is dead: no rows
+        if valid:  # else the prefix is dead: no rows
+            dp = d[p * n:p * n + k]
+            dp[p] = above
+            low = min(dp)
+            a = dp.index(low) * n
+            kept = low > 0 and dp == lift(d[a:a + k], ceilings[low])  # the verdict of every code <= low
+            if kept and not last:  # and their row, which no later vertex writes
+                d[kn:kn + k] = d[k:kn + k:n] = dp
+        x, end, size = mirror[k], ends[k], weight
+        for c in codes if x is None else tails[lab[x]]:
+            lab[k] = c
+            if end and not (size := grown(end, k, weight)):  # another orbit's labeling
+                continue
+            if not valid:
+                ok = False
+            elif c <= low:
+                ok = kept
+            else:  # m = c, first reached at a
+                r = lift(dp, ceilings[c])
+                a = r.index(c) * n
+                ok = r == lift(d[a:a + k], ceilings[c])
+                if ok and not last:  # an invalid prefix's row is never read
+                    d[kn:kn + k] = d[k:kn + k:n] = r
+            nd = nondeg and (c > 0 or above > 0)
+            leaf(lab, nd, ok, size) if last else axioms(k + 1, nd, ok, size)
+
+    def witnesses(k, nondeg, cand, colmin, weight):
+        p, kn, last = parents[k], k * n, k == n - 1
+        above = lab[p]
+        if nondeg:  # else the prefix is dead: no rows
             dp = d[p * n:p * n + k]
             dp[p] = above
             low = min(dp)
         x, end, shared, size = mirror[k], ends[k], None, weight
         for c in codes if x is None else tails[lab[x]]:
             lab[k] = c
-            if end:  # a block's last vertex: the orbit grows j / run-fold
-                size = weight
-                for s, e, q, j in end:
-                    if s == k:  # a block of one vertex
-                        tie = c == lab[q]
-                    else:
-                        block, before = lab[s:e], lab[q:s]
-                        if block < before:  # another orbit's labeling
-                            size = 0
-                            break
-                        tie = block == before
-                    run = runs[s] = runs[q] + 1 if tie else 1
-                    size = size * j // run
-                if not size:
-                    continue
+            if end and not (size := grown(end, k, weight)):  # another orbit's labeling
+                continue
             nd = nondeg and (c > 0 or above > 0)
             ok, keep, cm = False, None, None
             if shared and c <= low:  # row k still holds dp: no later vertex writes it
                 ok, keep, cm = shared
-            elif nd if witness else valid:
+            elif nd:
                 r = lift(dp, ceilings[c])
                 m = c if c > low else low
-                if witness:
-                    cm = colmin.copy()
-                    if r[p] < cm[p]:  # the one column minimum that can drop
-                        cm[p] = r[p]
-                    if last:  # no vertex reads keep or cm: ok iff one stays or z joins
-                        ok = r == cm or m in [r[x] for x in cand]
-                    else:
-                        keep = [x for x in cand if r[x] == m]
-                        if r == cm:
-                            keep.append(k)
-                        cm.append(m)
-                        ok = bool(keep)
+                cm = colmin.copy()
+                if r[p] < cm[p]:  # the one column minimum that can drop
+                    cm[p] = r[p]
+                if last:  # no vertex reads keep or cm: ok iff one stays or z joins
+                    ok = r == cm or m in [r[x] for x in cand]
                 else:
-                    a = r.index(m)
-                    ok = joins(r, m, d[a * n:a * n + k])
-                if not last:
-                    d[kn:kn + k] = r
-                    d[k:kn + k:n] = r
+                    keep = [x for x in cand if r[x] == m]
+                    if r == cm:
+                        keep.append(k)
+                    cm.append(m)
+                    ok = bool(keep)
+                    d[kn:kn + k] = d[k:kn + k:n] = r
                 shared = (ok, keep, cm) if c <= low else None  # dp is the row of every code <= low
-            if last:
-                leaf(lab, nd, ok, size)
-            else:
-                extend(k + 1, nd, ok, keep, cm, size)
+            leaf(lab, nd, ok, size) if last else witnesses(k + 1, nd, keep, cm, size)
 
     for c in codes:
         lab[0] = c
         if n == 1:
             leaf(lab, True, True, 1)
+        elif witness:
+            witnesses(1, True, [0], row((top,)), 1)  # one point: top caps the empty column
         else:
-            extend(1, True, True, [0], row((top,)), 1)  # one point: top caps the empty column
+            axioms(1, True, True, 1)
 
 
 def _copies(key) -> Iterator[tuple[int, ...]]:
@@ -412,13 +433,12 @@ def _class_walk(key, codes, witness: bool, orbits: bool = False):
 class _Facts:
     """One labeled tree in index form (vertex i is v(i+1)) and the codes of
     its value grid, ``values[code]`` a code's value; in a sweep, the copy of
-    the class ``key`` whose key position k is vertex at[k]. Facts past the
-    adjacency, the rank (the tree's Prufer rank) among them, are computed
-    when a claim or a certificate first reads them."""
+    the class ``key`` whose key position k is vertex at[k]. Every other
+    fact, the adjacency and the rank (the tree's Prufer rank) among them, is
+    computed when a claim or a certificate first reads it."""
 
     def __init__(self, n: int, edges, values=(), codes=()):
         self.n, self.edges, self.values, self.codes = n, edges, values, codes
-        self.adj = _index_adjacency(n, edges)
 
     @classmethod
     def of(cls, tree: Tree) -> _Facts:
@@ -426,6 +446,10 @@ class _Facts:
         facts = cls(tree.order, [(tree._index[a], tree._index[b]) for a, b in tree.edges])
         facts.rank, facts.names, facts.tree = None, tree.vertices, tree
         return facts
+
+    @cached_property
+    def adj(self) -> list[list[int]]:
+        return _index_adjacency(self.n, self.edges)
 
     @cached_property
     def rank(self) -> int:
@@ -439,6 +463,10 @@ class _Facts:
     def far(self) -> tuple[list[int], list[int], int]:
         """trees._far, whose ``far[2]`` is the diameter; _thirds reuses it."""
         return _far(self.adj)
+
+    @cached_property
+    def parents(self):  # for _first_witness: _far's search
+        return self.far[:2]
 
     @cached_property
     def highs(self) -> list[int]:
@@ -482,8 +510,12 @@ class _ClassFacts(_Facts):
     so it fails if the check fails on any labeled copy of the class."""
 
     def __init__(self, key, values, codes):
-        super().__init__(len(key), list(zip(key[1:], range(1, len(key)))), values, codes)
-        self.key, self.rank = key, None
+        self.n, self.values, self.codes, self.key, self.rank = len(key), values, codes, key, None
+        self.parents = key, range(self.n)  # for _first_witness: each position after its parent
+
+    @cached_property
+    def edges(self) -> list[tuple[int, int]]:
+        return list(zip(self.key[1:], range(1, self.n)))
 
     @cached_property
     def thirds(self) -> list[int]:
@@ -507,8 +539,34 @@ class _ClassFacts(_Facts):
 # ---------------------------------------------------------------------------
 # the claim checks on a tree's facts
 
-# judges of one labeling ``lab``, a rank code per vertex (0 for zero), on the
-# full path-max matrix: each returns the failure's evidence, or None
+def _first_witness(parents, order, lab) -> int | None:
+    """The first witness index, or None, of the path-max space of the tree
+    in which v hangs from ``parents[v]``, labeled by the codes ``lab``;
+    ``order`` lists each vertex after its parent, the root (its own parent)
+    first. By the branch criterion, this repository's extension of the paper
+    (README): a vertex y of least column minimum c(y) = max(l(y), the least
+    label next to y) is a witness if any is, and then so is each vertex
+    joined to y by labels <= c(y). O(n)."""
+    near = [lab[p] for p in parents]  # each vertex's least neighbour label
+    near[order[0]] = math.inf
+    for v in order[1:]:
+        if lab[v] < near[parents[v]]:
+            near[parents[v]] = lab[v]
+    c = list(map(max, lab, near))  # the column minima
+    y = c.index(m := min(c))
+    d = [None] * len(lab)  # d(y, x): up from y, then down from each parent
+    d[y] = top = lab[y]
+    while parents[y] != y:
+        y = parents[y]
+        d[y] = top = max(top, lab[y])
+    for v in order:
+        if d[v] is None:
+            d[v] = max(d[parents[v]], lab[v])
+    return None if any(map(operator.gt, d, c)) else next(v for v, x in enumerate(d) if x <= m)
+
+
+# judges of one labeling ``lab``, a rank code per vertex (0 for zero): each
+# returns the failure's evidence, or None
 
 def _validity(f: _Facts, lab) -> dict:
     """The validity claim's evidence, whether the claim holds or not."""
@@ -526,16 +584,13 @@ def _judge_validity(f: _Facts, lab) -> dict | None:
 
 
 def _judge_witness(f: _Facts, lab) -> dict | None:
-    if _zero_edge(f.edges, lab) is not None:
+    if _zero_edge(f.edges, lab) is not None or _first_witness(*f.parents, lab) is not None:
         return None
-    d = _path_max(f.adj, lab)
-    i = _witness_index(d, _row_minima(d))
-    return None if i is not None else {"witness": None}
+    return {"witness": None}
 
 
 def _judge_counterexample(f: _Facts, lab) -> dict | None:
-    d = _path_max(f.adj, lab)
-    i = _witness_index(d, _row_minima(d))
+    i = _first_witness(*f.parents, lab)
     return None if i is None else {"witness": f.names[i]}
 
 
@@ -722,24 +777,42 @@ def _gate(n: int, what: str, got: int, want: int) -> None:
 
 
 # a class's facts and per-tree checks cost about as much as this many walk
-# visits (_walk_size), measured at orders 10 to 12
-_CLASS_VISITS = 70
+# visits (_walk_size): 31-33 for main and 51-54 for classify at orders 10 to 12
+_CLASS_VISITS = 40
+# a sweep whose top order costs fewer walk visits runs in process, where a pool
+# costs more than it saves (on three values nondeg gains from order 10, main and
+# classify from order 16, lemmas at no order through 16)
+_POOL_MIN_VISITS = 900_000
 
 
-def _deal(theorem: str, classes, chunks: int, value_count: int) -> list[list]:
-    """The classes of one order in ``chunks`` parts of about equal cost,
-    each class, costliest first, to the cheapest part so far. A class costs
-    _CLASS_VISITS, plus its _walk_size when the theorem walks its labelings:
-    a few stars and double stars can outweigh every other class."""
-    if chunks == 1:
-        return [classes]
+def _costs(theorem: str, classes, value_count: int) -> list[int]:
+    """Each class's cost in walk visits: _CLASS_VISITS, plus its _walk_size
+    when the theorem walks its labelings, where a few stars and double stars
+    can outweigh every other class."""
     walks = [checked.holds for claim, checked, _ in _reported(theorem) if claim.per_labeling]
 
     def cost(key):
         walked = any(holds(_ClassFacts(key, (), ())) for holds in walks)
         return _CLASS_VISITS + (_walk_size(key, value_count) if walked else 0)
 
-    costs = [cost(key) for key, _ in classes]
+    return [cost(key) for key, _ in classes]
+
+
+def _pool_costs(theorem: str, classes, value_count: int) -> list[int] | None:
+    """The _costs of a sweep's top order if they come to _POOL_MIN_VISITS,
+    else None; priced only if they could, every class walking every labeling."""
+    most = sum(value_count ** k for k in range(1, len(classes[0][0]) + 1))
+    could = len(classes) * (_CLASS_VISITS + most) >= _POOL_MIN_VISITS
+    costs = _costs(theorem, classes, value_count) if could else [0]
+    return costs if sum(costs) >= _POOL_MIN_VISITS else None
+
+
+def _deal(theorem: str, classes, chunks: int, value_count: int, costs=None) -> list[list]:
+    """The classes of one order in ``chunks`` parts of about equal ``costs``
+    (by default _costs), each, costliest first, to the cheapest part so far."""
+    if chunks == 1:
+        return [classes]
+    costs = costs or _costs(theorem, classes, value_count)
     parts, loads = [[] for _ in range(chunks)], [0] * chunks
     for i in sorted(range(len(classes)), key=costs.__getitem__, reverse=True):
         cheapest = loads.index(min(loads))
@@ -766,14 +839,16 @@ def _execute(theorem, n_max, values, budget, jobs, subchecks=None) -> Verificati
                 f"{_decimal(budget)}; raise the budget to run this grid"
             )
     started = time.perf_counter()
-    # chunks past the processor count only add tasks
-    chunks = min(jobs, os.cpu_count() or 1) if predicted[-1] >= _POOL_MIN_CASES else 1
+    chunks = min(jobs, os.cpu_count() or 1)  # chunks past the processor count only add tasks
     tasks, otter = [], _free_tree_counts(n_max)
     for n, found in reversed(list(enumerate(_free_trees(n_max), 1))):  # largest order first
         classes = [(key, math.factorial(n) // aut) for key, aut in found.items()]
         _gate(n, "free trees", len(classes), otter[n - 1])
         _gate(n, "labeled trees", sum(weight for _, weight in classes), _tree_count(n))
-        for part in _deal(theorem, classes, min(chunks, len(classes)), len(vals or ())):
+        costs = _pool_costs(theorem, classes, len(vals or ())) if n == n_max and chunks > 1 else None
+        if n == n_max and costs is None:  # one chunk per order: a pool would cost more than it saves
+            chunks = 1
+        for part in _deal(theorem, classes, min(chunks, len(classes)), len(vals or ()), costs):
             tasks.append({"theorem": theorem, "n": n, "trees": part, "values": vals})
     workers = min(chunks, len(tasks))
     if workers > 1:

@@ -99,7 +99,9 @@ RUNS = {
     ),
     "main-flip": (lambda mp: _flip(mp, (1, 0, 1, 0, 1)), verify_main_theorem, False),
     "main-witness": (
-        lambda mp: mp.setattr(verify, "_witness_index", lambda d, colmin: 0), verify_main_theorem, True
+        lambda mp: mp.setattr(verify, "_first_witness", lambda parents, order, lab: 0),
+        verify_main_theorem,
+        True,
     ),
     "classify-tag": (_stars_as_double_stars, verify_classification, True),
 }
@@ -196,7 +198,7 @@ def test_forced_report_matches_the_reference_sweep_through_order_seven(monkeypat
     reports = []
     for jobs in (1, 2):
         if jobs == 2:
-            monkeypatch.setattr(verify, "_POOL_MIN_CASES", 0)  # a real pool
+            monkeypatch.setattr(verify, "_POOL_MIN_VISITS", 0)  # a real pool
         report = report_to_dict(sweep(7, values, jobs=jobs, budget=10**7))
         del report["elapsed_ms"]
         reports.append(report)

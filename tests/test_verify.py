@@ -4,7 +4,9 @@ import json
 import math
 import multiprocessing
 import os
+import random
 import re
+import time
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -274,7 +276,7 @@ class TestParameterErrors:
 
 class TestParallelExecution:
     def test_jobs_do_not_change_the_report(self, monkeypatch):
-        monkeypatch.setattr(verify, "_POOL_MIN_CASES", 0)  # a real pool at order 4
+        monkeypatch.setattr(verify, "_POOL_MIN_VISITS", 0)  # a real pool at order 4
         lone = verify_main_theorem(4, (0, 1, 2), jobs=1)
         pooled = verify_main_theorem(4, (0, 1, 2), jobs=2)
         assert pooled.cases_checked == lone.cases_checked
@@ -314,7 +316,7 @@ class TestParallelExecution:
     )
     def test_pool_size_is_clamped(self, monkeypatch, jobs, cpus, workers):
         asked = self._recording_pool(monkeypatch, cpus)
-        monkeypatch.setattr(verify, "_POOL_MIN_CASES", 0)  # the clamp, not the size rule
+        monkeypatch.setattr(verify, "_POOL_MIN_VISITS", 0)  # the clamp, not the size rule
         report = verify_structure_lemmas(4, jobs=jobs)
         assert [a[0] for a in asked] == ([] if workers is None else [workers])
         assert report.cases_checked == expected_cases("lemmas", 4, 0)
@@ -324,7 +326,7 @@ class TestParallelExecution:
 
     def test_chunks_per_order_are_clamped_to_the_processors(self, monkeypatch):
         asked = self._recording_pool(monkeypatch, 2)
-        monkeypatch.setattr(verify, "_POOL_MIN_CASES", 0)
+        monkeypatch.setattr(verify, "_POOL_MIN_VISITS", 0)
         report = verify_structure_lemmas(6, jobs=10**6)
         assert report.cases_checked == expected_cases("lemmas", 6, 0)
         [(workers, _, orders)] = asked
@@ -335,7 +337,7 @@ class TestParallelExecution:
         # one verdict of the order-6 star flipped: the star class fails, and
         # its 6 labeled copies are checked inside the task that holds it
         asked = self._recording_pool(monkeypatch, 2)
-        monkeypatch.setattr(verify, "_POOL_MIN_CASES", 0)
+        monkeypatch.setattr(verify, "_POOL_MIN_VISITS", 0)
         walk, star, forced = verify._labelings, (0,) * 6, (1,) + (0,) * 5
 
         def flipped(parents, codes, witness, leaf, blocks=()):
@@ -385,14 +387,44 @@ class TestParallelExecution:
                 assert all(heavy & dict(part).keys() for part in parts) or len(heavy) < chunks
 
     def test_small_sweeps_run_in_process(self, monkeypatch):
-        # the top order's predicted cases on three values: 875,509,120 at
-        # order 10 of main, 9,686,789,288 at order 11
+        # a top order's cost in walk visits over three values: nondeg 582,671
+        # at order 9 and 3,741,088 at order 10; lemmas 772,800 at order 16,
+        # 19,320 classes of _CLASS_VISITS each
+        found = trees._free_trees(10)
+
+        def pays(theorem, n):
+            return verify._pool_costs(theorem, [(key, 1) for key in found[n - 1]], 3)
+
+        assert pays("nondeg", 10) and not pays("nondeg", 9)
+        assert not any(pays(theorem, 10) for theorem in ("main", "classify", "lemmas"))
+        lemmas_16 = [((0,) * 16, 1)] * verify._free_tree_counts(16)[-1]
+        assert not verify._pool_costs("lemmas", lemmas_16, 0)
+        # a pool exactly when the top order's classes cost the threshold
         asked = self._recording_pool(monkeypatch, 2)
-        small = verify_main_theorem(10, jobs=2, budget=10**9)
+        cost = sum(verify._costs("main", [(key, 1) for key in found[6]], 3))
+        monkeypatch.setattr(verify, "_POOL_MIN_VISITS", cost + 1)
+        small = verify_main_theorem(7, jobs=2, budget=10**7)
         assert asked == []
-        assert small.cases_checked == expected_cases("main", 10, 3)
-        verify_main_theorem(11, jobs=2, budget=10**11)
+        assert small.cases_checked == expected_cases("main", 7, 3)
+        monkeypatch.setattr(verify, "_POOL_MIN_VISITS", cost)
+        priced, real = [], verify._costs
+
+        def costs(theorem, classes, value_count):
+            priced.append(len(classes[0][0]))
+            return real(theorem, classes, value_count)
+
+        monkeypatch.setattr(verify, "_costs", costs)
+        verify_main_theorem(7, jobs=2, budget=10**7)
         assert [a[0] for a in asked] == [2]
+        # each order of two or more classes once: the top order's price both
+        # decides the pool and deals its chunks
+        assert priced == [7, 6, 5, 4]
+
+    def test_a_sweep_far_below_the_threshold_prices_no_class(self, monkeypatch):
+        # every class of nondeg's order 6 walking all 3^1 + ... + 3^6
+        # labelings costs 6 * (_CLASS_VISITS + 1,092) visits: no pricing
+        monkeypatch.setattr(verify, "_costs", lambda *args: pytest.fail("priced"))
+        assert verify_theorem_nondegeneracy(6, jobs=2).cases_checked == expected_cases("nondeg", 6, 3)
 
 
 class TestCodedCore:
@@ -978,7 +1010,7 @@ class TestClassSweep:
         # every counterexample space witnessed: of orders 1-5 only the path
         # of order 5 is long, and each of its 5!/2 copies fails
         named = self._named_copies(monkeypatch)
-        monkeypatch.setattr(verify, "_witness_index", lambda d, colmin: 0)
+        monkeypatch.setattr(verify, "_first_witness", lambda parents, order, lab: 0)
         report = verify_main_theorem(5, (0, 1))
         assert len(set(named)) == len(named) == 60
         assert {key for key, _ in named} == {canonical(index_adjacency(path_tree(5)))[0]}
@@ -1019,6 +1051,76 @@ class TestClassSweep:
         monkeypatch.setattr(verify, "_cases_by_order", moved)
         with pytest.raises(RuntimeError, match="at order 2: 1 cases, predicted 2"):
             verify_structure_lemmas(3)
+
+
+def _matrix_witness(adj, lab):
+    """The first witness index of the labeling's path-max matrix, read off
+    the full matrix as an unchecked space is: the criterion's oracle."""
+    d = labelings._path_max(adj, lab)
+    return _witness_index(d, _row_minima(d))
+
+
+class TestBranchCriterion:
+    """verify._first_witness decides the witness on the tree, in O(n), on
+    any order that lists each vertex after its parent: the first witness
+    index must be the full matrix's, degenerate labelings included."""
+
+    def test_every_labeling_of_every_class_key_through_order_eight(self):
+        checked = 0
+        for n, found in enumerate(trees._free_trees(8), 1):
+            for key in found:
+                adj = _index_adjacency(n, list(zip(key[1:], range(1, n))))
+                for lab in itertools.product(range(3), repeat=n):
+                    assert verify._first_witness(key, range(n), lab) == _matrix_witness(adj, lab)
+                    checked += 1
+        assert checked == 180_264
+
+    def test_every_labeled_tree_through_order_five_from_every_root(self):
+        for n in range(1, 6):
+            for rank in range(cayley(n)):
+                adj = _index_adjacency(n, _rank_edges(n, rank))
+                searches = [_bfs_parents(n, adj, root) for root in range(n)]
+                for lab in itertools.product(range(3), repeat=n):
+                    want = _matrix_witness(adj, lab)
+                    assert all(verify._first_witness(*search, lab) == want for search in searches)
+
+    def test_random_trees_of_orders_seven_to_sixty_four_and_two_hundred(self):
+        rnd = random.Random(2024)
+        for n in [*range(7, 65), 200] * 4:
+            parents = [0] + [rnd.randrange(k) for k in range(1, n)]  # each vertex after its parent
+            adj = _index_adjacency(n, list(zip(parents[1:], range(1, n))))
+            q = rnd.choice((2, 3, 5, 300))
+            lab = [rnd.randrange(q) for _ in range(n)]
+            if rnd.random() < 0.5:  # a bump: one vertex above all the others, as the counterexample
+                lab = [q] * n
+                lab[rnd.randrange(n)] = q + 1
+            want = _matrix_witness(adj, lab)
+            assert verify._first_witness(parents, range(n), lab) == want
+            assert verify._first_witness(*_bfs_parents(n, adj, rnd.randrange(n)), lab) == want
+
+    def test_a_path_of_twenty_thousand_vertices_in_linear_time(self):
+        # no matrix: a quadratic judge would read 4 * 10^8 entries
+        n = 20_000
+        parents, flat = [0, *range(n - 1)], [1] * n
+        bump = [2] * n
+        bump[n // 2] = 3  # every path across the middle runs through the 3
+        started = time.perf_counter()
+        assert verify._first_witness(parents, range(n), flat) == 0
+        assert verify._first_witness(parents, range(n), bump) is None
+        bump[n // 2] = 1  # a dip: every column minimum and every distance is 2
+        assert verify._first_witness(parents, range(n), bump) == 0
+        assert time.perf_counter() - started < 2
+
+    def test_class_judges_build_no_matrix(self, monkeypatch):
+        monkeypatch.setattr(verify, "_path_max", lambda *args: pytest.fail("a matrix was built"))
+        assert verify_main_theorem(10, budget=10**9).status == "pass"
+        assert verify_classification(10, budget=10**9).status == "pass"
+
+    def test_nondeg_class_records_build_no_adjacency(self, monkeypatch):
+        monkeypatch.setattr(verify, "_index_adjacency", lambda *args: pytest.fail("adjacency was built"))
+        report = verify_theorem_nondegeneracy(7, budget=10**8)
+        assert report.status == "pass"
+        assert report.cases_checked == expected_cases("nondeg", 7, 3)
 
 
 class TestLongestPathSearches:
@@ -1084,7 +1186,7 @@ class TestCodedCounterexample:
 
     def test_coded_pattern_is_the_labeling(self, monkeypatch):
         # report every tree as witnessed, so each failure carries its labeling
-        monkeypatch.setattr(verify, "_witness_index", lambda d, colmin: 0)
+        monkeypatch.setattr(verify, "_first_witness", lambda parents, order, lab: 0)
         for facts, tree in self._long_trees():
             (cert,) = _check_counterexample(facts)
             assert cert.claim_violated == CLAIM_COUNTEREXAMPLE
