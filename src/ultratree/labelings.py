@@ -25,7 +25,7 @@ from .errors import (
 )
 from .rationals import coerce_nonnegative
 from .spaces import FiniteUltrametricSpace, _compact, _decode, _row_kind, _value_codes
-from .trees import Tree, _far, _thirds
+from .trees import Tree, _bfs_parents, _centered, _longest, _spine
 
 DEFAULT_LABELING_BUDGET = 1_000_000
 
@@ -93,27 +93,24 @@ def _coded_distances(lt: LabeledTree):
     neighbour's, no other (a path's top vertex ends one of its edges)."""
     values, codes = _value_codes(list(map(lt.labels.__getitem__, lt.tree.vertices)))
     held = {0, *(c for nbrs, c in zip(lt.tree._indexed, codes) for b in nbrs if codes[b] <= c)}
-    return _compact(values, _path_max(lt.tree._indexed, codes), held)
+    return _compact(values, _path_max(*_bfs_parents(len(codes), lt.tree._indexed, 0), codes), held)
 
 
-def _path_max(adj, labels) -> list:
-    """Path-maximum matrix of the tree with index adjacency lists ``adj``, 0
-    on the diagonal, as bytes or list rows (_row_kind). In breadth-first
-    order a row is its parent's, the parent's entry read as its label, lifted
-    to the vertex's: paths to earlier vertices run through the parent."""
+def _path_max(parents, order, labels) -> list:
+    """Path-maximum matrix, 0 on the diagonal, as bytes or list rows
+    (_row_kind), of the tree in which v hangs from ``parents[v]``, ``order``
+    listing each vertex after its parent: a row is its parent's, the
+    parent's entry read as its label, lifted to the vertex's label."""
     n = len(labels)
     row, lift, ceilings = _row_kind(max(labels))
     d = row(bytes(n * n))  # zero diagonal
-    order = [(0, -1)]  # (vertex, its parent)
-    for p, up in order:
-        for z in adj[p]:
-            if z != up:
-                order.append((z, p))
-                r = d[p * n:p * n + n]  # a copy per child: an earlier sibling wrote its column
-                r[p] = labels[p]
-                r = lift(r, ceilings[labels[z]])
-                r[z] = 0
-                d[z * n:z * n + n] = d[z::n] = r
+    for z in order[1:]:
+        p = parents[z]
+        r = d[p * n:p * n + n]  # a copy per child: an earlier sibling wrote its column
+        r[p] = labels[p]
+        r = lift(r, ceilings[labels[z]])
+        r[z] = 0
+        d[z * n:z * n + n] = d[z::n] = r
     flat = bytes(d) if row is bytearray else d
     return [flat[i:i + n] for i in range(0, n * n, n)]
 
@@ -178,14 +175,16 @@ def counterexample_labeling(tree: Tree) -> LabeledTree:
     which has no witness point, so the full space has none either.
 
     Deterministic choice: the 3 goes on the third vertex of a longest path,
-    counted from the least-named vertex that ends one.
+    counted from the least-named vertex that ends one: that end's
+    grandparent in the tree rooted at a center (trees._centered).
     """
     verts, adj = tree.vertices, tree._indexed
-    far = _far(adj)
-    thirds = _thirds(adj, far, verts)
-    if not thirds:
-        raise NoLongPath(f"longest path has {far[2]} edges, need at least 4")
-    codes = _counterexample_codes(thirds[0], len(verts))
+    spine = _spine(adj)
+    if len(spine[2]) < 5:
+        raise NoLongPath(f"longest path has {len(spine[2]) - 1} edges, need at least 4")
+    parents, order = _centered(adj, spine)
+    end = min(_longest(parents, order)[1], key=verts.__getitem__)
+    codes = _counterexample_codes(parents[parents[end]], len(verts))
     return LabeledTree._trusted(tree, dict(zip(verts, map(_COUNTEREXAMPLE_VALUES.__getitem__, codes))))
 
 

@@ -171,18 +171,17 @@ def _first_offender(codes, links=None):
     runs first, in whole-row operations: the diagonal all zero and the
     matrix equal to its transpose, both stepped slices of the joined rows,
     and every point joining the points before it by the join rule
-    (``links``, by default _links of the codes; _joins, or _byte_joins on
-    byte rows), whose m > 0 puts no zero off the diagonal. Only a matrix it
-    rejects is scanned row by row, the diagonal entry and then each pair
+    (``links``, by default _links of the codes; _joins), whose m > 0 puts
+    no zero off the diagonal. Only a matrix it rejects is scanned row by
+    row, the diagonal entry and then each pair
     i < j for symmetry and positivity, to name the first offender; then
     the first strong-triangle triple (i, j, k) with i < j, which on a
     symmetric matrix is also the first over ordered pairs: an offender
     (j, i, k) with j > i makes (i, j, k) one."""
     n = len(codes)
     flat = b"".join(codes) if type(codes[0]) is bytes else list(chain.from_iterable(codes))
-    joins = _byte_joins if type(flat) is bytes else _joins
     screened = not any(flat[::n + 1]) and codes == [flat[j::n] for j in range(n)]
-    if screened and all(joins(codes[k][:k], m, codes[a][:k]) for m, a, k in links or _links(codes)):
+    if screened and all(_joins(codes[k][:k], m, codes[a][:k]) for m, a, k in links or _links(codes)):
         return None
     for i, row in enumerate(codes):
         if row[i]:
@@ -201,7 +200,7 @@ def _first_offender(codes, links=None):
 
 
 _TOKENS = frozenset((str, int))
-_CEILINGS = [bytes([m]) * m + bytes(range(m, 256)) for m in range(256)]  # see _byte_joins
+_CEILINGS = [bytes([m]) * m + bytes(range(m, 256)) for m in range(256)]  # see _joins
 
 
 def _rank(rows, convert):
@@ -322,15 +321,9 @@ def _joins(r, m, near) -> bool:
     """The join rule: a point with codes ``r`` to the points of an
     ultrametric, at distance m from the first of its nearest ones (codes
     ``near``), keeps it one exactly when m > 0 and r = max(m, near) entry by
-    entry. The isosceles property forces that row, and the row keeps every
-    triple through the new point isosceles. On list rows (_row_kind);
-    _byte_joins is the same rule on bytes or bytearray rows."""
-    return m > 0 and r == _lift(near, m)
-
-
-def _byte_joins(r, m, near) -> bool:
-    """_joins on byte rows: _CEILINGS[m] lifts each code below m to m."""
-    return m > 0 and r == near.translate(_CEILINGS[m])
+    entry, as the isosceles property forces and which keeps every triple
+    through the point isosceles. Byte rows lift by _CEILINGS[m], lists by _lift."""
+    return m > 0 and r == (_lift(near, m) if type(near) is list else near.translate(_CEILINGS[m]))
 
 
 def us_witness(space: FiniteUltrametricSpace) -> str | None:

@@ -12,9 +12,10 @@ from __future__ import annotations
 import enum
 import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import chain
+from itertools import chain, filterfalse
 from operator import ne
 from typing import Iterable, Iterator
 
@@ -167,13 +168,13 @@ def degree(tree: Tree, v: str) -> int:
 
 
 def high_degree_vertices(tree: Tree) -> set[str]:
-    """Vertices of degree two or more."""
-    return {v for v, nbrs in zip(tree.vertices, tree._indexed) if len(nbrs) >= 2}
+    """Vertices of degree two or more: those that end two or more edges."""
+    return {v for v, k in Counter(chain.from_iterable(tree.edges)).items() if k >= 2}
 
 
 def longest_path_length(tree: Tree) -> int:
     """Edge count of a longest simple path (0 for the one-vertex tree)."""
-    return _far(tree._indexed)[2]
+    return len(_spine(tree._indexed)[2]) - 1
 
 
 def _kind_of(high: int) -> TreeKind:
@@ -213,15 +214,20 @@ def _rank_edges(n: int, rank: int) -> list[tuple[int, int]]:
 def _prufer_rank(n: int, edges) -> int:
     """The rank _rank_edges decodes into the tree on 0..n-1 with index
     ``edges``: its Prufer sequence, the neighbour of the least leaf cut off
-    n - 2 times, read in base n. The leaves wait in a heap: O(n log n)."""
-    adj = [set(nbrs) for nbrs in _index_adjacency(n, edges)]
-    leaves, rank = [v for v in range(n) if len(adj[v]) == 1], 0  # ascending: a heap
+    n - 2 times, read in base n; a leaf's one neighbour is the XOR of its
+    neighbours, kept per vertex. The leaves wait in a heap: O(n log n)."""
+    deg, link = Counter(chain.from_iterable(edges)), [0] * n
+    for a, b in edges:
+        link[a] ^= b
+        link[b] ^= a
+    leaves, rank = [v for v in range(n) if deg[v] == 1], 0  # ascending: a heap
     for _ in range(n - 2):
         leaf = heapq.heappop(leaves)
-        (v,) = adj[leaf]
-        adj[v].remove(leaf)
+        v = link[leaf]
+        link[v] ^= leaf
+        deg[v] -= 1
         rank = rank * n + v
-        if len(adj[v]) == 1:
+        if deg[v] == 1:
             heapq.heappush(leaves, v)
     return rank
 
@@ -266,41 +272,50 @@ def _bfs_parents(n: int, adj, src: int) -> tuple[list[int], list[int]]:
     return parent, order
 
 
-def _far(adj) -> tuple[list[int], list[int], int]:
-    """(parents, visiting order, diameter D) of the breadth-first search
-    from one end a of a longest path: the last vertex reached from any start
-    ends some longest path, and the last one reached from a, b, is D away."""
+def _spine(adj) -> tuple[list[int], list[int], list[int]]:
+    """(parents, order) of a breadth-first search from a, an end of a
+    longest path, and that path from its other end b up to a, D + 1
+    vertices for the diameter D: the last vertex a search reaches ends one."""
     n = len(adj)
     parent, order = _bfs_parents(n, adj, _bfs_parents(n, adj, 0)[1][-1])
-    steps, v = 0, order[-1]
-    while parent[v] != v:
-        v = parent[v]
-        steps += 1
-    return parent, order, steps
+    path = [order[-1]]
+    while parent[path[-1]] != path[-1]:
+        path.append(parent[path[-1]])
+    return parent, order, path
 
 
-def _thirds(adj, far, names=None) -> list[int]:
-    """The vertices counterexample_labeling may put its 3 on, as indices into
-    the index adjacency lists ``adj``, given ``far`` = _far(adj): none when
-    the diameter D is below 4, else the vertex two steps in from each end of
-    a longest path, ascending, or with ``names`` only from the least-named
-    end. A vertex ends a longest path iff _far's end a or b is D away from
-    it, so this adds one search, from b. Which longest path from an end it
-    follows cannot show: every one runs through the center, so all share
-    their first ceil(D/2) + 1 vertices."""
-    n, (parent_a, order_a, d) = len(adj), far
-    if d < 4:
-        return []
-    thirds = {}  # each end's third
-    for parent, order in (parent_a, order_a), _bfs_parents(n, adj, order_a[-1]):
-        depth = [-1] * n  # the root, its own parent, gets 0
-        for v in order:
-            depth[v] = depth[parent[v]] + 1
-            if depth[v] == d:
-                thirds[v] = parent[parent[v]]
-    if names is not None:
-        return [thirds[min(thirds, key=names.__getitem__)]]
-    return sorted(set(thirds.values()))
+def _centered(adj, spine=None) -> tuple[list[int], list[int]]:
+    """(parents, order) of the tree with index adjacency lists ``adj``
+    rooted at a center, the root its own parent and each vertex after its
+    parent. Every longest path runs through the center, so the middle of
+    _spine's path (``spine``, if the caller has it) is one: turning round
+    the path from there to a re-roots its search, the rest kept."""
+    parent, order, path = spine or _spine(adj)
+    turned = path[(len(path) - 1) // 2:]  # the center, then up to a
+    parent[turned[0]] = turned[0]
+    for i in range(1, len(turned)):
+        parent[turned[i]] = turned[i - 1]
+    return parent, turned + list(filterfalse(set(turned).__contains__, order))
+
+
+def _longest(parents, order) -> tuple[int, list[int]]:
+    """(diameter D, the vertices that end a longest path) of the tree in
+    which v hangs from ``parents[v]``, ``order`` listing each vertex after
+    its parent, a center first. With H the greatest depth: if two root
+    branches reach H, D = 2H and the ends are the vertices at depth H; else
+    the one branch that reaches H holds the other center, D = 2H - 1, and
+    the ends are its vertices at depth H and the other branches' at H - 1."""
+    root, n = order[0], len(parents)
+    depth, branch = [0] * n, list(range(n))  # each vertex's root child, the root its own
+    for v in order[1:]:
+        p = parents[v]
+        depth[v], branch[v] = depth[p] + 1, v if p == root else branch[p]
+    h = max(depth)
+    ends = [v for v, x in enumerate(depth) if x == h]
+    tops = {branch[v] for v in ends}
+    if len(tops) > 1 or not h:
+        return 2 * h, ends
+    return 2 * h - 1, ends + [v for v, x in enumerate(depth) if x == h - 1 and branch[v] not in tops]
 
 
 def _free_trees(n_max: int) -> list[dict[tuple[int, ...], int]]:

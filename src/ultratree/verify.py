@@ -26,21 +26,24 @@ finite value set. Each reports the claims the claim table lists for it:
   and counterexample-inapplicable-for-short-tree; elsewhere the two
   counterexample claims of ``main``.
 
-A sweep runs on one facts record per class or labeled tree (_Facts): order
-and rank, and, each computed when a claim first reads it, index edges and
-adjacency, the search record of trees._far (the diameter, and two of the
-three searches of trees._thirds), the high-degree vertices, the public
-Tree, the vertices the counterexample puts its 3 on (thirds, none on a tree
-too short for it) and the labeling walk. The claim table (_CLAIMS) maps each
-claim id to the theorems that report it, with for each the trees it is
-checked on and whether its checks count as cases; to whether it is checked
-once per tree or once per labeling; to its check on the record; and, for a
-claim on one labeling, to its judge: validity's on the full path-max matrix,
-the witness's and the counterexample's by the branch criterion on the tree
-(_first_witness, on a class record's key). One loop (_check) runs the
-theorem's checks on each record, predicted_cases counts from the same table,
-and replay_certificate runs the sweep's own check, the claim's judge or its
-tree test and check, on the certificate's data.
+A sweep runs on one facts record per class or labeled tree (_Facts), made
+from a center-rooted order: v hangs from parents[v], each vertex listed
+after its parent, a center first; a class's key and range(n), a copy's the
+key renamed, and only a replayed public tree is searched (trees._centered).
+The rest is read off the order when a claim first reads it: edges, rank,
+diameter and longest-path ends (trees._longest), high-degree vertices, the
+public Tree, the counterexample's thirds (an end's grandparent, none on a
+tree too short for it) and the labeling walk.
+The claim table (_CLAIMS) maps each claim id to the theorems that report
+it, with for each the trees it is checked on and whether its checks count
+as cases; to whether it is checked once per tree or once per labeling; to
+its check on the record; and, for a claim on one labeling, to its judge:
+validity's on the full path-max matrix, the witness's and the
+counterexample's by the branch criterion on the record's order
+(_first_witness). One loop (_check) runs the theorem's checks on each
+record, predicted_cases counts from the same table, and replay_certificate
+runs the sweep's own check, the claim's judge or its tree test and check,
+on the certificate's data.
 
 Every claim is invariant under vertex relabeling, so a sweep checks each
 order once per free tree, each generated once as a center-rooted level
@@ -123,6 +126,7 @@ import math
 import operator
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -143,14 +147,13 @@ from .spaces import _first_offender, _row_kind, _value_codes
 from .serialize import tree_to_dict, tree_from_dict
 from .trees import (
     Tree,
-    _far,
+    _centered,
     _free_trees,
-    _index_adjacency,
     _index_tree,
     _kind_of,
+    _longest,
     _prufer_rank,
     _sibling_blocks,
-    _thirds,
     _tree_count,
     _vertex_names,
     classify,
@@ -431,25 +434,26 @@ def _class_walk(key, codes, witness: bool, orbits: bool = False):
 # the facts of one tree
 
 class _Facts:
-    """One labeled tree in index form (vertex i is v(i+1)) and the codes of
-    its value grid, ``values[code]`` a code's value; in a sweep, the copy of
-    the class ``key`` whose key position k is vertex at[k]. Every other
-    fact, the adjacency and the rank (the tree's Prufer rank) among them, is
-    computed when a claim or a certificate first reads it."""
+    """One labeled tree (vertex i is v(i+1)) as a center-rooted order (see
+    the module docstring) and the codes of its value grid, ``values[code]``
+    a code's value; in a sweep, the copy of the class ``key`` whose key
+    position k is vertex at[k]. Every other fact, the rank (the tree's
+    Prufer rank) among them, is read off the order when first read."""
 
-    def __init__(self, n: int, edges, values=(), codes=()):
-        self.n, self.edges, self.values, self.codes = n, edges, values, codes
+    def __init__(self, parents, order, values=(), codes=()):
+        self.parents, self.order, self.values, self.codes = parents, order, values, codes
+        self.n = len(parents)
 
     @classmethod
     def of(cls, tree: Tree) -> _Facts:
         """The facts of a public tree, for a replay: no rank, no sweep."""
-        facts = cls(tree.order, [(tree._index[a], tree._index[b]) for a, b in tree.edges])
+        facts = cls(*_centered(tree._indexed))
         facts.rank, facts.names, facts.tree = None, tree.vertices, tree
         return facts
 
     @cached_property
-    def adj(self) -> list[list[int]]:
-        return _index_adjacency(self.n, self.edges)
+    def edges(self) -> list[tuple[int, int]]:
+        return [(self.parents[v], v) for v in self.order[1:]]
 
     @cached_property
     def rank(self) -> int:
@@ -460,18 +464,15 @@ class _Facts:
         return _vertex_names(self.n)
 
     @cached_property
-    def far(self) -> tuple[list[int], list[int], int]:
-        """trees._far, whose ``far[2]`` is the diameter; _thirds reuses it."""
-        return _far(self.adj)
-
-    @cached_property
-    def parents(self):  # for _first_witness: _far's search
-        return self.far[:2]
+    def longest(self) -> tuple[int, list[int]]:
+        """trees._longest: the diameter, and the vertices that end a longest path."""
+        return _longest(self.parents, self.order)
 
     @cached_property
     def highs(self) -> list[int]:
-        """The vertices of degree two or more, ascending."""
-        return [v for v, nbrs in enumerate(self.adj) if len(nbrs) >= 2]
+        """The vertices of degree two or more, ascending: children and the edge up."""
+        kids = Counter(map(self.parents.__getitem__, self.order[1:]))
+        return [v for v, p in enumerate(self.parents) if kids[v] + (p != v) >= 2]
 
     @cached_property
     def tree(self) -> Tree:
@@ -480,8 +481,10 @@ class _Facts:
     @cached_property
     def thirds(self) -> list[int]:
         """The vertices the counterexample check puts its 3 on: the one
-        counterexample_labeling labels, none on a tree too short for it."""
-        return _thirds(self.adj, self.far, self.names)
+        counterexample_labeling labels, the grandparent of the least-named
+        end of a longest path; none on a tree too short for it."""
+        d, ends = self.longest
+        return [self.parents[self.parents[min(ends, key=self.names.__getitem__)]]] if d >= 4 else []
 
     def walk(self, witness: bool):
         """The class's full walk, taken once per mode for all its copies in
@@ -496,42 +499,34 @@ class _Facts:
         """The certificate of a failure on this tree: on the labeling ``lab``
         if one was in play, a code per vertex into ``values`` (by default
         the sweep's), and with the tree's order and rank as evidence."""
-        labeling = None
-        if lab is not None:
-            labeling = dict(zip(self.names, map((values or self.values).__getitem__, lab)))
+        values = values or self.values
+        labeling = None if lab is None else dict(zip(self.names, map(values.__getitem__, lab)))
         evidence = {**evidence, "order": self.n, "tree_index": self.rank}
         return Certificate(self.tree, labeling, claim, evidence)
 
 
 class _ClassFacts(_Facts):
-    """The facts of a free tree's representative, in which vertex k > 0
-    hangs from ``key[k]``: no rank. Its counterexample check judges every
-    vertex third on some longest path, the vertex two steps in from an end,
-    so it fails if the check fails on any labeled copy of the class."""
-
-    def __init__(self, key, values, codes):
-        self.n, self.values, self.codes, self.key, self.rank = len(key), values, codes, key, None
-        self.parents = key, range(self.n)  # for _first_witness: each position after its parent
-
-    @cached_property
-    def edges(self) -> list[tuple[int, int]]:
-        return list(zip(self.key[1:], range(1, self.n)))
+    """The facts of a free tree's representative, made from its class key and
+    range(n); its thirds are every end's grandparent (see the module docstring)."""
 
     @cached_property
     def thirds(self) -> list[int]:
-        return _thirds(self.adj, self.far)
+        d, ends = self.longest
+        return sorted({self.parents[self.parents[v]] for v in ends}) if d >= 4 else []
 
     def walk(self, witness: bool):
         """_class_walk over orbits: a class fails iff a representative does."""
-        return _class_walk(self.key, self.codes, witness, orbits=True)
+        return _class_walk(self.parents, self.codes, witness, orbits=True)
 
     def copies(self, weight: int) -> Iterator[_Facts]:
-        """The facts of each labeled copy of the class, gated on its weight,
-        for _sweep to check where the class failed; they share its full walks."""
-        count, walks = 0, {}
-        for count, at in enumerate(_copies(self.key), 1):
-            copy = _Facts(self.n, [(at[a], at[b]) for a, b in self.edges], self.values, self.codes)
-            copy.key, copy.at, copy.walks = self.key, at, walks
+        """The facts of each labeled copy of the class, the key renamed
+        through its names, gated on its weight, for _sweep to check where
+        the class failed; they share its full walks."""
+        count, walks, key = 0, {}, self.parents
+        for count, at in enumerate(_copies(key), 1):
+            pos = sorted(range(self.n), key=at.__getitem__)  # each vertex's key position
+            copy = _Facts([at[key[k]] for k in pos], at, self.values, self.codes)
+            copy.key, copy.at, copy.walks = key, at, walks
             yield copy
         _gate(self.n, "labeled copies", count, weight)
 
@@ -570,7 +565,7 @@ def _first_witness(parents, order, lab) -> int | None:
 
 def _validity(f: _Facts, lab) -> dict:
     """The validity claim's evidence, whether the claim holds or not."""
-    viol = _first_offender(_path_max(f.adj, lab))
+    viol = _first_offender(_path_max(f.parents, f.order, lab))
     return {
         "nondegenerate": _zero_edge(f.edges, lab) is None,
         "matrix_valid": viol is None,
@@ -584,13 +579,13 @@ def _judge_validity(f: _Facts, lab) -> dict | None:
 
 
 def _judge_witness(f: _Facts, lab) -> dict | None:
-    if _zero_edge(f.edges, lab) is not None or _first_witness(*f.parents, lab) is not None:
+    if _zero_edge(f.edges, lab) is not None or _first_witness(f.parents, f.order, lab) is not None:
         return None
     return {"witness": None}
 
 
 def _judge_counterexample(f: _Facts, lab) -> dict | None:
-    i = _first_witness(*f.parents, lab)
+    i = _first_witness(f.parents, f.order, lab)
     return None if i is None else {"witness": f.names[i]}
 
 
@@ -618,13 +613,6 @@ def _check_counterexample(f: _Facts) -> list[Certificate]:
     return []
 
 
-def _iff(f: _Facts) -> list[Certificate]:
-    high = len(f.highs)
-    if (f.far[2] <= 3) == (high <= 2):
-        return []
-    return [f.fail(CLAIM_II_IFF_III, {"longest_path": f.far[2], "high_degree_count": high})]
-
-
 def _class_structure(f: _Facts) -> list[Certificate]:
     tag, high = classify(f.tree).tag, len(f.highs)
     if tag == _kind_of(high):
@@ -644,8 +632,8 @@ class _Trees(NamedTuple):
 
 
 _ALL = _Trees(lambda f: True, _tree_count)
-_SHORT = _Trees(lambda f: f.far[2] <= 3, _qualifying_count)
-_LONG = _Trees(lambda f: f.far[2] > 3, _long_count)
+_SHORT = _Trees(lambda f: f.longest[0] <= 3, _qualifying_count)
+_LONG = _Trees(lambda f: f.longest[0] > 3, _long_count)
 _FEW = _Trees(lambda f: len(f.highs) <= 2, _qualifying_count)
 _MANY = _Trees(lambda f: len(f.highs) > 2, _long_count)
 
@@ -661,7 +649,11 @@ _CLAIMS = {
     CLAIM_VALID_IFF_NONDEG: _Claim(
         {THEOREM_NONDEG: (_ALL, True)}, True, _axioms, _judge_validity
     ),
-    CLAIM_II_IFF_III: _Claim({THEOREM_MAIN: (_ALL, True)}, False, _iff),
+    CLAIM_II_IFF_III: _Claim(
+        {THEOREM_MAIN: (_ALL, True)}, False,
+        lambda f: [] if (f.longest[0] <= 3) == (len(f.highs) <= 2) else
+        [f.fail(CLAIM_II_IFF_III, {"longest_path": f.longest[0], "high_degree_count": len(f.highs)})],
+    ),
     CLAIM_WITNESS: _Claim(
         {THEOREM_MAIN: (_SHORT, True), THEOREM_CLASSIFY: (_FEW, True)}, True,
         _witnesses, _judge_witness,
@@ -672,23 +664,23 @@ _CLAIMS = {
     ),
     CLAIM_CE_APPLICABLE: _Claim(
         {THEOREM_MAIN: (_LONG, False), THEOREM_CLASSIFY: (_MANY, False)}, False,
-        lambda f: [f.fail(CLAIM_CE_APPLICABLE, {"longest_path": f.far[2]})]
+        lambda f: [f.fail(CLAIM_CE_APPLICABLE, {"longest_path": f.longest[0]})]
         if not f.thirds else [],
     ),
     CLAIM_AT_MOST_TWO: _Claim(  # one case per tree: the lemma holds vacuously on long trees
         {THEOREM_LEMMAS: (_ALL, True)}, False,
         lambda f: [f.fail(CLAIM_AT_MOST_TWO, {"high_degree": [f.names[v] for v in f.highs]})]
-        if f.far[2] <= 3 and len(f.highs) > 2 else [],
+        if f.longest[0] <= 3 and len(f.highs) > 2 else [],
     ),
     CLAIM_ADJACENT: _Claim(
         {THEOREM_LEMMAS: (_SHORT, False)}, False,
-        lambda f: [f.fail(CLAIM_ADJACENT, {"pair": [f.names[a], f.names[b]]})
-                   for a, b in itertools.combinations(f.highs, 2) if b not in f.adj[a]],
+        lambda f: [f.fail(CLAIM_ADJACENT, {"pair": [f.names[a], f.names[b]]}) for a, b in
+                   itertools.combinations(f.highs, 2) if a != f.parents[b] and b != f.parents[a]],
     ),
     CLAIM_CLASS_STRUCTURE: _Claim({THEOREM_CLASSIFY: (_ALL, True)}, False, _class_structure),
     CLAIM_CE_INAPPLICABLE: _Claim(
         {THEOREM_CLASSIFY: (_FEW, False)}, False,
-        lambda f: [f.fail(CLAIM_CE_INAPPLICABLE, {"longest_path": f.far[2]})]
+        lambda f: [f.fail(CLAIM_CE_INAPPLICABLE, {"longest_path": f.longest[0]})]
         if f.thirds else [],
     ),
 }
@@ -750,7 +742,7 @@ def _sweep(task: dict) -> tuple[int, list[Certificate]]:
     values, codes = _value_codes(task["values"] or ())
     cases, fails = 0, []
     for key, weight in task["trees"]:
-        cls = _ClassFacts(key, values, codes)
+        cls = _ClassFacts(key, range(len(key)), values, codes)
         made, bad = _check(cls, claims)
         cases += weight * made
         if bad:
@@ -792,7 +784,7 @@ def _costs(theorem: str, classes, value_count: int) -> list[int]:
     walks = [checked.holds for claim, checked, _ in _reported(theorem) if claim.per_labeling]
 
     def cost(key):
-        walked = any(holds(_ClassFacts(key, (), ())) for holds in walks)
+        walked = any(holds(_ClassFacts(key, range(len(key)))) for holds in walks)
         return _CLASS_VISITS + (_walk_size(key, value_count) if walked else 0)
 
     return [cost(key) for key, _ in classes]

@@ -45,7 +45,7 @@ from ultratree import (
 )
 from ultratree import verify
 from ultratree.spaces import _value_codes
-from ultratree.trees import _bfs_parents, _far, _index_adjacency, _rank_edges
+from ultratree.trees import _bfs_parents, _centered, _index_adjacency, _rank_edges
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -531,8 +531,8 @@ A000055 = (
 
 def canonical(adj):
     """(key, position of each vertex, |Aut T|) of the tree's AHU form, from
-    one AHU pass at the center, the middle of trees._far's path, which every
-    automorphism fixes: the preorder from the center, children by ascending
+    one AHU pass at the center, the middle of a longest path its own two
+    searches find, which every automorphism fixes: the preorder from the center, children by ascending
     AHU string. The key, each position's parent position (the root its own),
     spells the form, so isomorphic trees and no others share it. A bicentral
     tree is cut at its central edge into two halves, the one of lesser
@@ -541,11 +541,13 @@ def canonical(adj):
     order. |Aut T| is the product, over the vertices, of m! for each m
     children of one string, times 2 when the halves are equal."""
     n = len(adj)
-    far_parent, far_order, d = _far(adj)
-    root = far_order[-1]
-    for _ in range(d // 2):
-        root = far_parent[root]
-    other = far_parent[root] if d % 2 else None
+    far_parent, far_order = _bfs_parents(n, adj, _bfs_parents(n, adj, 0)[1][-1])
+    path = [far_order[-1]]  # a longest path, from the last vertex reached up to the search's root
+    while far_parent[path[-1]] != path[-1]:
+        path.append(far_parent[path[-1]])
+    d = len(path) - 1
+    root = path[d // 2]
+    other = path[d // 2 + 1] if d % 2 else None
     parent, order = _bfs_parents(n, adj, root)
     text, kids = [""] * n, [[] for _ in range(n)]
     for v in order[1:]:
@@ -624,11 +626,12 @@ def copy_names(n, edges):
 
 class RankFacts(verify._Facts):
     """verify's facts record of the labeled tree of Prufer rank ``rank``,
-    its edges in decode order. Its walk is its class key's full walk, taken
-    once per key and mode in ``walks``, read through copy_names."""
+    rooted at a center by trees._centered as a replay's. Its walk is its
+    class key's full walk, taken once per key and mode in ``walks``, read
+    through copy_names."""
 
     def __init__(self, n, rank, values=(), codes=(), walks=None):
-        super().__init__(n, _rank_edges(n, rank), values, codes)
+        super().__init__(*_centered(_index_adjacency(n, _rank_edges(n, rank))), values, codes)
         self.rank, self.walks = rank, {} if walks is None else walks
 
     def walk(self, witness):

@@ -116,7 +116,7 @@ def _witness_with_the_3_on_the_root(monkeypatch):
     real = verify._judge_counterexample
 
     def judge(f, lab):
-        key, at, _ = canonical(f.adj)
+        key, at, _ = canonical(_index_adjacency(f.n, f.edges))
         fixed = all(s != size for s, size, _ in verify._sibling_blocks(key))
         return {"witness": f.names[0]} if fixed and at[lab.index(2)] == 0 else real(f, lab)
 

@@ -48,6 +48,7 @@ from ultratree import (
 )
 from ultratree.labelings import _coded_distances, _path_max
 from ultratree.spaces import _compact, _decode, _value_codes
+from ultratree.trees import _bfs_parents
 from ultratree.verify import _Facts, _validity
 
 
@@ -200,7 +201,7 @@ class TestPathMaxKernel:
     @staticmethod
     def _checked(adj, lab):
         n = len(lab)
-        d = _path_max(adj, lab)
+        d = _path_max(*_bfs_parents(n, adj, 0), lab)
         assert list(map(list, d)) == coded_matrix(n, pair_paths(n, adj), lab)
         assert all(type(row) is (bytes if max(lab) < 256 else list) for row in d)
         return d
@@ -214,7 +215,7 @@ class TestPathMaxKernel:
         tree = validate_tree(names, [(names[a], names[b]) for a, b in edges])
         lt = LabeledTree(tree, dict(zip(names, lab)))
         values, codes = _value_codes([lt.labels[v] for v in tree.vertices])
-        d = _path_max(tree._indexed, codes)
+        d = _path_max(*_bfs_parents(n, tree._indexed, 0), codes)
         want = _compact(values, d, scanned_held(d))
         assert _coded_distances(lt) == want
         assert raw_distance_matrix(lt) == (tree.vertices, _decode(*want))
@@ -278,7 +279,7 @@ class TestPathMaxKernel:
     def test_compact_keeps_the_row_type(self):
         # the centre's label, below every leaf's, shows nowhere
         lab, edges = [1, 3, 5, 4], [(0, 1), (0, 2), (0, 3)]
-        d = _path_max(self._adjacency(4, edges), lab)
+        d = _path_max(*_bfs_parents(4, self._adjacency(4, edges), 0), lab)
         held = scanned_held(d)
         assert held == {0, 3, 4, 5}
         values = [Fraction(c) for c in range(6)]

@@ -65,7 +65,6 @@ from ultratree.cli import run
 from ultratree.labelings import _path_max
 from ultratree.rationals import coerce_nonnegative, parse_rational
 from ultratree.spaces import (
-    _byte_joins,
     _column_minima,
     _first_offender,
     _joins,
@@ -73,7 +72,7 @@ from ultratree.spaces import (
     _row_minima,
     _witness_index,
 )
-from ultratree.trees import _free_trees, _index_tree, longest_path_length
+from ultratree.trees import _bfs_parents, _free_trees, _index_tree, longest_path_length
 
 
 def fig1_space():
@@ -765,7 +764,7 @@ class TestRankByValue:
 
 
 class TestByteJoins:
-    """The join rule by translate on byte rows against the list rule, and
+    """The join rule by translate on byte rows against its rule on list rows, and
     _first_offender on byte and list rows of one matrix."""
 
     @example(near=[255, 0, 7], m=0, data=None)
@@ -781,8 +780,9 @@ class TestByteJoins:
                 k = data.draw(st.integers(0, len(near) - 1))
                 rows.append(joined[:k] + [data.draw(st.integers(0, 255))] + joined[k + 1:])
         for r in rows:
-            assert _byte_joins(bytes(r), m, bytes(near)) == _joins(r, m, near)
-        assert _byte_joins(bytes(joined), m, bytes(near)) is (m > 0)
+            assert _joins(bytes(r), m, bytes(near)) == _joins(r, m, near)
+            assert _joins(bytearray(r), m, bytearray(near)) == _joins(r, m, near)
+        assert _joins(bytes(joined), m, bytes(near)) is (m > 0)
 
     @settings(max_examples=150)
     @given(mixed_entry_matrices())
@@ -1053,7 +1053,7 @@ class TestWitnessIndex:
                 adj = index_adjacency(tree)
                 pairs = pair_paths(n, adj)
                 for lab in itertools.product(range(3), repeat=n):
-                    d = _path_max(adj, lab)
+                    d = _path_max(*_bfs_parents(n, adj, 0), lab)
                     assert list(map(list, d)) == coded_matrix(n, pairs, lab)
                     got = _witness_index(d, _row_minima(d))
                     brute = brute_witness(FiniteUltrametricSpace(names, d))

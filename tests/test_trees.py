@@ -49,14 +49,15 @@ from ultratree import (
 )
 from ultratree import trees, verify
 from ultratree.trees import (
-    _far,
+    _centered,
     _free_trees,
     _index_adjacency,
     _index_tree,
+    _longest,
     _prufer_edges,
     _prufer_rank,
     _rank_edges,
-    _thirds,
+    _spine,
     _vertex_names,
 )
 
@@ -253,9 +254,9 @@ class TestLongestPath:
             for tree in enumerate_trees(n):
                 rename = dict(zip(tree.vertices, rnd.sample(names, n)))
                 tree = Tree(tuple(rename.values()), [(rename[a], rename[b]) for a, b in tree.edges])
-                adj, verts = tree._indexed, tree.vertices
-                far = _far(adj)
-                thirds = _thirds(adj, far, verts)
+                verts = tree.vertices
+                facts = verify._Facts.of(tree)  # the replay's record: its third is the labeling's
+                thirds = facts.thirds
                 # distances and eccentricities by a search from every vertex
                 nbrs, dist = adjacency(tree), {}
                 for v in verts:
@@ -267,7 +268,7 @@ class TestLongestPath:
                                 queue.append(u)
                 eccentricity = {v: max(found.values()) for v, found in dist.items()}
                 diameter = max(eccentricity.values())
-                assert far[2] == diameter
+                assert facts.longest[0] == diameter
                 if diameter < 4:
                     assert thirds == []
                 else:
@@ -285,6 +286,81 @@ class TestLongestPath:
                         counterexample_labeling(tree)
                 else:
                     assert counterexample_labeling(tree).labels == expected.labels
+
+
+class TestLongestAgainstNetworkx:
+    """trees._longest, the diameter and the ends of the longest paths in one
+    pass over a center-rooted order, against networkx's diameter and
+    periphery; public trees are rooted by trees._centered, class keys read
+    as they are."""
+
+    @staticmethod
+    def _agrees(nx, n, parents, order):
+        """The tree's graph and its center, once _longest agrees on it."""
+        graph = nx.Graph()
+        graph.add_nodes_from(range(n))
+        graph.add_edges_from((parents[v], v) for v in order[1:])
+        assert nx.is_tree(graph) and sorted(order) == list(range(n))
+        eccentricity = nx.eccentricity(graph)  # what diameter, periphery and center read
+        d, ends = _longest(parents, order)
+        assert d == nx.diameter(graph, e=eccentricity)
+        assert sorted(ends) == sorted(nx.periphery(graph, e=eccentricity))
+        return graph, nx.center(graph, e=eccentricity)
+
+    def _centered_agrees(self, nx, n, edges):
+        adj = _index_adjacency(n, edges)
+        parent, order, path = _spine(adj)
+        parents, centered = _centered(adj)
+        root = centered[0]
+        placed = set()
+        for v in centered:  # each vertex after its parent, the root its own
+            assert parents[v] == v if v == root else parents[v] in placed
+            placed.add(v)
+        graph, center = self._agrees(nx, n, parents, centered)
+        assert set(map(frozenset, graph.edges)) == set(map(frozenset, edges))
+        assert root in center
+        assert len(path) - 1 == _longest(parents, centered)[0]
+        return len(center)
+
+    def test_every_labeled_tree_through_order_seven(self):
+        nx = pytest.importorskip("networkx")
+        checked = 0
+        for n in range(1, 8):
+            for rank in range(cayley(n)):
+                self._centered_agrees(nx, n, _rank_edges(n, rank))
+                checked += 1
+        assert checked == sum(cayley(n) for n in range(1, 8))
+
+    def test_every_class_key_through_order_twelve(self):
+        nx = pytest.importorskip("networkx")
+        for n, keys in enumerate(_free_trees(12), 1):
+            for key in keys:
+                self._agrees(nx, n, key, range(n))
+            assert len(keys) == A000055[n - 1]
+
+    def test_random_trees_up_to_order_two_hundred(self):
+        nx = pytest.importorskip("networkx")
+        rnd = random.Random(200)
+        centers = collections.Counter()
+        for n in [*range(3, 201, 9)] * 3:
+            at = list(range(n))
+            rnd.shuffle(at)
+            if rnd.random() < 0.5:  # a random recursive tree
+                edges = [(at[rnd.randrange(k)], at[k]) for k in range(1, n)]
+            else:  # a long path with random trees hung from it
+                spine = rnd.randrange(1, n)
+                edges = [(at[k - 1], at[k]) if k < spine else (at[rnd.randrange(k)], at[k]) for k in range(1, n)]
+            centers[self._centered_agrees(nx, n, edges)] += 1
+        assert centers[1] > 15 and centers[2] > 15  # unicentral and bicentral
+
+    def test_orders_one_and_two(self):
+        nx = pytest.importorskip("networkx")
+        assert _longest([0], range(1)) == (0, [0])
+        assert _longest([0, 0], range(2)) == (1, [1, 0])
+        assert _centered([[]]) == ([0], [0])
+        assert _centered([[1], [0]])[0] in ([0, 0], [1, 1])
+        for n in (1, 2):
+            self._centered_agrees(nx, n, _rank_edges(n, 0))
 
 
 class TestClassify:

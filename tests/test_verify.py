@@ -73,7 +73,7 @@ from ultratree.errors import (
 )
 from ultratree import labelings, spaces, trees, verify
 from ultratree.spaces import _first_offender, _row_minima, _value_codes, _witness_index
-from ultratree.trees import _bfs_parents, _index_adjacency, _prufer_edges, _rank_edges
+from ultratree.trees import _bfs_parents, _index_adjacency, _prufer_edges, _rank_edges, longest_path_length
 from ultratree.verify import (
     CLAIM_ADJACENT,
     CLAIM_AT_MOST_TWO,
@@ -367,7 +367,7 @@ class TestParallelExecution:
         walks = [t.holds for c, t, _ in verify._reported(theorem) if c.per_labeling]
 
         def cost(key):
-            walked = any(holds(verify._ClassFacts(key, (), ())) for holds in walks)
+            walked = any(holds(verify._ClassFacts(key, range(len(key)))) for holds in walks)
             return verify._CLASS_VISITS + (verify._walk_size(key, 3) if walked else 0)
 
         for n in (6, 10, 12):
@@ -657,12 +657,12 @@ class TestCopyWalks:
         copies = mapped = 0
         for n, found in enumerate(trees._free_trees(5), 1):
             for key, aut in found.items():
-                cls = verify._ClassFacts(key, by_code, codes)
+                cls = verify._ClassFacts(key, range(n), by_code, codes)
                 for facts in cls.copies(math.factorial(n) // aut):
                     copies += 1
                     for witness in (False, True):
                         cases, bad = facts.walk(witness)
-                        want_cases, want_bad = _direct_walk(facts.adj, codes, witness)
+                        want_cases, want_bad = _direct_walk(_index_adjacency(n, facts.edges), codes, witness)
                         assert cases == want_cases == len(codes) ** n
                         assert sorted(bad) == sorted(want_bad)
                         mapped += len(bad)
@@ -689,7 +689,7 @@ class TestCopyWalks:
             walked = _counted_walks(mp)
             for each in (adj, copy):  # two copies of one class
                 edges = [(v, u) for v in range(n) for u in each[v] if v < u]
-                facts = verify._Facts(n, edges, (), codes)
+                facts = verify._Facts(*_bfs_parents(n, each, 0), (), codes)
                 facts.key, facts.at = copy_names(n, edges)  # as _copies names it
                 facts.walks = walks
                 assert set(map(frozenset, facts.edges)) == set(map(frozenset, edges))
@@ -966,7 +966,7 @@ class TestClassSweep:
         for n in range(1, 8):
             for rank in range(cayley(n)):
                 facts = RankFacts(n, rank)
-                if facts.far[2] < 4:
+                if facts.longest[0] < 4:
                     assert facts.thirds == []
                     with pytest.raises(NoLongPath):
                         counterexample_labeling(facts.tree)
@@ -974,13 +974,13 @@ class TestClassSweep:
                 (third,) = facts.thirds
                 labels = counterexample_labeling(facts.tree).labels
                 assert [v for v, q in labels.items() if q == 3] == [facts.names[third]]
-                key, at, _ = canonical(facts.adj)
+                key, at, _ = canonical(_index_adjacency(n, facts.edges))
                 chosen[key].add(at[third])
         assert len(chosen) == 1 + 3 + 8  # long free trees of orders 5, 6 and 7
         for key, some in chosen.items():
-            facts = verify._ClassFacts(key, (), ())
+            facts = verify._ClassFacts(key, range(len(key)))
             # every longest path, read from each end, by the pairs' own searches
-            paths = [path for _, _, path in pair_paths(facts.n, facts.adj)]
+            paths = [path for _, _, path in pair_paths(facts.n, _index_adjacency(facts.n, facts.edges))]
             longest = [path for path in paths if len(path) == max(map(len, paths))]
             assert facts.thirds == sorted({path[k] for path in longest for k in (2, -3)})
             assert some <= set(facts.thirds)
@@ -1056,7 +1056,7 @@ class TestClassSweep:
 def _matrix_witness(adj, lab):
     """The first witness index of the labeling's path-max matrix, read off
     the full matrix as an unchecked space is: the criterion's oracle."""
-    d = labelings._path_max(adj, lab)
+    d = labelings._path_max(*_bfs_parents(len(adj), adj, 0), lab)
     return _witness_index(d, _row_minima(d))
 
 
@@ -1116,52 +1116,103 @@ class TestBranchCriterion:
         assert verify_main_theorem(10, budget=10**9).status == "pass"
         assert verify_classification(10, budget=10**9).status == "pass"
 
-    def test_nondeg_class_records_build_no_adjacency(self, monkeypatch):
-        monkeypatch.setattr(verify, "_index_adjacency", lambda *args: pytest.fail("adjacency was built"))
-        report = verify_theorem_nondegeneracy(7, budget=10**8)
-        assert report.status == "pass"
-        assert report.cases_checked == expected_cases("nondeg", 7, 3)
-
 
 class TestLongestPathSearches:
-    def test_diameter_two_searches_and_the_path_one_more(self, monkeypatch):
+    """A sweep reads every fact of a class or a labeled copy off its
+    center-rooted order, the class key or the key renamed, and runs no
+    search: the searches and adjacency lists of trees fail wherever they
+    are bound. Only a public tree is searched, by trees._spine's two
+    searches, which trees._centered turns round."""
+
+    @staticmethod
+    def _searchless(monkeypatch):
+        for module in (trees, labelings, verify):
+            for name in ("_bfs_parents", "_index_adjacency"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, lambda *args, name=name: pytest.fail(f"{name} was called"))
+
+    @staticmethod
+    def _counted(monkeypatch):
+        """Counts each search, wherever one may be bound; returns the list."""
         calls = []
 
         def counting(n, adj, src):
             calls.append(src)
             return _bfs_parents(n, adj, src)
 
-        for module in (trees, labelings, verify):  # wherever a search may be bound
+        for module in (trees, labelings, verify):
             if hasattr(module, "_bfs_parents"):
                 monkeypatch.setattr(module, "_bfs_parents", counting)
-        long_trees = 0
+        return calls
+
+    @pytest.mark.parametrize("theorem", ["main", "classify", "lemmas", "nondeg"])
+    def test_the_sweeps_run_no_search_through_order_eight(self, monkeypatch, theorem):
+        self._searchless(monkeypatch)
+        sweep = {
+            "main": verify_main_theorem,
+            "classify": verify_classification,
+            "lemmas": verify_structure_lemmas,
+            "nondeg": verify_theorem_nondegeneracy,
+        }[theorem]
+        report = sweep(8, budget=10**10)
+        assert report.status == "pass"
+        assert report.cases_checked == expected_cases(theorem, 8, 3)
+
+    def test_a_failing_class_expands_its_copies_without_a_search(self, monkeypatch):
+        # one verdict of the order-6 star flipped: the star class fails, and
+        # each of its 6 copies, the key renamed, is checked and certified
+        walk, star, forced = verify._labelings, (0,) * 6, (1,) + (0,) * 5
+
+        def flipped(parents, codes, witness, leaf, blocks=()):
+            def spy(lab, nondeg, verdict, weight):
+                leaf(lab, nondeg, verdict != (tuple(parents) == star and tuple(lab) == forced), weight)
+
+            walk(parents, codes, witness, spy, blocks)
+
+        monkeypatch.setattr(verify, "_labelings", flipped)
+        searched = verify_main_theorem(6, (0, 1))
+        self._searchless(monkeypatch)
+        report = verify_main_theorem(6, (0, 1))
+        assert report.failures == searched.failures and len(report.failures) == 6
+        # the star centred at v(i+1) has Prufer sequence (i, i, i, i)
+        assert [cert.evidence["tree_index"] for cert in report.failures] == [i * 259 for i in range(6)]
+        assert {cert.claim_violated for cert in report.failures} == {CLAIM_WITNESS}
+
+    def test_a_replay_searches_only_to_center_its_tree(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        replayed = 0
+        for tree in (path_tree(5), path_tree(6), star_tree(4), path_tree(2), validate_tree(["a"], [])):
+            calls.clear()
+            trees._centered(tree._indexed)
+            centering = len(calls)
+            assert centering == 2
+            long = brute_longest_path(tree) >= 4
+            ones = {v: Fraction(1) for v in tree.vertices}
+            for claim, rule in verify._CLAIMS.items():
+                labeling = None
+                if rule.judge is not None:
+                    labeling = dict(counterexample_labeling(tree).labels) if long else ones
+                cert = Certificate(tree=tree, labeling=labeling, claim_violated=claim, evidence={})
+                calls.clear()
+                replay_certificate(cert)
+                assert len(calls) == centering
+                replayed += 1
+        assert replayed == 5 * len(verify._CLAIMS)
+
+    def test_the_public_calls_search_twice(self, monkeypatch):
+        # a short tree raises NoLongPath after the two searches, before any turning
+        calls = self._counted(monkeypatch)
         for n in range(1, 7):
-            for rank in range(cayley(n)):
+            for tree in enumerate_trees(n):
                 calls.clear()
-                facts = RankFacts(n, rank)
-                if verify._LONG.holds(facts):  # reads the diameter
-                    assert len(calls) == 2
-                    assert len(facts.thirds) == 1
-                    assert len(calls) == 3
-                    long_trees += 1
-                else:
-                    assert len(calls) == 2
-        assert long_trees == sum(cayley(n) - qualifying_count(n) for n in range(1, 7))
-        # a class record: both counterexample claims read the one third search
-        applicable = verify._CLAIMS[CLAIM_CE_APPLICABLE].check
-        long_classes = 0
-        for keys in trees._free_trees(7):
-            for key in keys:
+                try:
+                    counterexample_labeling(tree)
+                except NoLongPath:
+                    assert brute_longest_path(tree) < 4
+                assert len(calls) == 2
                 calls.clear()
-                facts = verify._ClassFacts(key, (), ())
-                if verify._LONG.holds(facts):
-                    assert len(calls) == 2
-                    assert applicable(facts) == _check_counterexample(facts) == []
-                    assert len(calls) == 3
-                    long_classes += 1
-                else:
-                    assert len(calls) == 2
-        assert long_classes == 1 + 3 + 8
+                longest_path_length(tree)
+                assert len(calls) == 2
 
 
 class TestCodedCounterexample:
@@ -1273,7 +1324,7 @@ class TestCertificates:
 
     def test_replay_reproduces_counterexample_applicability(self, monkeypatch):
         # no third: too short for the pattern on every tree
-        monkeypatch.setattr(verify, "_thirds", lambda adj, far, names=None: [])
+        monkeypatch.setattr(verify._Facts, "thirds", property(lambda f: []))
         for claim, tree, reproduces in (
             (CLAIM_CE_APPLICABLE, self._p5(), True),
             (CLAIM_CE_INAPPLICABLE, star_tree(4), False),
@@ -1281,7 +1332,7 @@ class TestCertificates:
             cert = Certificate(tree=tree, labeling=None, claim_violated=claim, evidence={})
             assert replay_certificate(cert) is reproduces
         # a third on every tree
-        monkeypatch.setattr(verify, "_thirds", lambda adj, far, names=None: [0])
+        monkeypatch.setattr(verify._Facts, "thirds", property(lambda f: [0]))
         for claim, tree, reproduces in (
             (CLAIM_CE_INAPPLICABLE, star_tree(4), True),
             (CLAIM_CE_APPLICABLE, self._p5(), False),
